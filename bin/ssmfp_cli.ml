@@ -579,8 +579,19 @@ let mc_cmd =
       & info [ "scenario" ] ~doc:"2chain (exhaustive) or 3chain (sampled).")
   in
   let samples =
+    let positive =
+      Arg.conv
+        ( (fun s ->
+            match int_of_string_opt s with
+            | Some n when n > 0 -> Ok n
+            | _ ->
+                Error
+                  (`Msg
+                    (Printf.sprintf "invalid value %S, expected a positive integer" s))),
+          Format.pp_print_int )
+    in
     Arg.(
-      value & opt int 2000
+      value & opt positive 2000
       & info [ "samples" ] ~docv:"N" ~doc:"Initial configurations for 3chain.")
   in
   let workers =
@@ -607,19 +618,7 @@ let mc_cmd =
       & info [ "stats" ]
           ~doc:"Print the visited-store footprint after the safety search.")
   in
-  let key =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("codec", Mc.Par.Codec_keys); ("string", Mc.Par.String_keys) ])
-          Mc.Par.Codec_keys
-      & info [ "key" ] ~docv:"KEY"
-          ~doc:
-            "Visited-set keys: codec (compact binary, default) or string \
-             (the historical rendering, kept as differential baseline).")
-  in
-  let run scenario samples workers no_por stats key profile prof_summary =
+  let run scenario samples workers no_por stats profile prof_summary =
     let sc, inits =
       match scenario with
       | `Two ->
@@ -633,7 +632,7 @@ let mc_cmd =
     let workers = Mc.Par.effective_workers workers in
     let prof = make_prof ~profile ~prof_summary ~tracks:workers in
     let sr =
-      Mc.Explore.check_safety ~workers ~por:(not no_por) ~key ~prof sc inits
+      Mc.Explore.check_safety ~workers ~por:(not no_por) ~prof sc inits
     in
     Printf.printf "safety: %d configurations, %d transitions\n"
       sr.Mc.Explore.explored sr.Mc.Explore.transitions;
@@ -670,8 +669,8 @@ let mc_cmd =
   Cmd.v
     (Cmd.info "mc" ~doc:"Model-check SP on small networks.")
     Term.(
-      const run $ scenario $ samples $ workers $ no_por $ stats $ key
-      $ profile_arg $ prof_summary_arg)
+      const run $ scenario $ samples $ workers $ no_por $ stats $ profile_arg
+      $ prof_summary_arg)
 
 (* ---------------- chaos command ---------------- *)
 

@@ -1,7 +1,7 @@
 (* Compact binary canonical keys for model-checker configurations.
 
-   The codec writes the same abstraction the historical string key
-   rendered — ghost identities and the [rr] cursor are absent, message
+   [encode] writes the same abstraction [string_key] renders — ghost
+   identities and the [rr] cursor are absent, message
    occurrences are the visible (info, last, color) triple plus validity,
    the delivery counter is clamped at 2 — but into a reusable [Bytes]
    scratch buffer with varint fields, updating a 64-bit FNV-1a style
@@ -97,8 +97,8 @@ let encode t states ~delivered =
   add_int t (min delivered 2)
 
 (* ------------------------------------------------------------------ *)
-(* String-key fallback: the historical rendering, kept for differential
-   testing. Manual buffer writes only — no [Printf.sprintf]. *)
+(* A readable rendering of the same abstraction, the tests' reference
+   for the codec. Manual buffer writes only — no [Printf.sprintf]. *)
 
 let string_of_msg buf (m : Ssmfp.Message.t option) =
   match m with

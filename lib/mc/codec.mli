@@ -1,15 +1,16 @@
 (** Compact binary canonical keys for model-checker configurations.
 
-    A value of type {!t} is a reusable scratch encoder: {!encode} resets
-    it and serializes a canonical configuration — the same abstraction the
-    historical string key rendered (ghost identities and the [rr] cursor
-    absent, message occurrences reduced to the visible (info, last,
-    color) triple plus validity, the delivery counter clamped at 2) —
-    into a growable [Bytes] buffer with varint fields, maintaining a
-    64-bit FNV-1a hash incrementally as bytes are written. Between two
-    {!encode} calls nothing is allocated once the buffer has grown to the
-    size of the largest configuration, so keying a successor costs only
-    the serialization walk.
+    A value of type {!t} is a reusable scratch encoder: the explorer
+    ({!Par}) resets it and lets the model write a (configuration,
+    monitor) key with the [add_*] primitives. {!encode} is SSMFP's
+    writer: it serializes the canonical abstraction (ghost identities and
+    the [rr] cursor absent, message occurrences reduced to the visible
+    (info, last, color) triple plus validity, the delivery counter
+    clamped at 2) into a growable [Bytes] buffer with varint fields,
+    maintaining a 64-bit FNV-1a hash incrementally as bytes are
+    written. Between two {!encode} calls nothing is allocated once the
+    buffer has grown to the size of the largest configuration, so keying
+    a successor costs only the serialization walk.
 
     Every field is a tagged byte or length-prefixed, and the state and
     slot counts are fixed by the network, so the encoding is injective:
@@ -47,23 +48,25 @@ val hash : t -> int
     must compare keys after matching hashes. *)
 
 val add_byte : t -> int -> unit
-(** Append one byte (low 8 bits). Exposed for tests and custom keys. *)
+(** Append one byte (low 8 bits). *)
 
 val add_int : t -> int -> unit
 (** Append a native int as unsigned LEB128 (a bijection on ints;
     negative values take the maximal 9 bytes). *)
 
 val add_string : t -> string -> unit
-(** Append a length-prefixed string. *)
+(** Append a length-prefixed string (how the PIF model writes its
+    canonical phase strings). *)
 
 val string_key : Ssmfp.State.t array -> delivered:int -> string
-(** The historical string rendering of the same canonical abstraction —
-    manual buffer writes, no [Printf] — kept as the differential baseline
-    for the codec ({!Par.String_keys}). *)
+(** A human-readable rendering of the same canonical abstraction —
+    manual buffer writes, no [Printf] — kept as the tests' reference for
+    the codec: the key differential searches with a model whose encoder
+    writes these bytes. *)
 
 val hash_string : string -> int
-(** FNV-1a over a string, for keying {!string_key} values in a
-    {!Store.t}. *)
+(** FNV-1a over a string: equals {!hash} after writing the same bytes
+    with {!add_byte}. *)
 
 val key_order :
   hash_a:int -> key_a:string -> hash_b:int -> key_b:string -> int

@@ -22,9 +22,9 @@ let three_chain =
   }
 
 (* Canonical keys (ghost ids and the rr cursor abstracted away) live in
-   Codec: the compact binary encoding is the default visited-set key and
-   Codec.string_key keeps the historical rendering as the differential
-   baseline. *)
+   Codec: the compact binary encoding is the visited-set key, and
+   Codec.string_key renders the same abstraction as the tests'
+   reference. *)
 
 (* ------------------------------------------------------------------ *)
 (* Initial configurations                                              *)
@@ -118,12 +118,11 @@ let sample_initials_corrupted rng ~count scenario =
     (sample_initials rng ~count scenario)
 
 (* ------------------------------------------------------------------ *)
-(* Safety: exhaustive search over all central-daemon choices. The search
-   engine — codec keys, sharded concurrent visited store, work-stealing
-   frontier, deterministic reduce — lives in Par; this is the
-   scenario-level entry point.                                          *)
+(* Safety: the SSMFP instance of Par's explorer. The monitor is the
+   valid-delivery count, clamped at 2 (past 2 nothing new can happen);
+   a second delivery is the pruned violation.                          *)
 
-type safety_report = Par.safety_report = {
+type safety_report = {
   initial_count : int;
   explored : int;
   transitions : int;
@@ -133,10 +132,234 @@ type safety_report = Par.safety_report = {
   visited : Store.stats;
 }
 
-let check_safety ?variant ?simultaneity ?run_routing ?max_configs ?workers ?por
-    ?shards ?key ?prof scenario initials =
-  Par.check_safety ?variant ?simultaneity ?run_routing ?max_configs ?workers
-    ?por ?shards ?key ?prof ~graph:scenario.graph initials
+let render_config states =
+  String.concat " / "
+    (Array.to_list
+       (Array.mapi
+          (fun p st -> Format.asprintf "p%d %a" p Ssmfp.State.pp st)
+          states))
+
+let has_traffic states =
+  Array.exists
+    (fun st ->
+      st.Ssmfp.State.outbox <> [] || Ssmfp.State.occupied_buffers st <> [])
+    states
+
+let holds_valid (st : Ssmfp.State.t) =
+  List.exists
+    (fun (_, _, m) -> Ssmfp.Message.is_valid m)
+    (Ssmfp.State.occupied_buffers st)
+
+(* The valid message was generated (every outbox is drained), never
+   delivered, and no buffer holds a valid occurrence any more. *)
+let lost states delivered =
+  delivered = 0
+  && Array.for_all
+       (fun (st : Ssmfp.State.t) -> st.Ssmfp.State.outbox = [])
+       states
+  && not (Array.exists holds_valid states)
+
+let request_possible (st : Ssmfp.State.t) =
+  (not st.Ssmfp.State.request) && st.Ssmfp.State.outbox <> []
+
+(* ------------------------------------------------------------------ *)
+(* Partial-order reduction: the ample-processor choice.
+
+   The radius-1 locality metadata the engine already trusts (every SSMFP
+   guard reads only the closed neighborhood, every action writes only
+   its own processor) is an independence relation for free. A
+   configuration where some processor p has only local-progress rules
+   enabled (R2, R4, R5, R6 — no generation, no copy, no routing repair),
+   holds no valid occurrence, has no request to raise, and has no
+   conflicting neighbor, expands only p's actions: they commute with
+   every other enabled action, are invisible to the SP predicates (they
+   move or erase p's own invalid messages), and strictly decrease the
+   lexicographic potential (total occupied buffers, total bufR
+   occupancy) — R2 keeps the count and drains a bufR, R4/R5/R6 erase —
+   so reduced expansions cannot cycle and nothing is ignored forever.
+   The selection is a pure function of the configuration, so reduction
+   never perturbs determinism. The classical C1 condition is
+   approximated (a distance-2 cascade could in principle re-activate the
+   neighborhood before p moves); the POR differential suite pins POR-on
+   verdicts to POR-off on every small net we can afford, and [por]
+   defaults to off in the API ([--no-por] escapes it in the CLI).      *)
+
+(* Local-progress rules: move or erase an occurrence already at p. R1
+   (generation), R3 (copy — creates an occurrence a neighbor can react
+   to) and Route (repair) are excluded from ample sets. *)
+let local_progress_only actions =
+  List.for_all
+    (fun (a : Ssmfp.Protocol.action) ->
+      match a.Ssmfp.Protocol.rule with
+      | Ssmfp.Protocol.R2 | Ssmfp.Protocol.R4 | Ssmfp.Protocol.R5
+      | Ssmfp.Protocol.R6 ->
+          true
+      | Ssmfp.Protocol.R1 | Ssmfp.Protocol.R3 | Ssmfp.Protocol.Route ->
+          false)
+    actions
+
+(* Field-granular independence. Every SSMFP guard and effect touches a
+   small, statically known set of state fields (Protocol's guards read
+   buffers by (processor, destination) slot, routing tables and request
+   flags by processor); two actions at distinct processors commute and
+   preserve each other's guards exactly when neither writes a field the
+   other reads — writes never collide, since every action writes only
+   its own processor. The field lists below transcribe Protocol's
+   guard_* / apply_* readers conservatively (choice and color picking
+   read every neighbor's bufE/routing resp. bufR for the slot). *)
+type field =
+  | FBufR of int * int  (* processor, destination slot *)
+  | FBufE of int * int
+  | FRouting of int
+  | FQueue of int * int
+  | FRequest of int
+  | FOutbox of int
+
+let bufr_last states p d =
+  match (Ssmfp.State.slot states.(p) d).Ssmfp.State.buf_r with
+  | Some m -> m.Ssmfp.Message.last
+  | None -> p
+
+(* choice_p(d) evaluates can_feed on queue members: it always reads the
+   member's routing table, but its value depends on [bufE_s(d)] only
+   when [next_hop_s(d) = p] — a neighbor routing elsewhere (notably the
+   destination itself, which routes to itself) cannot feed p, occupied
+   or not. The routing read stays in the set, so any action that could
+   flip [next_hop] (only Route) still conflicts. *)
+let choice_reads states p d nbrs =
+  List.concat_map
+    (fun s ->
+      let feeds_p =
+        Routing.Selfstab.next_hop states.(s).Ssmfp.State.routing ~d = p
+      in
+      FRouting s :: (if feeds_p then [ FBufE (s, d) ] else []))
+    nbrs
+
+let action_reads graph states p (a : Ssmfp.Protocol.action) =
+  let d = a.Ssmfp.Protocol.dest in
+  let nbrs = Topology.Graph.neighbors graph p in
+  match a.Ssmfp.Protocol.rule with
+  | Ssmfp.Protocol.Route ->
+      FRouting p :: List.map (fun r -> FRouting r) nbrs
+  | Ssmfp.Protocol.R1 ->
+      FRequest p :: FOutbox p :: FBufR (p, d) :: FQueue (p, d)
+      :: choice_reads states p d nbrs
+  | Ssmfp.Protocol.R2 ->
+      FBufR (p, d)
+      :: FBufE (bufr_last states p d, d)
+      :: List.map (fun r -> FBufR (r, d)) nbrs
+  | Ssmfp.Protocol.R3 ->
+      FBufR (p, d) :: FQueue (p, d) :: choice_reads states p d nbrs
+  | Ssmfp.Protocol.R4 ->
+      FBufE (p, d) :: FRouting p :: List.map (fun r -> FBufR (r, d)) nbrs
+  | Ssmfp.Protocol.R5 ->
+      let last = bufr_last states p d in
+      [ FBufR (p, d); FBufE (last, d); FRouting last ]
+  | Ssmfp.Protocol.R6 -> [ FBufE (p, p) ]
+
+let action_writes p (a : Ssmfp.Protocol.action) =
+  let d = a.Ssmfp.Protocol.dest in
+  match a.Ssmfp.Protocol.rule with
+  | Ssmfp.Protocol.Route -> [ FRouting p ]
+  | Ssmfp.Protocol.R1 ->
+      [ FBufR (p, d); FQueue (p, d); FRequest p; FOutbox p ]
+  | Ssmfp.Protocol.R2 -> [ FBufR (p, d); FBufE (p, d) ]
+  | Ssmfp.Protocol.R3 -> [ FBufR (p, d); FQueue (p, d) ]
+  | Ssmfp.Protocol.R4 -> [ FBufE (p, d) ]
+  | Ssmfp.Protocol.R5 -> [ FBufR (p, d) ]
+  | Ssmfp.Protocol.R6 -> [ FBufE (p, p) ]
+
+let conflict graph states p a q b =
+  let intersects xs ys = List.exists (fun x -> List.mem x ys) xs in
+  intersects (action_writes p a) (action_reads graph states q b)
+  || intersects (action_writes q b) (action_reads graph states p a)
+
+(* The smallest processor whose enabled actions form a sound ample set:
+   only local-progress rules, nothing valid at stake, no request to
+   raise, and no field conflict with any enabled action of any
+   neighbor (non-neighbors read within their own radius-1 ball, so
+   they cannot conflict; request-raising reads and writes only the
+   raiser's request/outbox, which no local-progress rule touches).
+   Pure in the configuration: the same state elects the same
+   processor. *)
+let ample_pid graph states tbl =
+  let eligible p =
+    tbl.(p) <> []
+    && (not (request_possible states.(p)))
+    && local_progress_only tbl.(p)
+    && (not (holds_valid states.(p)))
+    && List.for_all
+         (fun q ->
+           List.for_all
+             (fun b ->
+               List.for_all
+                 (fun a -> not (conflict graph states p a q b))
+                 tbl.(p))
+             tbl.(q))
+         (Topology.Graph.neighbors graph p)
+  in
+  (* Among eligible processors, the one with the fewest enabled actions
+     collapses the most interleavings; ties break to the smallest pid.
+     Still a pure function of the configuration. *)
+  let best = ref None in
+  for p = Topology.Graph.n graph - 1 downto 0 do
+    if eligible p then
+      match !best with
+      | Some q when List.length tbl.(q) < List.length tbl.(p) -> ()
+      | _ -> best := Some p
+  done;
+  !best
+
+(* The higher layer raising a request flag, in pid order. *)
+let raise_requests states =
+  List.filter_map
+    (fun p ->
+      let st = states.(p) in
+      if request_possible st then begin
+        let states' = Array.copy states in
+        states'.(p) <- { st with Ssmfp.State.request = true };
+        Some (states', [ p ])
+      end
+      else None)
+    (List.init (Array.length states) Fun.id)
+
+let model ?(variant = Ssmfp.Protocol.faithful) ?(run_routing = false)
+    ?(por = false) graph =
+  {
+    Par.protocol = Ssmfp.Protocol.make ~variant ~run_routing graph;
+    init_monitor = 0;
+    monitor =
+      (fun delivered ~pid:_ ev ->
+        match ev with
+        | Ssmfp.Protocol.Delivered m when Ssmfp.Message.is_valid m ->
+            min 2 (delivered + 1)
+        | _ -> delivered);
+    encode = (fun codec states delivered -> Codec.encode codec states ~delivered);
+    externals = raise_requests;
+    ample = (if por then Some (ample_pid graph) else None);
+    prune = (fun _ delivered -> delivered >= 2);
+    witness = lost;
+    deadlock = has_traffic;
+    render = (fun states _ -> render_config states);
+  }
+
+let check_safety ?variant ?(simultaneity = false) ?run_routing ?max_configs
+    ?workers ?por ?prof scenario initials =
+  let graph = scenario.graph in
+  let r =
+    Par.check_safety ~simultaneity ?max_configs ?workers ?prof ~graph
+      (model ?variant ?run_routing ?por graph)
+      initials
+  in
+  {
+    initial_count = r.Par.initial_count;
+    explored = r.Par.explored;
+    transitions = r.Par.transitions;
+    duplicate_delivery = r.Par.violation <> None;
+    lost_valid = r.Par.witness;
+    deadlock = r.Par.deadlock;
+    visited = r.Par.visited;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Liveness under the weakly fair round-robin daemon                   *)

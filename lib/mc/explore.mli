@@ -60,7 +60,7 @@ val sample_initials_corrupted :
     routing tables as well — for checks that run the routing protocol [A]
     inside the search. *)
 
-type safety_report = Par.safety_report = {
+type safety_report = {
   initial_count : int;
   explored : int;  (** distinct canonical configurations visited *)
   transitions : int;
@@ -75,6 +75,19 @@ type safety_report = Par.safety_report = {
           bytes, load factor) at the end of the search *)
 }
 
+val model :
+  ?variant:Ssmfp.Protocol.variant ->
+  ?run_routing:bool ->
+  ?por:bool ->
+  Topology.Graph.t ->
+  (Ssmfp.State.t, Ssmfp.Protocol.action, Ssmfp.Protocol.event, int) Par.model
+(** SSMFP as a {!Par.model}: the monitor is the valid-delivery count
+    clamped at 2, keyed by {!Codec.encode}; external transitions raise
+    request flags; [por] (default false) installs the ample-set hook; a
+    second delivery is pruned, a lost valid message is the witness, and a
+    terminal configuration holding traffic is a deadlock. {!check_safety}
+    runs it; tests swap its [encode] to search under other keys. *)
+
 val check_safety :
   ?variant:Ssmfp.Protocol.variant ->
   ?simultaneity:bool ->
@@ -82,14 +95,12 @@ val check_safety :
   ?max_configs:int ->
   ?workers:int ->
   ?por:bool ->
-  ?shards:int ->
-  ?key:Par.key_mode ->
   ?prof:Obs.Prof.t ->
   scenario ->
   Ssmfp.State.t array list ->
   safety_report
-(** Exhaustive search over the union of reachable spaces (bound:
-    [max_configs], default
+(** Exhaustive search over the union of reachable spaces ({!model} run
+    through {!Par.check_safety}; bound: [max_configs], default
     2_000_000 — a key that would exceed it raises [Failure] before being
     inserted, so the bound is exact). [variant] lets the checker
     explore ablated protocols — notably [literal_r5], whose reachable
@@ -107,11 +118,9 @@ val check_safety :
     [workers] (default 1; [0] = autodetect) is the number of
     work-stealing worker loops; [por] (default false) enables the
     ample-set partial-order reduction (changes the explored counts, not
-    the verdicts); [shards] sets the visited-set stripe count; [key]
-    (default {!Par.Codec_keys}) selects the visited-set representation;
-    [prof] attributes wall-clock to roots/run/steal/reduce spans per
-    domain. Every report field is independent of [workers], [key] and
-    [prof] — see {!Par.check_safety} for the determinism and
+    the verdicts); [prof] attributes wall-clock to roots/run/steal/reduce
+    spans per domain. Every report field is independent of [workers]
+    and [prof] — see {!Par.check_safety} for the determinism and
     instrumentation rules. *)
 
 type liveness_report = {

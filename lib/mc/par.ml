@@ -1,12 +1,12 @@
-(* The safety-search core shared by Mc.Explore's sequential and parallel
-   paths.
+(* The model checker's one explorer, parameterised over a protocol
+   description ([model]); Explore.check_safety (SSMFP) and the PIF safety
+   check are its instances.
 
-   The search explores the same transition system Explore.check_safety
-   always explored — every enabled (processor, action) choice of the
+   The search explores every enabled (processor, action) choice of the
    central daemon (or every composite distributed-daemon selection under
-   [simultaneity]), plus the higher layer raising request flags — but
-   the traversal is continuous and barrier-free, with determinism
-   recovered by a reduce step instead of by freezing traversal order:
+   [simultaneity]), plus the model's external transitions, but the
+   traversal is continuous and barrier-free, with determinism recovered
+   by a reduce step instead of by freezing traversal order:
 
    - the visited set is a sharded concurrent store (Store.Sharded):
      per-stripe mutexes over the fingerprint + bytes-key layout, stripe
@@ -21,52 +21,38 @@
      atomic count of enqueued-but-unexpanded entries, not a level
      barrier;
 
-   - the search runs the frontier to exhaustion (successors that have
-     already reached the duplicate-delivery bound are recorded but not
-     expanded), so the set of expanded configurations — hence
-     [explored], [transitions], and the visited stats — is a pure
-     function of the initial configurations, whatever the interleaving;
+   - the search runs the frontier to exhaustion (fresh configurations
+     the model prunes are recorded as violations but not expanded), so
+     the set of expanded configurations — hence [explored],
+     [transitions], and the visited stats — is a pure function of the
+     initial configurations, whatever the interleaving;
 
    - witnesses are elected, not discovered: every worker keeps its
-     locally best lost/deadlock candidate under the canonical order
-     (min fingerprint, then key bytes — Codec.key_order), and the reduce
-     step after the join takes the global minimum. Reports are therefore
-     byte-identical for any worker count even though traversal order is
-     nondeterministic.
+     locally best violation/witness/deadlock candidate under the
+     canonical order (min fingerprint, then key bytes — Codec.key_order),
+     and the reduce step after the join takes the global minimum and
+     renders it. Reports are therefore byte-identical for any worker
+     count even though traversal order is nondeterministic. *)
 
-   On top sits an optional partial-order reduction ([por]): the radius-1
-   locality metadata the engine already trusts (every SSMFP guard reads
-   only the closed neighborhood, every action writes only its own
-   processor) is an independence relation for free. A configuration
-   where some processor p has only local-progress rules enabled (R2, R4,
-   R5, R6 — no generation, no copy, no routing repair), holds no valid
-   occurrence, has no request to raise, and has no active neighbor,
-   expands only p's actions: they commute with every other enabled
-   action (disjoint neighborhoods), are invisible to the SP predicates
-   (they move or erase p's own invalid messages), and strictly decrease
-   the lexicographic potential (total occupied buffers, total bufR
-   occupancy) — R2 keeps the count and drains a bufR, R4/R5/R6 erase —
-   so reduced expansions cannot cycle and nothing is ignored forever.
-   The selection is a pure function of the configuration, so reduction
-   never perturbs determinism. The classical C1 condition is
-   approximated (a distance-2 cascade could in principle re-activate the
-   neighborhood before p moves); the POR differential suite pins
-   POR-on verdicts to POR-off on every small net we can afford, and
-   [por] defaults to off in the API ([--no-por] escapes it in the CLI).
+type ('s, 'a, 'e, 'm) model = {
+  protocol : ('s, 'a, 'e) Sim.Engine.protocol;
+  init_monitor : 'm;
+  monitor : 'm -> pid:int -> 'e -> 'm;
+  encode : Codec.t -> 's array -> 'm -> unit;
+  externals : 's array -> ('s array * int list) list;
+  ample : ('s array -> 'a list array -> int option) option;
+  prune : 's array -> 'm -> bool;
+  witness : 's array -> 'm -> bool;
+  deadlock : 's array -> bool;
+  render : 's array -> 'm -> string;
+}
 
-   Keys are either the compact binary codec (default; per-domain scratch
-   encoders, hash-first store probes, key bytes copied only on
-   insertion) or the historical string rendering kept as a differential
-   baseline. *)
-
-type key_mode = String_keys | Codec_keys
-
-type safety_report = {
+type report = {
   initial_count : int;
   explored : int;
   transitions : int;
-  duplicate_delivery : bool;
-  lost_valid : string option;
+  violation : string option;
+  witness : string option;
   deadlock : string option;
   visited : Store.stats;
 }
@@ -74,52 +60,14 @@ type safety_report = {
 (* How a configuration was derived: roots get a full enabled sweep at
    processing time; derived configurations carry their parent's enabled
    table plus the pids the transition wrote, so only the dirty set is
-   re-evaluated (SSMFP declares Neighborhood locality). *)
-type origin =
-  | Root
-  | Derived of Ssmfp.Protocol.action list array * int list
+   re-evaluated when the protocol declares Neighborhood locality. *)
+type 'a origin = Root | Derived of 'a list array * int list
 
-type entry = {
-  e_states : Ssmfp.State.t array;
-  e_delivered : int;
-  e_origin : origin;
+type ('s, 'a, 'm) entry = {
+  e_states : 's array;
+  e_monitor : 'm;
+  e_origin : 'a origin;
 }
-
-(* ------------------------------------------------------------------ *)
-(* Predicates shared with the historical sequential checker             *)
-
-let render_config states =
-  String.concat " / "
-    (Array.to_list
-       (Array.mapi
-          (fun p st -> Format.asprintf "p%d %a" p Ssmfp.State.pp st)
-          states))
-
-let has_traffic states =
-  Array.exists
-    (fun st ->
-      st.Ssmfp.State.outbox <> [] || Ssmfp.State.occupied_buffers st <> [])
-    states
-
-let valid_present states =
-  Array.exists
-    (fun st ->
-      List.exists
-        (fun (_, _, m) -> Ssmfp.Message.is_valid m)
-        (Ssmfp.State.occupied_buffers st))
-    states
-
-(* The valid message was generated (every outbox is drained), never
-   delivered, and no buffer holds a valid occurrence any more. *)
-let lost_witness states delivered =
-  if
-    delivered = 0
-    && Array.for_all
-         (fun (st : Ssmfp.State.t) -> st.Ssmfp.State.outbox = [])
-         states
-    && not (valid_present states)
-  then Some (render_config states)
-  else None
 
 (* All non-empty selections of at most one enabled action per processor:
    the distributed daemon's composite steps. *)
@@ -137,36 +85,30 @@ let selections per_proc =
 
 (* ------------------------------------------------------------------ *)
 (* Successor generation (pure in the shared state: reads only [entry]
-   and the protocol, writes only through [emit])                        *)
+   and the model, writes only through [emit])                           *)
 
-type ctx = {
+type ('s, 'a, 'e, 'm) ctx = {
   graph : Topology.Graph.t;
   n : int;
-  proto :
-    (Ssmfp.State.t, Ssmfp.Protocol.action, Ssmfp.Protocol.event)
-    Sim.Engine.protocol;
+  model : ('s, 'a, 'e, 'm) model;
   simultaneity : bool;
-  por : bool;
   (* dirty-set deduplication scratch, all-false between configurations —
      one per domain, reused across every configuration it processes *)
   seen : bool array;
 }
 
-let make_ctx ?(por = false) ~graph ~proto ~simultaneity () =
-  { graph; n = Topology.Graph.n graph; proto; simultaneity; por;
-    seen = Array.make (Topology.Graph.n graph) false }
-
 let enabled_table ctx net origin =
+  let proto = ctx.model.protocol in
   match origin with
   | Derived (parent_tbl, written)
-    when ctx.proto.Sim.Engine.locality = Sim.Engine.Neighborhood ->
+    when proto.Sim.Engine.locality = Sim.Engine.Neighborhood ->
       let tbl = Array.copy parent_tbl in
       let touched = ref [] in
       let touch q =
         if not ctx.seen.(q) then begin
           ctx.seen.(q) <- true;
           touched := q :: !touched;
-          tbl.(q) <- ctx.proto.Sim.Engine.enabled net q
+          tbl.(q) <- proto.Sim.Engine.enabled net q
         end
       in
       List.iter
@@ -177,195 +119,50 @@ let enabled_table ctx net origin =
       List.iter (fun q -> ctx.seen.(q) <- false) !touched;
       tbl
   | Derived _ | Root ->
-      Array.init ctx.n (fun p -> ctx.proto.Sim.Engine.enabled net p)
+      Array.init ctx.n (fun p -> proto.Sim.Engine.enabled net p)
 
-(* ------------------------------------------------------------------ *)
-(* Partial-order reduction: the ample-processor choice                   *)
-
-let request_possible (st : Ssmfp.State.t) =
-  (not st.Ssmfp.State.request) && st.Ssmfp.State.outbox <> []
-
-(* Local-progress rules: move or erase an occurrence already at p. R1
-   (generation), R3 (copy — creates an occurrence a neighbor can react
-   to) and Route (repair) are excluded from ample sets. *)
-let local_progress_only actions =
-  List.for_all
-    (fun (a : Ssmfp.Protocol.action) ->
-      match a.Ssmfp.Protocol.rule with
-      | Ssmfp.Protocol.R2 | Ssmfp.Protocol.R4 | Ssmfp.Protocol.R5
-      | Ssmfp.Protocol.R6 ->
-          true
-      | Ssmfp.Protocol.R1 | Ssmfp.Protocol.R3 | Ssmfp.Protocol.Route ->
-          false)
-    actions
-
-let holds_valid (st : Ssmfp.State.t) =
-  List.exists
-    (fun (_, _, m) -> Ssmfp.Message.is_valid m)
-    (Ssmfp.State.occupied_buffers st)
-
-(* Field-granular independence. Every SSMFP guard and effect touches a
-   small, statically known set of state fields (Protocol's guards read
-   buffers by (processor, destination) slot, routing tables and request
-   flags by processor); two actions at distinct processors commute and
-   preserve each other's guards exactly when neither writes a field the
-   other reads — writes never collide, since every action writes only
-   its own processor. The field lists below transcribe Protocol's
-   guard_* / apply_* readers conservatively (choice and color picking
-   read every neighbor's bufE/routing resp. bufR for the slot). *)
-type field =
-  | FBufR of int * int  (* processor, destination slot *)
-  | FBufE of int * int
-  | FRouting of int
-  | FQueue of int * int
-  | FRequest of int
-  | FOutbox of int
-
-let bufr_last states p d =
-  match (Ssmfp.State.slot states.(p) d).Ssmfp.State.buf_r with
-  | Some m -> m.Ssmfp.Message.last
-  | None -> p
-
-(* choice_p(d) evaluates can_feed on queue members: it always reads the
-   member's routing table, but its value depends on [bufE_s(d)] only
-   when [next_hop_s(d) = p] — a neighbor routing elsewhere (notably the
-   destination itself, which routes to itself) cannot feed p, occupied
-   or not. The routing read stays in the set, so any action that could
-   flip [next_hop] (only Route) still conflicts. *)
-let choice_reads states p d nbrs =
-  List.concat_map
-    (fun s ->
-      let feeds_p =
-        Routing.Selfstab.next_hop states.(s).Ssmfp.State.routing ~d = p
-      in
-      FRouting s :: (if feeds_p then [ FBufE (s, d) ] else []))
-    nbrs
-
-let action_reads ctx states p (a : Ssmfp.Protocol.action) =
-  let d = a.Ssmfp.Protocol.dest in
-  let nbrs = Topology.Graph.neighbors ctx.graph p in
-  match a.Ssmfp.Protocol.rule with
-  | Ssmfp.Protocol.Route ->
-      FRouting p :: List.map (fun r -> FRouting r) nbrs
-  | Ssmfp.Protocol.R1 ->
-      FRequest p :: FOutbox p :: FBufR (p, d) :: FQueue (p, d)
-      :: choice_reads states p d nbrs
-  | Ssmfp.Protocol.R2 ->
-      FBufR (p, d)
-      :: FBufE (bufr_last states p d, d)
-      :: List.map (fun r -> FBufR (r, d)) nbrs
-  | Ssmfp.Protocol.R3 ->
-      FBufR (p, d) :: FQueue (p, d) :: choice_reads states p d nbrs
-  | Ssmfp.Protocol.R4 ->
-      FBufE (p, d) :: FRouting p :: List.map (fun r -> FBufR (r, d)) nbrs
-  | Ssmfp.Protocol.R5 ->
-      let last = bufr_last states p d in
-      [ FBufR (p, d); FBufE (last, d); FRouting last ]
-  | Ssmfp.Protocol.R6 -> [ FBufE (p, p) ]
-
-let action_writes p (a : Ssmfp.Protocol.action) =
-  let d = a.Ssmfp.Protocol.dest in
-  match a.Ssmfp.Protocol.rule with
-  | Ssmfp.Protocol.Route -> [ FRouting p ]
-  | Ssmfp.Protocol.R1 ->
-      [ FBufR (p, d); FQueue (p, d); FRequest p; FOutbox p ]
-  | Ssmfp.Protocol.R2 -> [ FBufR (p, d); FBufE (p, d) ]
-  | Ssmfp.Protocol.R3 -> [ FBufR (p, d); FQueue (p, d) ]
-  | Ssmfp.Protocol.R4 -> [ FBufE (p, d) ]
-  | Ssmfp.Protocol.R5 -> [ FBufR (p, d) ]
-  | Ssmfp.Protocol.R6 -> [ FBufE (p, p) ]
-
-let conflict ctx states p a q b =
-  let intersects xs ys = List.exists (fun x -> List.mem x ys) xs in
-  intersects (action_writes p a) (action_reads ctx states q b)
-  || intersects (action_writes q b) (action_reads ctx states p a)
-
-(* The smallest processor whose enabled actions form a sound ample set:
-   only local-progress rules, nothing valid at stake, no request to
-   raise, and no field conflict with any enabled action of any
-   neighbor (non-neighbors read within their own radius-1 ball, so
-   they cannot conflict; request-raising reads and writes only the
-   raiser's request/outbox, which no local-progress rule touches).
-   Pure in the configuration: the same state elects the same
-   processor. *)
-let ample_pid ctx states tbl =
-  let eligible p =
-    tbl.(p) <> []
-    && (not (request_possible states.(p)))
-    && local_progress_only tbl.(p)
-    && (not (holds_valid states.(p)))
-    && List.for_all
-         (fun q ->
-           List.for_all
-             (fun b ->
-               List.for_all
-                 (fun a -> not (conflict ctx states p a q b))
-                 tbl.(p))
-             tbl.(q))
-         (Topology.Graph.neighbors ctx.graph p)
-  in
-  (* Among eligible processors, the one with the fewest enabled actions
-     collapses the most interleavings; ties break to the smallest pid.
-     Still a pure function of the configuration. *)
-  let best = ref None in
-  for p = ctx.n - 1 downto 0 do
-    if eligible p then
-      match !best with
-      | Some q when List.length tbl.(q) < List.length tbl.(p) -> ()
-      | _ -> best := Some p
-  done;
-  !best
-
-(* Generate every successor of [entry] in the canonical order (request
-   transitions in pid order, then protocol transitions in pid/action
-   order), calling [emit states' delivered' origin'] for each; returns
-   the number of successors (0 = the configuration is terminal). With
-   [ctx.por], a configuration holding an ample processor expands only
-   that processor's actions — a deterministic subset of the full set. *)
+(* Generate every successor of [entry] in the canonical order (external
+   transitions in the model's order, then protocol transitions in
+   pid/action order), calling [emit states' monitor' origin'] for each;
+   returns the number of successors (0 = the configuration is terminal).
+   When the model's ample hook names a processor (never under
+   [simultaneity]), only that processor's actions are expanded — a
+   deterministic subset of the full set. *)
 let successors ctx entry ~emit =
-  let states = entry.e_states and delivered = entry.e_delivered in
+  let model = ctx.model in
+  let states = entry.e_states and m = entry.e_monitor in
   let net = Sim.Engine.synthetic ~graph:ctx.graph ~states in
   let tbl = enabled_table ctx net entry.e_origin in
   let moves = ref 0 in
   let apply_selection sel =
     incr moves;
     let states' = Array.copy states in
-    let delivered' =
+    let m' =
       List.fold_left
-        (fun acc (p, a) ->
-          let st', events = ctx.proto.Sim.Engine.apply net p a in
+        (fun m (p, a) ->
+          let st', events = model.protocol.Sim.Engine.apply net p a in
           states'.(p) <- st';
-          List.fold_left
-            (fun acc ev ->
-              match ev with
-              | Ssmfp.Protocol.Delivered m when Ssmfp.Message.is_valid m ->
-                  acc + 1
-              | _ -> acc)
-            acc events)
-        delivered sel
+          List.fold_left (fun m ev -> model.monitor m ~pid:p ev) m events)
+        m sel
     in
-    emit states' delivered' (Derived (tbl, List.map fst sel))
+    emit states' m' (Derived (tbl, List.map fst sel))
   in
   let ample =
-    if ctx.por && not ctx.simultaneity then ample_pid ctx states tbl else None
+    match model.ample with
+    | Some ample when not ctx.simultaneity -> ample states tbl
+    | _ -> None
   in
   match ample with
   | Some p ->
       List.iter (fun a -> apply_selection [ (p, a) ]) tbl.(p);
       !moves
   | None ->
-      (* Higher-layer transitions: raising a request flag. *)
-      Array.iteri
-        (fun p (st : Ssmfp.State.t) ->
-          if request_possible st then begin
-            incr moves;
-            let states' = Array.copy states in
-            states'.(p) <- { st with Ssmfp.State.request = true };
-            emit states' delivered (Derived (tbl, [ p ]))
-          end)
-        states;
-      (* Protocol transitions: central daemon by default, every composite
-         distributed-daemon step under [simultaneity]. *)
+      (* external transitions keep the monitor *)
+      List.iter
+        (fun (states', written) ->
+          incr moves;
+          emit states' m (Derived (tbl, written)))
+        (model.externals states);
       let per_proc =
         List.concat
           (List.init ctx.n (fun p ->
@@ -386,31 +183,35 @@ let effective_workers workers =
   if workers = 0 then max 1 (Domain.recommended_domain_count () - 1)
   else max 1 workers
 
-(* A witness candidate: the canonical key of the configuration it was
-   found in, plus its rendering. Election takes the canonical minimum. *)
-type cand = (int * string * string) option
+(* A candidate: the canonical key of the configuration it was found in,
+   plus the configuration itself (rendered only if it wins the
+   election, which takes the canonical minimum). *)
+type ('s, 'm) cand = { c_hash : int; c_key : string; c_states : 's array; c_mon : 'm }
 
-let better ~hash ~key (c : cand) =
-  match c with
+let better ~hash ~key = function
   | None -> true
-  | Some (h', k', _) ->
-      Codec.key_order ~hash_a:hash ~key_a:key ~hash_b:h' ~key_b:k' < 0
+  | Some c ->
+      Codec.key_order ~hash_a:hash ~key_a:key ~hash_b:c.c_hash ~key_b:c.c_key < 0
 
-let merge_cands cands =
+(* Offer the configuration currently encoded in [codec] to [slots.(i)]. *)
+let elect slots i codec states m =
+  let hash = Codec.hash codec and key = Codec.key codec in
+  if better ~hash ~key slots.(i) then
+    slots.(i) <- Some { c_hash = hash; c_key = key; c_states = states; c_mon = m }
+
+let winner model slots =
   Array.fold_left
     (fun acc c ->
       match c with
-      | None -> acc
-      | Some (h, k, _) -> if better ~hash:h ~key:k acc then c else acc)
-    None cands
+      | Some { c_hash; c_key; _ } when better ~hash:c_hash ~key:c_key acc -> c
+      | _ -> acc)
+    None slots
+  |> Option.map (fun c -> model.render c.c_states c.c_mon)
 
-let check_safety ?(variant = Ssmfp.Protocol.faithful) ?(simultaneity = false)
-    ?(run_routing = false) ?(max_configs = 2_000_000) ?(workers = 1)
-    ?(por = false) ?(shards = 64) ?(key = Codec_keys)
-    ?(prof = Obs.Prof.disabled) ~graph initials =
+let check_safety ?(simultaneity = false) ?(max_configs = 2_000_000)
+    ?(workers = 1) ?(prof = Obs.Prof.disabled) ~graph model initials =
   let nworkers = effective_workers workers in
-  let proto = Ssmfp.Protocol.make ~variant ~run_routing graph in
-  let store = Store.Sharded.create ~stripes:shards () in
+  let store = Store.Sharded.create () in
   (* Profiling vocabulary, registered up front so the span-name set is
      independent of the worker count. Track 0 is the calling domain
      (roots, its own worker loop, the reduce); tracks 1.. are the fanout
@@ -444,57 +245,43 @@ let check_safety ?(variant = Ssmfp.Protocol.faithful) ?(simultaneity = false)
   let pending = Atomic.make 0 in
   let abort = Atomic.make false in
   let failure : exn option Atomic.t = Atomic.make None in
-  let dup_flag = Atomic.make false in
   let g_explored = Atomic.make 0 and g_transitions = Atomic.make 0 in
-  let lost_cands : cand array = Array.make (nworkers + 1) None in
-  let dead_cands : cand array = Array.make (nworkers + 1) None in
-  (* The canonical key of a configuration, through a scratch encoder. *)
-  let keyed codec states delivered =
-    match key with
-    | Codec_keys ->
-        Codec.encode codec states ~delivered;
-        (Codec.hash codec, Codec.key codec)
-    | String_keys ->
-        let k = Codec.string_key states ~delivered in
-        (Codec.hash_string k, k)
+  (* Candidate slots: one per worker loop, plus slot [nworkers] for the
+     roots. Each slot is written by one domain only. *)
+  let violations = Array.make (nworkers + 1) None in
+  let witnesses = Array.make (nworkers + 1) None in
+  let deadlocks = Array.make (nworkers + 1) None in
+  let encode codec states m =
+    Codec.reset codec;
+    model.encode codec states m
   in
-  (* Roots: loss-candidate election and dedup in list order (the order
-     is irrelevant — election is canonical), no transition counted. *)
+  (* Insert-or-drop a configuration; a fresh one is either pruned (a
+     violation candidate) or queued on [own] (and offered as a witness
+     candidate). *)
+  let admit codec own slot states m origin =
+    encode codec states m;
+    if
+      Store.Sharded.add_if_absent ~budget:max_configs store
+        ~hash:(Codec.hash codec) (Codec.raw codec) ~len:(Codec.length codec)
+    then
+      if model.prune states m then elect violations slot codec states m
+      else begin
+        if model.witness states m then elect witnesses slot codec states m;
+        Atomic.incr pending;
+        Campaign.Pool.deque_push own
+          { e_states = states; e_monitor = m; e_origin = origin }
+      end
+  in
+  (* Roots: dealt round-robin over the deques, no transition counted. *)
   let roots_t0 = Obs.Prof.now prof in
   let root_codec = Codec.create () in
-  let root_lost = ref None in
-  let seeded = ref 0 in
   (try
-     List.iter
-       (fun states ->
-         (match lost_witness states 0 with
-         | Some w ->
-             let h, k = keyed root_codec states 0 in
-             if better ~hash:h ~key:k !root_lost then
-               root_lost := Some (h, k, w)
-         | None -> ());
-         let fresh =
-           match key with
-           | Codec_keys ->
-               Codec.encode root_codec states ~delivered:0;
-               Store.Sharded.add_if_absent ~budget:max_configs store
-                 ~hash:(Codec.hash root_codec) (Codec.raw root_codec)
-                 ~len:(Codec.length root_codec)
-           | String_keys ->
-               let k = Codec.string_key states ~delivered:0 in
-               Store.Sharded.add_string_if_absent ~budget:max_configs store
-                 ~hash:(Codec.hash_string k) k
-         in
-         if fresh then begin
-           Atomic.incr pending;
-           Campaign.Pool.deque_push
-             deques.(!seeded mod nworkers)
-             { e_states = states; e_delivered = 0; e_origin = Root };
-           incr seeded
-         end)
+     List.iteri
+       (fun i states ->
+         admit root_codec deques.(i mod nworkers) nworkers states
+           model.init_monitor Root)
        initials
    with Store.Sharded.Full -> budget_fail ());
-  lost_cands.(nworkers) <- !root_lost;
   if prof_on then Obs.Prof.record tr0 sp_roots ~start:roots_t0;
   (* One worker loop per deque. The loop index [i] (deque ownership,
      candidate slots) is the fanout task index; the domain that runs it
@@ -505,50 +292,25 @@ let check_safety ?(variant = Ssmfp.Protocol.faithful) ?(simultaneity = false)
     (* worker-domain registration: an idempotent, mutex-guarded lookup *)
     let sp_steal = Obs.Prof.span prof "mc.steal" in
     let t_start = Obs.Prof.now prof in
-    let ctx = make_ctx ~por ~graph ~proto ~simultaneity () in
+    let ctx =
+      { graph; n = Topology.Graph.n graph; model; simultaneity;
+        seen = Array.make (Topology.Graph.n graph) false }
+    in
     let codec = Codec.create () in
     let own = deques.(i) in
     let explored = ref 0 and transitions = ref 0 in
     let steals = ref 0 and stolen = ref 0 and steal_fail = ref 0 in
     let idle_ns = ref 0 in
-    let lost = ref None and dead = ref None in
-    let emit states delivered origin =
+    let emit states m origin =
       incr transitions;
-      let fresh =
-        match key with
-        | Codec_keys ->
-            Codec.encode codec states ~delivered;
-            Store.Sharded.add_if_absent ~budget:max_configs store
-              ~hash:(Codec.hash codec) (Codec.raw codec)
-              ~len:(Codec.length codec)
-        | String_keys ->
-            let k = Codec.string_key states ~delivered in
-            Store.Sharded.add_string_if_absent ~budget:max_configs store
-              ~hash:(Codec.hash_string k) k
-      in
-      if fresh then
-        if delivered >= 2 then
-          (* a duplicate delivery: record the violation, prune the
-             subtree (nothing beyond the bound changes the verdicts) *)
-          Atomic.set dup_flag true
-        else begin
-          (match lost_witness states delivered with
-          | Some w ->
-              let h, k = keyed codec states delivered in
-              if better ~hash:h ~key:k !lost then lost := Some (h, k, w)
-          | None -> ());
-          Atomic.incr pending;
-          Campaign.Pool.deque_push own
-            { e_states = states; e_delivered = delivered; e_origin = origin }
-        end
+      admit codec own i states m origin
     in
     let expand entry =
       incr explored;
       let moves = successors ctx entry ~emit in
-      if moves = 0 && has_traffic entry.e_states then begin
-        let h, k = keyed codec entry.e_states entry.e_delivered in
-        if better ~hash:h ~key:k !dead then
-          dead := Some (h, k, render_config entry.e_states)
+      if moves = 0 && model.deadlock entry.e_states then begin
+        encode codec entry.e_states entry.e_monitor;
+        elect deadlocks i codec entry.e_states entry.e_monitor
       end
     in
     let rec loop () =
@@ -598,8 +360,6 @@ let check_safety ?(variant = Ssmfp.Protocol.faithful) ?(simultaneity = false)
        Atomic.set abort true);
     ignore (Atomic.fetch_and_add g_explored !explored);
     ignore (Atomic.fetch_and_add g_transitions !transitions);
-    lost_cands.(i) <- !lost;
-    dead_cands.(i) <- !dead;
     if prof_on then begin
       Obs.Prof.record trw sp_run ~start:t_start;
       Obs.Prof.add trw c_configs !explored;
@@ -621,20 +381,18 @@ let check_safety ?(variant = Ssmfp.Protocol.faithful) ?(simultaneity = false)
   | Some Store.Sharded.Full -> budget_fail ()
   | Some e -> raise e
   | None -> ());
-  (* Reduce: counters are sums, verdicts are flags, witnesses are the
-     canonical minima over the per-task candidates — all independent of
-     traversal order and worker count. *)
+  (* Reduce: counters are sums, witnesses are the canonical minima over
+     the per-slot candidates — all independent of traversal order and
+     worker count. *)
   let reduce_t0 = Obs.Prof.now prof in
-  let lost = Option.map (fun (_, _, w) -> w) (merge_cands lost_cands) in
-  let deadlock = Option.map (fun (_, _, w) -> w) (merge_cands dead_cands) in
   let report =
     {
       initial_count = List.length initials;
       explored = Atomic.get g_explored;
       transitions = Atomic.get g_transitions;
-      duplicate_delivery = Atomic.get dup_flag;
-      lost_valid = lost;
-      deadlock;
+      violation = winner model violations;
+      witness = winner model witnesses;
+      deadlock = winner model deadlocks;
       visited = Store.Sharded.stats store;
     }
   in

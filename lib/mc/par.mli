@@ -1,12 +1,34 @@
-(** The safety-search core of the SSMFP model checker: compact keys, a
-    sharded concurrent visited store, a work-stealing frontier, and a
-    deterministic reduce step.
+(** The model checker's one explorer: compact keys, a sharded concurrent
+    visited store, a work-stealing frontier and a deterministic reduce
+    step, parameterised over a protocol description ({!model}).
 
-    {!Explore.check_safety} delegates here. The transition system is
-    unchanged — every enabled (processor, action) choice of the central
-    daemon branches, the higher layer raising [request_p] is itself a
-    transition, [simultaneity] adds every composite distributed-daemon
-    selection — but the traversal is continuous and barrier-free:
+    {1 Plugging a protocol in}
+
+    A {!model} describes what is searched; the traversal below is shared.
+    The searched state is a configuration (one ['s] per processor) paired
+    with a {e monitor} ['m] — an automaton folded over the protocol's
+    events — so temporal properties reduce to predicates over the pair.
+    Two instances exist:
+
+    - {b SSMFP} ({!Explore.check_safety}, built by {!Explore.model}): the
+      monitor is the valid-delivery count clamped at 2; {!Codec.encode}
+      keys the pair; the external transitions raise request flags; the
+      ample hook is the partial-order reduction; a fresh pair with two
+      deliveries is pruned (duplicate delivery), a pair whose valid
+      message vanished undelivered is a witness (loss), and a terminal
+      configuration still holding traffic is a deadlock;
+    - {b PIF} (the exhaustive safety check in [test_pif.ml]): canonical
+      phase strings plus a coverage monitor, written with
+      {!Codec.add_string}; the external transition raises the root's
+      request; "the root completed before full coverage" is pruned.
+
+    {1 The traversal}
+
+    Transitions are every enabled (processor, action) choice of the
+    central daemon — or, under [simultaneity], every composite
+    distributed-daemon selection (at most one enabled action per
+    processor, applied against the same pre-step configuration) — plus
+    the model's external transitions.
 
     - the visited set is {!Store.Sharded}: per-stripe mutexes over the
       fingerprint + bytes-key layout, stripe count independent of the
@@ -17,58 +39,63 @@
       the shared store, push the fresh ones — batch-stealing from the
       fullest victim when its own deque runs dry; termination is an
       atomic count of enqueued-but-unexpanded entries;
-    - the frontier runs to {e exhaustion}: a successor that reaches the
-      duplicate-delivery bound records the violation and is inserted but
-      not expanded, and nothing else stops the search early, so
-      [explored], [transitions] and the visited stats are pure functions
-      of the initial configurations;
+    - guards are re-evaluated only over the dirty set (written pids plus
+      neighbours) when the protocol declares {!Sim.Engine.Neighborhood}
+      locality; {!Sim.Engine.Global} protocols get a full sweep;
+    - the frontier runs to {e exhaustion}: a fresh pair the model prunes
+      is inserted and recorded as a violation but not expanded, and
+      nothing else stops the search early, so [explored], [transitions]
+      and the visited stats are pure functions of the initial
+      configurations;
     - determinism is recovered in a {e reduce} step after the join:
-      counters are sums, verdicts are flags, and the lost/deadlock
-      witnesses are the canonical {e minima} ({!Codec.key_order}: least
-      fingerprint, then key bytes) over all candidates — so reports are
-      byte-identical for any worker count and any interleaving. (The
+      counters are sums, and the violation/witness/deadlock reports are
+      the renderings of the canonical {e minima} ({!Codec.key_order}:
+      least fingerprint, then key bytes) over all candidates — so reports
+      are byte-identical for any worker count and any interleaving. (The
       witness for a verdict is therefore a canonical representative, not
       the first one some traversal happened to meet.)
 
     The visited budget is enforced by the store ({!Store.Sharded.Full}):
     the key that would become entry [max_configs + 1] raises — converted
-    here to [Failure] with the historical message
-    ["Mc.check_safety: configuration budget exhausted (max_configs =
-    <n>)"] — without being stored or enqueued, under any concurrency.
+    here to [Failure] with the message ["Mc.check_safety: configuration
+    budget exhausted (max_configs = <n>)"] — without being stored or
+    enqueued, under any concurrency. *)
 
-    [por] enables an ample-set partial-order reduction built on the
-    radius-1 locality the engine already declares (guards read the
-    closed neighborhood, actions write their own processor): a
-    configuration where some processor has only local-progress rules
-    enabled (R2/R4/R5/R6), holds no valid occurrence, has no request to
-    raise and no active neighbor expands only that processor's actions.
-    The choice is a pure function of the configuration, so reduction
-    composes with the determinism story; it changes [explored] /
-    [transitions] / stats (fewer configurations) but must not change
-    verdicts — pinned by the POR differential suite on small nets.
-    Disabled under [simultaneity] (composite steps void the
-    independence argument) and off by default here; the CLI turns it on
-    with a [--no-por] escape hatch. *)
+type ('s, 'a, 'e, 'm) model = {
+  protocol : ('s, 'a, 'e) Sim.Engine.protocol;
+  init_monitor : 'm;  (** the monitor paired with every initial configuration *)
+  monitor : 'm -> pid:int -> 'e -> 'm;
+      (** absorbs one event emitted by processor [pid] *)
+  encode : Codec.t -> 's array -> 'm -> unit;
+      (** writes the canonical key of a (configuration, monitor) pair
+          into a freshly reset encoder; equal keys must mean equivalent
+          pairs *)
+  externals : 's array -> ('s array * int list) list;
+      (** higher-layer successors, each with the pids it wrote (the
+          dirty-set seed); they keep the monitor *)
+  ample : ('s array -> 'a list array -> int option) option;
+      (** partial-order reduction: given a configuration and its enabled
+          table, a processor whose actions alone may be expanded (no
+          external transitions then). Must be a pure function of the
+          configuration; ignored under [simultaneity] *)
+  prune : 's array -> 'm -> bool;
+      (** a violation: the pair is recorded and not expanded *)
+  witness : 's array -> 'm -> bool;
+      (** a reportable (unpruned) pair, e.g. a lost message *)
+  deadlock : 's array -> bool;
+      (** whether a terminal configuration counts as a deadlock *)
+  render : 's array -> 'm -> string;  (** the rendering of a reported pair *)
+}
 
-type key_mode =
-  | String_keys
-      (** the historical string rendering ({!Codec.string_key}),
-          kept as the differential baseline *)
-  | Codec_keys  (** compact binary codec keys (default) *)
-
-type safety_report = {
+type report = {
   initial_count : int;
   explored : int;
-      (** configurations expanded — with [por] off, the number of
-          distinct canonical configurations visited *)
+      (** pairs expanded — without an ample hook, the number of distinct
+          unpruned keys visited *)
   transitions : int;
-  duplicate_delivery : bool;  (** true = violation found *)
-  lost_valid : string option;
-      (** a configuration where the generated valid message vanished
-          undelivered, if one is reachable (the canonical-minimum one) *)
-  deadlock : string option;
-      (** a stuck configuration with traffic, if one is reachable (the
-          canonical-minimum expanded one) *)
+  violation : string option;  (** the canonical-minimum pruned pair *)
+  witness : string option;  (** the canonical-minimum witness pair *)
+  deadlock : string option;  (** the canonical-minimum deadlocked pair *)
   visited : Store.stats;
       (** resident footprint of the sharded visited set at the end of
           the search *)
@@ -82,29 +109,22 @@ val effective_workers : int -> int
     {!check_safety}. *)
 
 val check_safety :
-  ?variant:Ssmfp.Protocol.variant ->
   ?simultaneity:bool ->
-  ?run_routing:bool ->
   ?max_configs:int ->
   ?workers:int ->
-  ?por:bool ->
-  ?shards:int ->
-  ?key:key_mode ->
   ?prof:Obs.Prof.t ->
   graph:Topology.Graph.t ->
-  Ssmfp.State.t array list ->
-  safety_report
+  ('s, 'a, 'e, 'm) model ->
+  's array list ->
+  report
 (** Exhaustive search over the union of reachable spaces from the given
-    initial configurations. [workers] (default 1; [0] = autodetect via
-    {!effective_workers}) is the number of worker loops and deques;
-    helper domains come from a {!Campaign.Pool.fanout} created for the
-    call. Every report field is independent of [workers]. [key] selects
-    the key representation; [shards] (default 64) the visited-set
-    stripe count (worker-independent, so changing it changes the
-    reported capacity — leave it alone when comparing reports).
-    [max_configs] defaults to 2_000_000; exceeding it raises [Failure]
-    as described above. [por] (default false) enables the partial-order
-    reduction.
+    initial configurations (each paired with [init_monitor]).
+    [simultaneity] (default false) adds composite steps. [workers]
+    (default 1; [0] = autodetect via {!effective_workers}) is the number
+    of worker loops and deques; helper domains come from a
+    {!Campaign.Pool.fanout} created for the call. Every report field is
+    independent of [workers]. [max_configs] defaults to 2_000_000;
+    exceeding it raises [Failure] as described above.
 
     [?prof] (needs ≥ the effective worker count in tracks) attributes
     the search's wall-clock without altering it — reports stay

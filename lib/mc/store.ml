@@ -1,29 +1,29 @@
-(* Open-addressing visited set specialized for codec keys.
+(* The model checker's visited set: open-addressing tables specialized
+   for codec keys, striped for concurrent use.
 
-   Linear probing over two parallel arrays: [hashes] (0 = empty slot,
-   hashes are normalized to be nonzero) and [keys]. Lookups compare the
-   inline hash first — a 63-bit fingerprint — and touch the key bytes
-   only on a hash match, so a probe over a displaced cluster costs one
-   int comparison per slot. Membership tests take the candidate key as a
+   Each stripe is linear probing over two parallel arrays: hashes (0 =
+   empty slot, hashes are normalized to be nonzero) and keys. Lookups
+   compare the inline hash first — a 63-bit fingerprint — and touch the
+   key bytes only on a hash match, so a probe over a displaced cluster
+   costs one int comparison per slot. Probes take the candidate key as a
    [Bytes] scratch (the codec's buffer): the key is copied into an
-   immutable string only when it is actually inserted. *)
+   immutable string only when it is actually inserted.
 
-type t = {
-  mutable hashes : int array;
-  mutable keys : string array;
-  mutable mask : int; (* capacity - 1; capacity is a power of two *)
-  mutable count : int;
-  mutable key_bytes : int;
-  (* profiling: insert-path probe lengths and resize spans, recorded on
-     the owning domain's track (inserts are single-domain; the parallel
-     checker's workers only call [mem], which stays uninstrumented so a
-     read-only probe never writes another domain's track) *)
-  s_prof : Obs.Prof.t;
-  s_on : bool;
-  s_track : Obs.Prof.track;
-  s_probe : Obs.Prof.histo;
-  s_resize : Obs.Prof.span;
-}
+   A fixed number of stripes, each behind its own mutex: concurrent
+   insert-or-member calls contend only when their keys' fingerprints
+   land on the same stripe. The stripe index comes from high hash bits
+   (bits the within-stripe probe, which uses the low bits, never
+   reaches), and the stripe count is a constant — NOT derived from the
+   worker count — so the set of keys in each stripe, hence each stripe's
+   final capacity, hence the aggregate [stats], is a pure function of
+   the key set: byte-identical whatever the worker count or insertion
+   order.
+
+   Budget enforcement is exact under concurrency: once a probe finds a
+   free slot (under the stripe lock), a global atomic counter is bumped
+   *before* the slot is written; the fetch that would create entry
+   [budget + 1] raises [Full] with nothing written, so exactly [budget]
+   inserts ever succeed. *)
 
 type stats = {
   entries : int;
@@ -37,33 +37,6 @@ let norm h = if h = 0 then 1 else h
 
 let rec power_of_two n c = if c >= n then c else power_of_two n (c * 2)
 
-let create ?(capacity = 4096) ?(prof = Obs.Prof.disabled) () =
-  let cap = power_of_two (max 16 capacity) 16 in
-  {
-    hashes = Array.make cap 0;
-    keys = Array.make cap "";
-    mask = cap - 1;
-    count = 0;
-    key_bytes = 0;
-    s_prof = prof;
-    s_on = Obs.Prof.enabled prof;
-    s_track = Obs.Prof.track prof 0;
-    s_probe = Obs.Prof.histo prof "store.probe_len";
-    s_resize = Obs.Prof.span prof "store.resize";
-  }
-
-let cardinal t = t.count
-
-let stats t =
-  let capacity = t.mask + 1 in
-  {
-    entries = t.count;
-    capacity;
-    key_bytes = t.key_bytes;
-    table_bytes = capacity * 2 * (Sys.word_size / 8);
-    load = float_of_int t.count /. float_of_int capacity;
-  }
-
 (* Does the stored key equal the first [len] bytes of [buf]? *)
 let key_matches key buf len =
   String.length key = len
@@ -73,302 +46,140 @@ let key_matches key buf len =
   in
   go 0
 
-let insert_fresh t h key =
-  let rec probe i =
-    if t.hashes.(i) = 0 then begin
-      t.hashes.(i) <- h;
-      t.keys.(i) <- key
-    end
-    else probe ((i + 1) land t.mask)
-  in
-  probe (h land t.mask)
-
-let grow t =
-  let t0 = if t.s_on then Obs.Prof.now t.s_prof else 0 in
-  let old_hashes = t.hashes and old_keys = t.keys in
-  let cap = (t.mask + 1) * 2 in
-  t.hashes <- Array.make cap 0;
-  t.keys <- Array.make cap "";
-  t.mask <- cap - 1;
-  Array.iteri
-    (fun i h -> if h <> 0 then insert_fresh t h old_keys.(i))
-    old_hashes;
-  if t.s_on then Obs.Prof.record t.s_track t.s_resize ~start:t0
-
-let record_insert t i h key len =
-  t.hashes.(i) <- h;
-  t.keys.(i) <- key;
-  t.count <- t.count + 1;
-  t.key_bytes <- t.key_bytes + len;
-  (* grow at 3/4 load so fingerprint-first probes stay short *)
-  if t.count * 4 > (t.mask + 1) * 3 then grow t
-
-let mem t ~hash buf ~len =
-  let h = norm hash in
-  let rec probe i =
-    let hi = t.hashes.(i) in
-    if hi = 0 then false
-    else if hi = h && key_matches t.keys.(i) buf len then true
-    else probe ((i + 1) land t.mask)
-  in
-  probe (h land t.mask)
-
-(* Insert probes carry their slot count as a loop variable (one int add
-   per displaced slot) and report it to the probe-length histogram only
-   when profiling is on — this is the clustering signal the ROADMAP's
-   sharded-store work needs. *)
-let add_if_absent t ~hash buf ~len =
-  let h = norm hash in
-  let rec probe i plen =
-    let hi = t.hashes.(i) in
-    if hi = 0 then begin
-      if t.s_on then Obs.Prof.observe t.s_track t.s_probe plen;
-      record_insert t i h (Bytes.sub_string buf 0 len) len;
-      true
-    end
-    else if hi = h && key_matches t.keys.(i) buf len then begin
-      if t.s_on then Obs.Prof.observe t.s_track t.s_probe plen;
-      false
-    end
-    else probe ((i + 1) land t.mask) (plen + 1)
-  in
-  probe (h land t.mask) 1
-
-let mem_string t ~hash key =
-  let h = norm hash in
-  let rec probe i =
-    let hi = t.hashes.(i) in
-    if hi = 0 then false
-    else if hi = h && String.equal t.keys.(i) key then true
-    else probe ((i + 1) land t.mask)
-  in
-  probe (h land t.mask)
-
-let add_string_if_absent t ~hash key =
-  let h = norm hash in
-  let rec probe i plen =
-    let hi = t.hashes.(i) in
-    if hi = 0 then begin
-      if t.s_on then Obs.Prof.observe t.s_track t.s_probe plen;
-      record_insert t i h key (String.length key);
-      true
-    end
-    else if hi = h && String.equal t.keys.(i) key then begin
-      if t.s_on then Obs.Prof.observe t.s_track t.s_probe plen;
-      false
-    end
-    else probe ((i + 1) land t.mask) (plen + 1)
-  in
-  probe (h land t.mask) 1
-
-let iter t f =
-  Array.iteri (fun i h -> if h <> 0 then f ~hash:h t.keys.(i)) t.hashes
-
-(* ------------------------------------------------------------------ *)
-(* Sharded concurrent variant.
-
-   The same fingerprint + bytes-key layout, striped over a fixed number
-   of independent open-addressing tables, each behind its own mutex.
-   Concurrent insert-or-member calls contend only when their keys'
-   fingerprints land on the same stripe. The stripe index comes from
-   high hash bits (bits the within-stripe probe, which uses the low
-   bits, never reaches), and the stripe count is a power of two fixed at
-   creation — NOT derived from the worker count — so the set of keys in
-   each stripe, hence each stripe's final capacity, hence the aggregate
-   {!stats}, is a pure function of the key set: byte-identical whatever
-   the worker count or insertion order.
-
-   Budget enforcement is exact under concurrency: once a probe finds a
-   free slot (under the stripe lock), a global atomic counter is bumped
-   *before* the slot is written; the fetch that would create entry
-   [budget + 1] raises {!Full} with nothing written, so exactly [budget]
-   inserts ever succeed. *)
-
-exception Full
-
-type stripe = {
-  mutable p_hashes : int array;
-  mutable p_keys : string array;
-  mutable p_mask : int;
-  mutable p_count : int;
-  mutable p_key_bytes : int;
-  p_lock : Mutex.t;
-}
-
-type sharded = {
-  sh_stripes : stripe array;
-  sh_shift : int; (* stripe index = (hash lsr sh_shift) land (stripes-1) *)
-  sh_total : int Atomic.t; (* committed entries, for budget checks *)
-  sh_resizes : int Atomic.t;
-}
-
-let sharded_create ?(stripes = 64) ?(capacity = 4096) () =
-  let nstripes = power_of_two (max 1 stripes) 1 in
-  let per = power_of_two (max 16 (capacity / nstripes)) 16 in
-  let log2 n =
-    let rec go k c = if c >= n then k else go (k + 1) (c * 2) in
-    go 0 1
-  in
-  {
-    sh_stripes =
-      Array.init nstripes (fun _ ->
-          {
-            p_hashes = Array.make per 0;
-            p_keys = Array.make per "";
-            p_mask = per - 1;
-            p_count = 0;
-            p_key_bytes = 0;
-            p_lock = Mutex.create ();
-          });
-    (* high bits: stripe tables stay far below 2^45 slots, so bits
-       45.. never collide with the probe's low-bit slot index *)
-    sh_shift = 45 - log2 nstripes;
-    sh_total = Atomic.make 0;
-    sh_resizes = Atomic.make 0;
-  }
-
-let stripe_of t h = t.sh_stripes.((h lsr t.sh_shift) land (Array.length t.sh_stripes - 1))
-
-let sharded_cardinal t = Atomic.get t.sh_total
-
-let sharded_resizes t = Atomic.get t.sh_resizes
-
-let sharded_stats t =
-  let entries = ref 0 and capacity = ref 0 and key_bytes = ref 0 in
-  Array.iter
-    (fun p ->
-      entries := !entries + p.p_count;
-      capacity := !capacity + p.p_mask + 1;
-      key_bytes := !key_bytes + p.p_key_bytes)
-    t.sh_stripes;
-  {
-    entries = !entries;
-    capacity = !capacity;
-    key_bytes = !key_bytes;
-    table_bytes = !capacity * 2 * (Sys.word_size / 8);
-    load = float_of_int !entries /. float_of_int !capacity;
-  }
-
-let stripe_insert_fresh p h key =
-  let rec probe i =
-    if p.p_hashes.(i) = 0 then begin
-      p.p_hashes.(i) <- h;
-      p.p_keys.(i) <- key
-    end
-    else probe ((i + 1) land p.p_mask)
-  in
-  probe (h land p.p_mask)
-
-let stripe_grow t p =
-  let old_hashes = p.p_hashes and old_keys = p.p_keys in
-  let cap = (p.p_mask + 1) * 2 in
-  p.p_hashes <- Array.make cap 0;
-  p.p_keys <- Array.make cap "";
-  p.p_mask <- cap - 1;
-  Array.iteri
-    (fun i h -> if h <> 0 then stripe_insert_fresh p h old_keys.(i))
-    old_hashes;
-  Atomic.incr t.sh_resizes
-
-(* Commit a new key at slot [i]: claim a budget unit first (raising
-   {!Full} leaves the stripe untouched), then write. The stripe lock is
-   held by the caller. *)
-let stripe_commit t p ~budget i h key len =
-  let prev = Atomic.fetch_and_add t.sh_total 1 in
-  if prev >= budget then begin
-    (* undo the claim; the stripe itself was not modified *)
-    ignore (Atomic.fetch_and_add t.sh_total (-1));
-    Mutex.unlock p.p_lock;
-    raise Full
-  end;
-  p.p_hashes.(i) <- h;
-  p.p_keys.(i) <- key;
-  p.p_count <- p.p_count + 1;
-  p.p_key_bytes <- p.p_key_bytes + len;
-  if p.p_count * 4 > (p.p_mask + 1) * 3 then stripe_grow t p
-
-let sharded_mem t ~hash buf ~len =
-  let h = norm hash in
-  let p = stripe_of t h in
-  Mutex.lock p.p_lock;
-  let rec probe i =
-    let hi = p.p_hashes.(i) in
-    if hi = 0 then false
-    else if hi = h && key_matches p.p_keys.(i) buf len then true
-    else probe ((i + 1) land p.p_mask)
-  in
-  let r = probe (h land p.p_mask) in
-  Mutex.unlock p.p_lock;
-  r
-
-let sharded_add_if_absent ?(budget = max_int) t ~hash buf ~len =
-  let h = norm hash in
-  let p = stripe_of t h in
-  Mutex.lock p.p_lock;
-  let rec probe i =
-    let hi = p.p_hashes.(i) in
-    if hi = 0 then begin
-      stripe_commit t p ~budget i h (Bytes.sub_string buf 0 len) len;
-      true
-    end
-    else if hi = h && key_matches p.p_keys.(i) buf len then false
-    else probe ((i + 1) land p.p_mask)
-  in
-  let r = probe (h land p.p_mask) in
-  Mutex.unlock p.p_lock;
-  r
-
-let sharded_mem_string t ~hash key =
-  let h = norm hash in
-  let p = stripe_of t h in
-  Mutex.lock p.p_lock;
-  let rec probe i =
-    let hi = p.p_hashes.(i) in
-    if hi = 0 then false
-    else if hi = h && String.equal p.p_keys.(i) key then true
-    else probe ((i + 1) land p.p_mask)
-  in
-  let r = probe (h land p.p_mask) in
-  Mutex.unlock p.p_lock;
-  r
-
-let sharded_add_string_if_absent ?(budget = max_int) t ~hash key =
-  let h = norm hash in
-  let p = stripe_of t h in
-  Mutex.lock p.p_lock;
-  let rec probe i =
-    let hi = p.p_hashes.(i) in
-    if hi = 0 then begin
-      stripe_commit t p ~budget i h key (String.length key);
-      true
-    end
-    else if hi = h && String.equal p.p_keys.(i) key then false
-    else probe ((i + 1) land p.p_mask)
-  in
-  let r = probe (h land p.p_mask) in
-  Mutex.unlock p.p_lock;
-  r
-
-let sharded_iter t f =
-  Array.iter
-    (fun p ->
-      Array.iteri
-        (fun i h -> if h <> 0 then f ~hash:h p.p_keys.(i))
-        p.p_hashes)
-    t.sh_stripes
-
 module Sharded = struct
-  type t = sharded
+  exception Full
 
-  exception Full = Full
+  type stripe = {
+    mutable hashes : int array;
+    mutable keys : string array;
+    mutable mask : int; (* capacity - 1; capacity is a power of two *)
+    mutable count : int;
+    mutable key_bytes : int;
+    lock : Mutex.t;
+  }
 
-  let create = sharded_create
-  let cardinal = sharded_cardinal
-  let resizes = sharded_resizes
-  let stats = sharded_stats
-  let mem = sharded_mem
-  let add_if_absent = sharded_add_if_absent
-  let mem_string = sharded_mem_string
-  let add_string_if_absent = sharded_add_string_if_absent
-  let iter = sharded_iter
+  type t = {
+    stripes : stripe array;
+    total : int Atomic.t; (* committed entries, for budget checks *)
+    resizes : int Atomic.t;
+  }
+
+  let nstripes = 64
+
+  (* stripe index = (hash lsr shift) land (nstripes - 1): high bits, as
+     stripe tables stay far below 2^39 slots *)
+  let shift = 39
+
+  let create ?(capacity = 4096) () =
+    let per = power_of_two (max 16 (capacity / nstripes)) 16 in
+    {
+      stripes =
+        Array.init nstripes (fun _ ->
+            {
+              hashes = Array.make per 0;
+              keys = Array.make per "";
+              mask = per - 1;
+              count = 0;
+              key_bytes = 0;
+              lock = Mutex.create ();
+            });
+      total = Atomic.make 0;
+      resizes = Atomic.make 0;
+    }
+
+  let stripe_of t h = t.stripes.((h lsr shift) land (nstripes - 1))
+  let cardinal t = Atomic.get t.total
+  let resizes t = Atomic.get t.resizes
+
+  let stats t =
+    let entries = ref 0 and capacity = ref 0 and key_bytes = ref 0 in
+    Array.iter
+      (fun p ->
+        entries := !entries + p.count;
+        capacity := !capacity + p.mask + 1;
+        key_bytes := !key_bytes + p.key_bytes)
+      t.stripes;
+    {
+      entries = !entries;
+      capacity = !capacity;
+      key_bytes = !key_bytes;
+      table_bytes = !capacity * 2 * (Sys.word_size / 8);
+      load = float_of_int !entries /. float_of_int !capacity;
+    }
+
+  let insert_fresh p h key =
+    let rec probe i =
+      if p.hashes.(i) = 0 then begin
+        p.hashes.(i) <- h;
+        p.keys.(i) <- key
+      end
+      else probe ((i + 1) land p.mask)
+    in
+    probe (h land p.mask)
+
+  let grow t p =
+    let old_hashes = p.hashes and old_keys = p.keys in
+    let cap = (p.mask + 1) * 2 in
+    p.hashes <- Array.make cap 0;
+    p.keys <- Array.make cap "";
+    p.mask <- cap - 1;
+    Array.iteri
+      (fun i h -> if h <> 0 then insert_fresh p h old_keys.(i))
+      old_hashes;
+    Atomic.incr t.resizes
+
+  (* Commit a new key at slot [i]: claim a budget unit first (raising
+     [Full] leaves the stripe untouched), then write. The stripe lock is
+     held by the caller. *)
+  let commit t p ~budget i h key len =
+    let prev = Atomic.fetch_and_add t.total 1 in
+    if prev >= budget then begin
+      (* undo the claim; the stripe itself was not modified *)
+      ignore (Atomic.fetch_and_add t.total (-1));
+      Mutex.unlock p.lock;
+      raise Full
+    end;
+    p.hashes.(i) <- h;
+    p.keys.(i) <- key;
+    p.count <- p.count + 1;
+    p.key_bytes <- p.key_bytes + len;
+    (* grow at 3/4 load so fingerprint-first probes stay short *)
+    if p.count * 4 > (p.mask + 1) * 3 then grow t p
+
+  let mem t ~hash buf ~len =
+    let h = norm hash in
+    let p = stripe_of t h in
+    Mutex.lock p.lock;
+    let rec probe i =
+      let hi = p.hashes.(i) in
+      if hi = 0 then false
+      else if hi = h && key_matches p.keys.(i) buf len then true
+      else probe ((i + 1) land p.mask)
+    in
+    let r = probe (h land p.mask) in
+    Mutex.unlock p.lock;
+    r
+
+  let add_if_absent ?(budget = max_int) t ~hash buf ~len =
+    let h = norm hash in
+    let p = stripe_of t h in
+    Mutex.lock p.lock;
+    let rec probe i =
+      let hi = p.hashes.(i) in
+      if hi = 0 then begin
+        commit t p ~budget i h (Bytes.sub_string buf 0 len) len;
+        true
+      end
+      else if hi = h && key_matches p.keys.(i) buf len then false
+      else probe ((i + 1) land p.mask)
+    in
+    let r = probe (h land p.mask) in
+    Mutex.unlock p.lock;
+    r
+
+  let iter t f =
+    Array.iter
+      (fun p ->
+        Array.iteri (fun i h -> if h <> 0 then f ~hash:h p.keys.(i)) p.hashes)
+      t.stripes
 end

@@ -175,8 +175,8 @@ let validate (j : Json.t) : (unit, string) result =
 
 (* Top-level coverage of a track: total duration of events not nested
    inside another event on the same track.  This is what "attributed
-   wall-clock" means — nested spans (store.resize inside mc.level)
-   don't double-count. *)
+   wall-clock" means — nested spans (mc.steal inside mc.run) don't
+   double-count. *)
 let top_level_ns evs =
   let sorted =
     List.sort

@@ -1,8 +1,8 @@
 (* Tests for the model-checker core: the compact binary codec, the
-   open-addressing visited store, and the parallel exploration driver.
-   The codec and the parallel driver are only trustworthy if they are
-   *observationally identical* to the historical string-keyed sequential
-   search, so most of these tests are differential. *)
+   sharded visited store, and the parallel explorer. The codec and the
+   parallel explorer are only trustworthy if they are *observationally
+   identical* to a search keyed by the readable Codec.string_key and to
+   the single-worker search, so most of these tests are differential. *)
 
 let two = Mc.Explore.two_chain
 let three = Mc.Explore.three_chain
@@ -98,28 +98,35 @@ let test_codec_sensitivity () =
 
 (* --------------- store --------------- *)
 
+(* String keys through the bytes front-end, hashed like codec keys. *)
+let add_key ?hash s k =
+  let hash = Option.value hash ~default:(Mc.Codec.hash_string k) in
+  Mc.Store.Sharded.add_if_absent s ~hash (Bytes.of_string k)
+    ~len:(String.length k)
+
+let mem_key ?hash s k =
+  let hash = Option.value hash ~default:(Mc.Codec.hash_string k) in
+  Mc.Store.Sharded.mem s ~hash (Bytes.of_string k) ~len:(String.length k)
+
 let test_store_grow () =
-  let s = Mc.Store.create ~capacity:16 () in
+  let s = Mc.Store.Sharded.create ~capacity:16 () in
+  let capacity0 = (Mc.Store.Sharded.stats s).Mc.Store.capacity in
   for i = 0 to 4_999 do
-    let k = "key-" ^ string_of_int i in
     Alcotest.(check bool) "fresh key inserted" true
-      (Mc.Store.add_string_if_absent s ~hash:(Mc.Codec.hash_string k) k)
+      (add_key s ("key-" ^ string_of_int i))
   done;
-  Alcotest.(check int) "cardinal" 5_000 (Mc.Store.cardinal s);
+  Alcotest.(check int) "cardinal" 5_000 (Mc.Store.Sharded.cardinal s);
   for i = 0 to 4_999 do
     let k = "key-" ^ string_of_int i in
-    Alcotest.(check bool) "still present after growth" true
-      (Mc.Store.mem_string s ~hash:(Mc.Codec.hash_string k) k);
-    Alcotest.(check bool) "duplicate rejected" false
-      (Mc.Store.add_string_if_absent s ~hash:(Mc.Codec.hash_string k) k)
+    Alcotest.(check bool) "still present after growth" true (mem_key s k);
+    Alcotest.(check bool) "duplicate rejected" false (add_key s k)
   done;
-  Alcotest.(check bool) "absent key" false
-    (Mc.Store.mem_string s ~hash:(Mc.Codec.hash_string "key-5000") "key-5000");
-  let st = Mc.Store.stats s in
+  Alcotest.(check bool) "absent key" false (mem_key s "key-5000");
+  let st = Mc.Store.Sharded.stats s in
   Alcotest.(check int) "stats entries" 5_000 st.Mc.Store.entries;
   Alcotest.(check bool) "load below 3/4" true (st.Mc.Store.load <= 0.75);
-  Alcotest.(check bool) "capacity is a power of two" true
-    (st.Mc.Store.capacity land (st.Mc.Store.capacity - 1) = 0);
+  Alcotest.(check bool) "stripes grew" true
+    (Mc.Store.Sharded.resizes s > 0 && st.Mc.Store.capacity > capacity0);
   let expected_bytes =
     List.fold_left
       (fun acc i -> acc + String.length ("key-" ^ string_of_int i))
@@ -132,41 +139,46 @@ let test_store_grow () =
 let test_store_collisions () =
   (* distinct keys forced onto one fingerprint must coexist (the store
      compares bytes after the fingerprint matches) *)
-  let s = Mc.Store.create ~capacity:16 () in
-  let h = 42 in
-  Alcotest.(check bool) "first" true (Mc.Store.add_string_if_absent s ~hash:h "a");
-  Alcotest.(check bool) "second, same hash" true
-    (Mc.Store.add_string_if_absent s ~hash:h "b");
-  Alcotest.(check bool) "third, same hash" true
-    (Mc.Store.add_string_if_absent s ~hash:h "c");
-  Alcotest.(check bool) "a member" true (Mc.Store.mem_string s ~hash:h "a");
-  Alcotest.(check bool) "b member" true (Mc.Store.mem_string s ~hash:h "b");
-  Alcotest.(check bool) "d absent" false (Mc.Store.mem_string s ~hash:h "d");
-  Alcotest.(check int) "three entries" 3 (Mc.Store.cardinal s);
+  let s = Mc.Store.Sharded.create ~capacity:16 () in
+  let hash = 42 in
+  Alcotest.(check bool) "first" true (add_key ~hash s "a");
+  Alcotest.(check bool) "second, same hash" true (add_key ~hash s "b");
+  Alcotest.(check bool) "third, same hash" true (add_key ~hash s "c");
+  Alcotest.(check bool) "a member" true (mem_key ~hash s "a");
+  Alcotest.(check bool) "b member" true (mem_key ~hash s "b");
+  Alcotest.(check bool) "d absent" false (mem_key ~hash s "d");
+  Alcotest.(check bool) "a again rejected" false (add_key ~hash s "a");
+  Alcotest.(check int) "three entries" 3 (Mc.Store.Sharded.cardinal s);
   (* hash 0 is the empty sentinel; the store must normalize it away *)
-  Alcotest.(check bool) "hash 0 insert" true
-    (Mc.Store.add_string_if_absent s ~hash:0 "zero");
-  Alcotest.(check bool) "hash 0 member" true
-    (Mc.Store.mem_string s ~hash:0 "zero")
+  Alcotest.(check bool) "hash 0 insert" true (add_key ~hash:0 s "zero");
+  Alcotest.(check bool) "hash 0 member" true (mem_key ~hash:0 s "zero");
+  Alcotest.(check bool) "hash 0 duplicate rejected" false
+    (add_key ~hash:0 s "zero");
+  Alcotest.(check int) "four entries" 4 (Mc.Store.Sharded.cardinal s)
 
 let test_store_bytes_frontend () =
-  let s = Mc.Store.create () in
+  let s = Mc.Store.Sharded.create () in
   let enc = Mc.Codec.create () in
+  let keys = ref [] in
   List.iter
     (fun states ->
       Mc.Codec.encode enc states ~delivered:0;
       let hash = Mc.Codec.hash enc
       and raw = Mc.Codec.raw enc
       and len = Mc.Codec.length enc in
-      let fresh = not (Mc.Store.mem s ~hash raw ~len) in
+      let fresh = not (Mc.Store.Sharded.mem s ~hash raw ~len) in
       Alcotest.(check bool) "add agrees with mem" fresh
-        (Mc.Store.add_if_absent s ~hash raw ~len);
+        (Mc.Store.Sharded.add_if_absent s ~hash raw ~len);
       Alcotest.(check bool) "present after add" true
-        (Mc.Store.mem s ~hash raw ~len);
-      (* the string front-end sees the same key *)
-      Alcotest.(check bool) "string view present" true
-        (Mc.Store.mem_string s ~hash (Mc.Codec.key enc)))
-    (sample_configs 30)
+        (Mc.Store.Sharded.mem s ~hash raw ~len);
+      keys := Mc.Codec.key enc :: !keys)
+    (sample_configs 30);
+  (* the stored entries are owned copies of exactly the scratch bytes *)
+  let stored = ref [] in
+  Mc.Store.Sharded.iter s (fun ~hash:_ k -> stored := k :: !stored);
+  Alcotest.(check (list string)) "stored keys = encoded keys"
+    (List.sort_uniq compare !keys)
+    (List.sort compare !stored)
 
 (* --------------- differential exploration --------------- *)
 
@@ -195,6 +207,32 @@ let check_reports_equal ?(stats = false) label (a : Mc.Explore.safety_report)
       b.Mc.Explore.visited.Mc.Store.key_bytes
   end
 
+(* SSMFP searched under string keys: the same model with an encoder that
+   writes the bytes of Codec.string_key, the codec's reference
+   rendering. *)
+let string_keyed ?(simultaneity = false) ?max_configs sc inits =
+  let graph = sc.Mc.Explore.graph in
+  let model =
+    {
+      (Mc.Explore.model graph) with
+      Mc.Par.encode =
+        (fun codec states delivered ->
+          String.iter
+            (fun c -> Mc.Codec.add_byte codec (Char.code c))
+            (Mc.Codec.string_key states ~delivered));
+    }
+  in
+  let r = Mc.Par.check_safety ~simultaneity ?max_configs ~graph model inits in
+  {
+    Mc.Explore.initial_count = r.Mc.Par.initial_count;
+    explored = r.Mc.Par.explored;
+    transitions = r.Mc.Par.transitions;
+    duplicate_delivery = r.Mc.Par.violation <> None;
+    lost_valid = r.Mc.Par.witness;
+    deadlock = r.Mc.Par.deadlock;
+    visited = r.Mc.Par.visited;
+  }
+
 (* String keys and codec keys must visit the *same* state space: same
    visited count, same transition count, same verdicts. *)
 let test_differential_keys () =
@@ -216,12 +254,8 @@ let test_differential_keys () =
   in
   List.iter
     (fun (label, sc, inits, simultaneity) ->
-      let s =
-        Mc.Explore.check_safety ~simultaneity ~key:Mc.Par.String_keys sc inits
-      in
-      let c =
-        Mc.Explore.check_safety ~simultaneity ~key:Mc.Par.Codec_keys sc inits
-      in
+      let s = string_keyed ~simultaneity sc inits in
+      let c = Mc.Explore.check_safety ~simultaneity sc inits in
       check_reports_equal label s c;
       Alcotest.(check bool) (label ^ ": verdict clean") false
         (c.Mc.Explore.duplicate_delivery
@@ -286,10 +320,7 @@ let test_budget_exact () =
        (Printf.sprintf
           "Mc.check_safety: configuration budget exhausted (max_configs = %d)"
           (e - 1)))
-    (fun () ->
-      ignore
-        (Mc.Explore.check_safety ~max_configs:(e - 1) ~key:Mc.Par.String_keys
-           two inits))
+    (fun () -> ignore (string_keyed ~max_configs:(e - 1) two inits))
 
 (* The sharded store under concurrent hammering: 4 domains insert
    overlapping key ranges (every key attempted by two domains, so
@@ -306,10 +337,7 @@ let test_sharded_hammer () =
   let hashes = Array.map Mc.Codec.hash_string keys in
   let fill_seq () =
     let t = Mc.Store.Sharded.create ~capacity:64 () in
-    Array.iteri
-      (fun i k ->
-        ignore (Mc.Store.Sharded.add_string_if_absent t ~hash:hashes.(i) k))
-      keys;
+    Array.iteri (fun i k -> ignore (add_key ~hash:hashes.(i) t k)) keys;
     t
   in
   let seq = fill_seq () in
@@ -321,10 +349,8 @@ let test_sharded_hammer () =
     let start = d * (nkeys / 4) in
     for j = 0 to (nkeys / 2) - 1 do
       let i = (start + j) mod nkeys in
-      if Mc.Store.Sharded.add_string_if_absent conc ~hash:hashes.(i) keys.(i)
-      then Atomic.incr inserted;
-      if j land 63 = 0 then
-        assert (Mc.Store.Sharded.mem_string conc ~hash:hashes.(i) keys.(i))
+      if add_key ~hash:hashes.(i) conc keys.(i) then Atomic.incr inserted;
+      if j land 63 = 0 then assert (mem_key ~hash:hashes.(i) conc keys.(i))
     done
   in
   let domains = Array.init 4 (fun d -> Domain.spawn (worker d)) in

@@ -58,28 +58,56 @@ let test_phase_vectors_count () =
   Alcotest.(check int) "3^4" 81 (List.length (Pif.all_phase_vectors 4))
 
 (* Exhaustive *safety* under all central-daemon schedules (and composite
-   steps for the small case), via the generic model checker: the root
-   never collects feedback for a requested wave before every processor
-   received the broadcast. *)
-type pif_monitor = { in_wave : bool; received : int; bad : bool }
-
-let pif_safety ?(simultaneity = false) tree =
-  let g = tree.Pif.graph in
-  let n = Topology.Graph.n g in
-  let full = (1 lsl n) - 1 in
-  let proto = Pif.protocol tree in
+   steps for the small case), via the model checker's explorer: PIF as a
+   Mc.Par model whose key is the canonical phase strings plus a monitor.
+   The monitor is a parameter so the positive control can swap in a
+   property that must fail. *)
+let pif_model tree ~init_monitor ~monitor ~monitor_canon ~prune =
   let canon (s : Pif.state) =
     Pif.phase_name s.Pif.phase ^ if s.Pif.request then "!" else ""
   in
-  let externals states =
-    let root = tree.Pif.root in
-    if states.(root).Pif.request then []
-    else begin
-      let states' = Array.map Fun.id states in
-      states'.(root) <- { (states'.(root)) with Pif.request = true };
-      [ (states', [ root ]) ]
-    end
-  in
+  let root = tree.Pif.root in
+  {
+    Mc.Par.protocol = Pif.protocol tree;
+    init_monitor;
+    monitor;
+    encode =
+      (fun codec states m ->
+        Array.iter (fun s -> Mc.Codec.add_string codec (canon s)) states;
+        Mc.Codec.add_string codec (monitor_canon m));
+    externals =
+      (fun states ->
+        if states.(root).Pif.request then []
+        else begin
+          let states' = Array.copy states in
+          states'.(root) <- { (states'.(root)) with Pif.request = true };
+          [ (states', [ root ]) ]
+        end);
+    ample = None;
+    prune;
+    witness = (fun _ _ -> false);
+    (* the root can always be requested, so no configuration is terminal *)
+    deadlock = (fun _ -> true);
+    render =
+      (fun states m ->
+        String.concat "" (Array.to_list (Array.map canon states))
+        ^ " " ^ monitor_canon m);
+  }
+
+let initials tree =
+  let n = Topology.Graph.n tree.Pif.graph in
+  List.map
+    (fun vector ->
+      Array.init n (fun p -> { Pif.phase = vector.(p); request = false }))
+    (Pif.all_phase_vectors n)
+
+(* The root never collects feedback for a requested wave before every
+   processor received the broadcast. *)
+type pif_monitor = { in_wave : bool; received : int; bad : bool }
+
+let pif_safety ?(simultaneity = false) ?workers tree =
+  let g = tree.Pif.graph in
+  let full = (1 lsl Topology.Graph.n g) - 1 in
   let monitor m ~pid = function
     | Pif.Started -> { in_wave = true; received = 0; bad = m.bad }
     | Pif.Received ->
@@ -89,41 +117,64 @@ let pif_safety ?(simultaneity = false) tree =
         if m.in_wave && m.received <> full then { m with bad = true; in_wave = false }
         else { m with in_wave = false }
   in
-  let monitor_canon m =
-    Printf.sprintf "%b.%d.%b" m.in_wave m.received m.bad
+  let model =
+    pif_model tree
+      ~init_monitor:{ in_wave = false; received = 0; bad = false }
+      ~monitor
+      ~monitor_canon:(fun m -> Printf.sprintf "%b.%d.%b" m.in_wave m.received m.bad)
+      ~prune:(fun _ m -> m.bad)
   in
-  let check _ m =
-    if m.bad then Some "root completed before full coverage" else None
-  in
-  let initials =
-    List.map
-      (fun vector ->
-        Array.init n (fun p -> { Pif.phase = vector.(p); request = false }))
-      (Pif.all_phase_vectors n)
-  in
-  Mc.Generic.explore ~simultaneity ~graph:g ~protocol:proto ~canon ~externals
-    ~monitor ~monitor_canon
-    ~init_monitor:{ in_wave = false; received = 0; bad = false }
-    ~check initials
+  Mc.Par.check_safety ~simultaneity ?workers ~graph:g model (initials tree)
 
-let test_exhaustive_safety_path5 () =
-  let r = pif_safety path5 in
-  Alcotest.(check bool) "explored" true (r.Mc.Generic.explored > 243);
-  match r.Mc.Generic.violation with
-  | None -> ()
-  | Some (msg, _, _) -> Alcotest.fail msg
+(* Counts pinned from the sequential string-keyed PIF checker the
+   explorer replaced: the same key partition must give the same space. *)
+let check_clean (explored, transitions) (r : Mc.Par.report) =
+  Alcotest.(check int) "explored" explored r.Mc.Par.explored;
+  Alcotest.(check int) "transitions" transitions r.Mc.Par.transitions;
+  Alcotest.(check (option string)) "no violation" None r.Mc.Par.violation;
+  Alcotest.(check (option string)) "no deadlock" None r.Mc.Par.deadlock
 
-let test_exhaustive_safety_star5 () =
-  let r = pif_safety star5 in
-  match r.Mc.Generic.violation with
-  | None -> ()
-  | Some (msg, _, _) -> Alcotest.fail msg
+let test_exhaustive_safety_path5 () = check_clean (718, 1876) (pif_safety path5)
+let test_exhaustive_safety_star5 () = check_clean (680, 2300) (pif_safety star5)
 
 let test_exhaustive_safety_simultaneous_path3 () =
-  let r = pif_safety ~simultaneity:true (Pif.tree_of (Topology.Builders.path 3) ~root:0) in
-  match r.Mc.Generic.violation with
-  | None -> ()
-  | Some (msg, _, _) -> Alcotest.fail msg
+  check_clean (78, 193)
+    (pif_safety ~simultaneity:true (Pif.tree_of (Topology.Builders.path 3) ~root:0))
+
+let check_same_report (a : Mc.Par.report) (b : Mc.Par.report) =
+  Alcotest.(check int) "explored" a.Mc.Par.explored b.Mc.Par.explored;
+  Alcotest.(check int) "transitions" a.Mc.Par.transitions b.Mc.Par.transitions;
+  Alcotest.(check (option string)) "violation" a.Mc.Par.violation b.Mc.Par.violation;
+  Alcotest.(check (option string)) "witness" a.Mc.Par.witness b.Mc.Par.witness;
+  Alcotest.(check (option string)) "deadlock" a.Mc.Par.deadlock b.Mc.Par.deadlock;
+  Alcotest.(check int) "visited entries" a.Mc.Par.visited.Mc.Store.entries
+    b.Mc.Par.visited.Mc.Store.entries;
+  Alcotest.(check int) "visited capacity" a.Mc.Par.visited.Mc.Store.capacity
+    b.Mc.Par.visited.Mc.Store.capacity;
+  Alcotest.(check int) "visited key bytes" a.Mc.Par.visited.Mc.Store.key_bytes
+    b.Mc.Par.visited.Mc.Store.key_bytes
+
+let test_safety_workers_identity () =
+  List.iter
+    (fun tree ->
+      check_same_report (pif_safety ~workers:1 tree) (pif_safety ~workers:2 tree))
+    [ path5; star5 ]
+
+(* Positive control: "the root never completes a wave" is false (waves
+   complete from every start), so the explorer must report a violation,
+   with the same canonical witness at any worker count. *)
+let test_safety_positive_control () =
+  let never_completes workers =
+    Mc.Par.check_safety ~workers ~graph:path5.Pif.graph
+      (pif_model path5 ~init_monitor:false
+         ~monitor:(fun done_ ~pid:_ ev -> done_ || ev = Pif.Completed)
+         ~monitor_canon:string_of_bool
+         ~prune:(fun _ done_ -> done_))
+      (initials path5)
+  in
+  let w1 = never_completes 1 and w2 = never_completes 2 in
+  Alcotest.(check bool) "violation found" true (w1.Mc.Par.violation <> None);
+  check_same_report w1 w2
 
 let prop_random_trees_random_daemons =
   QCheck.Test.make ~name:"PIF waves cover every node on random trees"
@@ -169,6 +220,10 @@ let () =
             test_exhaustive_safety_star5;
           Alcotest.test_case "safety: composite steps, path3" `Quick
             test_exhaustive_safety_simultaneous_path3;
+          Alcotest.test_case "safety: workers 1/2 identity" `Quick
+            test_safety_workers_identity;
+          Alcotest.test_case "safety: positive control" `Quick
+            test_safety_positive_control;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_random_trees_random_daemons ] );
