@@ -581,14 +581,17 @@ let run_b3 () =
    identical deterministic token-relay protocol so every difference is
    the runtime, not the workload.
 
-   Legs: n=1000 ring under reliable and lossy channels (messages/s, and
-   the >= 3x speedup gate against the legacy loop); a 1M-delivery
-   sustained lossy run (the deliveries gate); a GC gate (minor words per
-   step on the reliable hot path, <= 64); a profiled lossy leg for
-   send->deliver latency percentiles; and a 10k-node torus leg
-   (reliable + flaky) reporting stamp/hop ring overwrites under
-   saturation. The relay consumes no PRNG draws in handlers, so both
-   runtimes replay the same scheduler stream. *)
+   Legs: n=1000 ring under reliable channels (messages/s, and the >= 3x
+   speedup gate against the legacy loop); a 1M-delivery sustained lossy
+   run (the deliveries gate); a GC gate (minor words per step on the
+   reliable hot path, <= 64); a profiled lossy leg for send->deliver
+   latency percentiles; and a 10k-node torus leg (reliable + flaky)
+   reporting stamp/hop ring overwrites under saturation. The relay
+   consumes no PRNG draws in handlers, so both runtimes replay the same
+   scheduler stream. On lossy and flaky channels every process resends
+   a token to each neighbor from a periodic wheel timer, which keeps the
+   token population from dying out; the legacy loop has no wheel, so it
+   is compared on reliable channels only. *)
 let run_b4 () =
   Harness.Report.section
     "B4: mp runtime throughput/latency, ring-buffer loop vs legacy (token relay)";
@@ -620,27 +623,29 @@ let run_b4 () =
   let reliable = Chaos.Schedule.channel_knobs Chaos.Schedule.Reliable in
   let lossy = Chaos.Schedule.channel_knobs Chaos.Schedule.Lossy in
   let flaky = Chaos.Schedule.channel_knobs Chaos.Schedule.Flaky in
-  let mk_new ?(knobs = reliable) ?(timeout = false)
+  (* [resend]: each process fires a wheel timer every [8 n] steps,
+     staggered by pid, and sends one token to every neighbor — on average
+     one fire per 8 steps across the network. *)
+  let mk_new ?(knobs = reliable) ?(resend = false)
       ?(prof = Obs.Prof.disabled) g tokens =
     let nbrs = nbrs_of g in
     let handler ~self ~from () () = ((), [ (fwd nbrs self from, ()) ]) in
-    let timeout_fn ~self () =
-      ((), Array.to_list (Array.map (fun q -> (q, ())) nbrs.(self)))
-    in
     let net =
-      if timeout then
-        Mp.Network.create ~loss:knobs.Chaos.Schedule.loss
-          ~duplication:knobs.Chaos.Schedule.duplication
-          ~reorder:knobs.Chaos.Schedule.reorder ~prof ~timeout:timeout_fn
-          ~init:(fun _ -> ())
-          ~handler g
-      else
-        Mp.Network.create ~loss:knobs.Chaos.Schedule.loss
-          ~duplication:knobs.Chaos.Schedule.duplication
-          ~reorder:knobs.Chaos.Schedule.reorder ~prof
-          ~init:(fun _ -> ())
-          ~handler g
+      Mp.Network.create ~loss:knobs.Chaos.Schedule.loss
+        ~duplication:knobs.Chaos.Schedule.duplication
+        ~reorder:knobs.Chaos.Schedule.reorder ~prof
+        ~init:(fun _ -> ())
+        ~handler g
     in
+    if resend then begin
+      let period = 8 * Topology.Graph.n g in
+      Mp.Network.set_timer_handler net ~keys:1 (fun ~self ~key () ->
+          Mp.Network.arm_timer net ~self ~key ~after:period;
+          ((), Array.to_list (Array.map (fun q -> (q, ())) nbrs.(self))));
+      Topology.Graph.iter_vertices
+        (fun p -> Mp.Network.arm_timer net ~self:p ~key:0 ~after:(1 + (8 * p)))
+        g
+    end;
     for p = 0 to tokens - 1 do
       Mp.Network.inject net ~from:p ~into:nbrs.(p).(0) ()
     done;
@@ -648,26 +653,10 @@ let run_b4 () =
       (fun () -> Mp.Network.deliveries net),
       fun () -> Mp.Network.prof_overwrites net )
   in
-  let mk_legacy ?(knobs = reliable) ?(timeout = false) g tokens =
+  let mk_legacy g tokens =
     let nbrs = nbrs_of g in
     let handler ~self ~from () () = ((), [ (fwd nbrs self from, ()) ]) in
-    let timeout_fn ~self () =
-      ((), Array.to_list (Array.map (fun q -> (q, ())) nbrs.(self)))
-    in
-    let net =
-      if timeout then
-        Mp.Network_legacy.create ~loss:knobs.Chaos.Schedule.loss
-          ~duplication:knobs.Chaos.Schedule.duplication
-          ~reorder:knobs.Chaos.Schedule.reorder ~timeout:timeout_fn
-          ~init:(fun _ -> ())
-          ~handler g
-      else
-        Mp.Network_legacy.create ~loss:knobs.Chaos.Schedule.loss
-          ~duplication:knobs.Chaos.Schedule.duplication
-          ~reorder:knobs.Chaos.Schedule.reorder
-          ~init:(fun _ -> ())
-          ~handler g
-    in
+    let net = Mp.Network_legacy.create ~init:(fun _ -> ()) ~handler g in
     for p = 0 to tokens - 1 do
       Mp.Network_legacy.inject net ~from:p ~into:nbrs.(p).(0) ()
     done;
@@ -677,38 +666,30 @@ let run_b4 () =
   let ring1k = Topology.Builders.ring 1000 in
   let timings = ref [] in
   let push t = timings := !timings @ [ t ] in
-  (* ---- Leg 1: n=1000 reliable + lossy, new vs legacy; 3x gate. ---- *)
-  let compare_leg ~name ~knobs ~timeout ~target =
-    let rate_of (d, _steps, dt) = float_of_int d /. max 1e-9 dt in
-    let best f =
-      List.fold_left max 0. (List.init 3 (fun _ -> rate_of (f ())))
-    in
-    let new_rate =
-      best (fun () ->
-          let step, deliveries, _ = mk_new ~knobs ~timeout ring1k 1000 in
-          drive ~step ~deliveries ~target ~max_steps:(8 * target)
-            (Prng.Splitmix.of_int 77))
-    in
-    let legacy_rate =
-      best (fun () ->
-          let step, deliveries = mk_legacy ~knobs ~timeout ring1k 1000 in
-          drive ~step ~deliveries ~target ~max_steps:(8 * target)
-            (Prng.Splitmix.of_int 77))
-    in
-    (name, new_rate, legacy_rate, new_rate /. max 1e-9 legacy_rate)
+  (* ---- Leg 1: n=1000 reliable, new vs legacy; 3x gate. ---- *)
+  let target = 400_000 in
+  let rate_of (d, _steps, dt) = float_of_int d /. max 1e-9 dt in
+  let best f = List.fold_left max 0. (List.init 3 (fun _ -> rate_of (f ()))) in
+  let new_rate =
+    best (fun () ->
+        let step, deliveries, _ = mk_new ring1k 1000 in
+        drive ~step ~deliveries ~target ~max_steps:(8 * target)
+          (Prng.Splitmix.of_int 77))
   in
-  let rel =
-    compare_leg ~name:"reliable" ~knobs:reliable ~timeout:false
-      ~target:400_000
+  let legacy_rate =
+    best (fun () ->
+        let step, deliveries = mk_legacy ring1k 1000 in
+        drive ~step ~deliveries ~target ~max_steps:(8 * target)
+          (Prng.Splitmix.of_int 77))
   in
-  let los = compare_leg ~name:"lossy" ~knobs:lossy ~timeout:true ~target:400_000 in
-  let leg_notes (name, nr, lr, sp) =
+  let rel_speedup = new_rate /. max 1e-9 legacy_rate in
+  let rel_note =
     Printf.sprintf
-      "%-8s n=1000: %10.0f msg/s (ring loop) vs %10.0f msg/s (legacy) = %.2fx"
-      name nr lr sp
+      "reliable n=1000: %10.0f msg/s (ring loop) vs %10.0f msg/s (legacy) = \
+       %.2fx"
+      new_rate legacy_rate rel_speedup
   in
-  let _, _, _, rel_speedup = rel in
-  List.iter (fun l -> Harness.Report.note (leg_notes l)) [ rel; los ];
+  Harness.Report.note rel_note;
   push
     {
       id = "b4-speedup";
@@ -717,13 +698,12 @@ let run_b4 () =
       ok = rel_speedup >= 3.0;
       notes =
         [
-          leg_notes rel;
-          leg_notes los;
+          rel_note;
           Printf.sprintf "gate: reliable speedup %.2fx >= 3.0x" rel_speedup;
         ];
     };
   (* ---- Leg 2: sustained 1M deliveries, lossy ring:1000. ---- *)
-  let step, deliveries, _ = mk_new ~knobs:lossy ~timeout:true ring1k 1000 in
+  let step, deliveries, _ = mk_new ~knobs:lossy ~resend:true ring1k 1000 in
   let d, steps, dt =
     drive ~step ~deliveries ~target:1_000_000 ~max_steps:4_000_000
       (Prng.Splitmix.of_int 78)
@@ -773,7 +753,7 @@ let run_b4 () =
   (* ---- Leg 4: latency percentiles, profiled lossy ring:1000. ---- *)
   let prof = Obs.Prof.create ~tracks:1 () in
   let step, deliveries, overwrites =
-    mk_new ~knobs:lossy ~timeout:true ~prof ring1k 1000
+    mk_new ~knobs:lossy ~resend:true ~prof ring1k 1000
   in
   let d, _, dt =
     drive ~step ~deliveries ~target:300_000 ~max_steps:2_000_000
@@ -810,10 +790,10 @@ let run_b4 () =
     };
   (* ---- Leg 5: 10k-node torus, reliable and flaky, saturation. ---- *)
   let torus10k = Topology.Builders.torus ~rows:100 ~cols:100 in
-  let ten_k_leg ~name ~knobs ~timeout ~target =
+  let ten_k_leg ~name ~knobs ~resend ~target =
     let prof = Obs.Prof.create ~tracks:1 () in
     let step, deliveries, overwrites =
-      mk_new ~knobs ~timeout ~prof torus10k 10_000
+      mk_new ~knobs ~resend ~prof torus10k 10_000
     in
     let d, steps, dt =
       drive ~step ~deliveries ~target ~max_steps:(8 * target)
@@ -840,9 +820,9 @@ let run_b4 () =
   in
   let ten_notes =
     [
-      ten_k_leg ~name:"reliable" ~knobs:reliable ~timeout:false
+      ten_k_leg ~name:"reliable" ~knobs:reliable ~resend:false
         ~target:400_000;
-      ten_k_leg ~name:"flaky" ~knobs:flaky ~timeout:true ~target:400_000;
+      ten_k_leg ~name:"flaky" ~knobs:flaky ~resend:true ~target:400_000;
     ]
   in
   List.iter Harness.Report.note ten_notes;

@@ -11,6 +11,21 @@
 
 open Cmdliner
 
+(* ---------------- integer converters ---------------- *)
+
+(* Counts and sizes: a malformed value is a usage error (exit 124) that
+   names the option, never an exception from deep inside a run. *)
+let int_at_least ~min ~what =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= min -> Ok n
+        | _ -> Error (`Msg (Printf.sprintf "invalid value %S, expected %s" s what))),
+      Format.pp_print_int )
+
+let positive = int_at_least ~min:1 ~what:"a positive integer"
+let non_negative = int_at_least ~min:0 ~what:"a non-negative integer"
+
 (* ---------------- topology parsing ---------------- *)
 
 (* One grammar for every command: the campaign grid DSL owns it. *)
@@ -69,21 +84,19 @@ let emit_prof ~profile ~prof_summary prof =
     if prof_summary then print_string (Obs.Traceview.summary prof)
   end
 
-(* Shared by chaos/snapshot: the mp retransmission layer and channel
-   timing model. Defaults (no window, no synchrony) reproduce the
-   historical behaviour byte-for-byte; the flags override the
-   schedule's own @win=/@ps= modifiers. *)
+(* Shared by chaos/snapshot: the mp sliding-window size and channel
+   timing model. The flags override the schedule's own @win=/@ps=
+   modifiers. *)
 let window_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive) None
     & info [ "window" ] ~docv:"K"
         ~doc:
-          "Mp model only: sliding-window retransmission with window \
-           size $(docv) (sequence numbers, cumulative acks, selective \
-           retransmit, wheel-driven RTO timers) instead of the default \
-           exponential-backoff republishing. Overrides the schedule's \
-           @win= modifier.")
+          "Mp model only: sliding-window size $(docv) of the \
+           retransmission layer (sequence numbers, cumulative acks, \
+           selective retransmit, wheel-driven RTO timers); default 8. \
+           Overrides the schedule's @win= modifier.")
 
 let delta_arg =
   Arg.(
@@ -224,7 +237,7 @@ let run_cmd =
   in
   let messages =
     Arg.(
-      value & opt int 2
+      value & opt non_negative 2
       & info [ "m"; "messages" ] ~docv:"K"
           ~doc:"Messages per processor (uniform random destinations).")
   in
@@ -579,17 +592,6 @@ let mc_cmd =
       & info [ "scenario" ] ~doc:"2chain (exhaustive) or 3chain (sampled).")
   in
   let samples =
-    let positive =
-      Arg.conv
-        ( (fun s ->
-            match int_of_string_opt s with
-            | Some n when n > 0 -> Ok n
-            | _ ->
-                Error
-                  (`Msg
-                    (Printf.sprintf "invalid value %S, expected a positive integer" s))),
-          Format.pp_print_int )
-    in
     Arg.(
       value & opt positive 2000
       & info [ "samples" ] ~docv:"N" ~doc:"Initial configurations for 3chain.")
@@ -694,8 +696,8 @@ let chaos_cmd =
              b(uffers) q(ueues) f(lags) c(rash) and victims a count or \
              'all'; optional '@' modifiers (mp model only): a channel \
              preset '@lossy' or '@flaky', '@win=<k>' (sliding-window \
-             retransmission) and '@ps=<delta>:<gst>' (partial \
-             synchrony). Example: 10:rbqf:all+40:c:2@lossy@win=8. \
+             size, default 8) and '@ps=<delta>:<gst>' (partial \
+             synchrony). Example: 10:rbqf:all+40:c:2@lossy@win=4. \
              'none' disables faults.")
   in
   let model =
@@ -727,13 +729,13 @@ let chaos_cmd =
   in
   let messages =
     Arg.(
-      value & opt int 2
+      value & opt non_negative 2
       & info [ "m"; "messages" ] ~docv:"K"
           ~doc:"Messages per processor (uniform random destinations).")
   in
   let aftermath =
     Arg.(
-      value & opt int 4
+      value & opt non_negative 4
       & info [ "aftermath" ] ~docv:"K"
           ~doc:
             "Fresh requests submitted right after the last burst, so the \
@@ -741,7 +743,7 @@ let chaos_cmd =
   in
   let channel_garbage =
     Arg.(
-      value & opt int 0
+      value & opt non_negative 0
       & info [ "channel-garbage" ] ~docv:"K"
           ~doc:"Forged messages pre-loaded into the mp channels.")
   in
@@ -769,7 +771,7 @@ let chaos_cmd =
   in
   let snapshot_every =
     Arg.(
-      value & opt int 0
+      value & opt non_negative 0
       & info [ "snapshot-every" ] ~docv:"N"
           ~doc:
             "Mp model only: initiate an in-band Chandy–Lamport snapshot \
@@ -945,34 +947,26 @@ let chaos_cmd =
                   ~prof ?window ?synchrony ~schedule graph workload)
           in
           Printf.printf "model       : mp (α-synchronizer port)\n";
-          let eff_window =
-            match window with
-            | Some w -> w
-            | None -> schedule.Chaos.Schedule.window
-          in
           let eff_sync =
             match synchrony with
             | Some _ -> synchrony
             | None -> schedule.Chaos.Schedule.synchrony
           in
-          Printf.printf "retransmit  : %s%s\n"
-            (if eff_window > 0 then
-               Printf.sprintf "sliding window (w=%d)" eff_window
-             else "exponential backoff")
+          Printf.printf "retransmit  : sliding window (w=%d)%s\n"
+            o.Chaos.Mp_run.window
             (match eff_sync with
             | None -> ""
             | Some sy ->
                 Printf.sprintf ", partial synchrony Δ=%d GST=%d"
                   (Mp.Synchrony.delta sy) (Mp.Synchrony.gst sy));
-          Printf.printf "outcome     : %s after %d deliveries / %d pulses%s\n"
+          Printf.printf
+            "outcome     : %s after %d deliveries / %d pulses / %d window \
+             retransmissions\n"
             (match o.Chaos.Mp_run.mp_outcome with
             | `All_done -> "all drained"
             | `Max_deliveries -> "delivery budget exhausted")
             o.Chaos.Mp_run.channel_deliveries o.Chaos.Mp_run.max_pulse
-            (if o.Chaos.Mp_run.window > 0 then
-               Printf.sprintf " / %d window retransmissions"
-                 o.Chaos.Mp_run.window_retransmits
-             else "");
+            o.Chaos.Mp_run.window_retransmits;
           let ch = o.Chaos.Mp_run.channel in
           Printf.printf
             "channel     : %d delivered, %d lost, %d duplicated, %d reordered, %d dropped at down processes\n"
@@ -1146,7 +1140,7 @@ let snapshot_cmd =
   in
   let messages =
     Arg.(
-      value & opt int 2
+      value & opt non_negative 2
       & info [ "m"; "messages" ] ~docv:"K"
           ~doc:"Messages per processor (uniform random destinations).")
   in

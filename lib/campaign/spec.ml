@@ -234,7 +234,7 @@ let chaos_filter sc =
   match sc.model with
   | State_model ->
       sc.snapshot = 0
-      && sc.chaos.Chaos.Schedule.window = 0
+      && sc.chaos.Chaos.Schedule.window = None
       && sc.chaos.Chaos.Schedule.synchrony = None
   | Mp_model -> sc.daemon = Harness.Runner.Synchronous
 

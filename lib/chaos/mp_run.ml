@@ -58,14 +58,14 @@ let tick_chunk = 128
 
 let run ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0) ?(seed = 1)
     ?(max_deliveries = 2_000_000) ?(aftermath = 0) ?(snapshot_every = 0)
-    ?on_cut ?(prof = Obs.Prof.disabled) ?window ?synchrony ?rto ~schedule graph
+    ?on_cut ?(prof = Obs.Prof.disabled) ?window ?synchrony ~schedule graph
     workload =
   let knobs = Schedule.knobs schedule in
   (* Explicit arguments override the schedule's own channel modifiers
      (the CLI flags ride here; campaign scenarios encode them in the
      schedule string). *)
   let window =
-    match window with Some w -> w | None -> schedule.Schedule.window
+    match window with Some _ -> window | None -> schedule.Schedule.window
   in
   let synchrony =
     match synchrony with Some _ -> synchrony | None -> schedule.Schedule.synchrony
@@ -73,7 +73,7 @@ let run ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0) ?(seed = 1)
   let t =
     Mp.Ssmfp_mp.create ~spec ~channel_garbage ~loss:knobs.Schedule.loss
       ~duplication:knobs.Schedule.duplication ~reorder:knobs.Schedule.reorder
-      ~seed ~prof ~window ?synchrony ?rto graph workload
+      ~seed ~prof ?window ?synchrony graph workload
   in
   let n = Topology.Graph.n graph in
   (* Phase spans on track 0: one per drive segment between bursts, one

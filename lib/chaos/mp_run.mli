@@ -54,10 +54,9 @@ type outcome = {
   invalid_planted : int;
       (** invalid messages sitting in the corrupted initial cores *)
   channel : Mp.Ssmfp_mp.channel_stats;
-  window : int;
-      (** effective window size the run used (0 = backoff mode) *)
+  window : int;  (** effective window size the run used *)
   window_retransmits : int;
-      (** window-layer RTO/nak/resync retransmissions, 0 in backoff mode *)
+      (** window-layer RTO/nak/resync retransmissions *)
   schedule : Schedule.t;
   snapshot : snapshot_outcome option;  (** [Some] iff [snapshot_every > 0] *)
 }
@@ -73,16 +72,15 @@ val run :
   ?prof:Obs.Prof.t ->
   ?window:int ->
   ?synchrony:Mp.Synchrony.t ->
-  ?rto:int ->
   schedule:Schedule.t ->
   Topology.Graph.t ->
   Harness.Workload.t ->
   outcome
-(** [?window], [?synchrony] and [?rto] select the mp retransmission
-    layer and channel timing model ({!Mp.Ssmfp_mp.create}); [window] and
-    [synchrony] default to the schedule's own [@win=]/[@ps=] modifiers
-    (an explicit argument overrides the schedule — the CLI flags ride
-    here), [rto] to the derived default.
+(** [?window] and [?synchrony] select the sliding-window size and the
+    channel timing model ({!Mp.Ssmfp_mp.create}); they default to the
+    schedule's own [@win=]/[@ps=] modifiers (an explicit argument
+    overrides the schedule — the CLI flags ride here), and without
+    either to the port's defaults.
 
     [max_deliveries] (default 2_000_000) is a per-segment budget: each
     burst segment and the final drain get the full budget, so a run is

@@ -38,14 +38,14 @@ let channel_to_string = function
 type t = {
   bursts : burst list;
   channel : channel;
-  window : int; (* 0 = backoff retransmission, >0 = sliding window *)
+  window : int option; (* sliding-window size; None = the port's default *)
   synchrony : Mp.Synchrony.t option;
 }
 
-let none = { bursts = []; channel = Reliable; window = 0; synchrony = None }
+let none = { bursts = []; channel = Reliable; window = None; synchrony = None }
 
 let is_none t =
-  t.bursts = [] && t.channel = Reliable && t.window = 0 && t.synchrony = None
+  t.bursts = [] && t.channel = Reliable && t.window = None && t.synchrony = None
 
 (* Canonical burst order: by round, then textual; canonical domain order
    is r b q f c with duplicates removed, so of_string/to_string round
@@ -68,7 +68,9 @@ let to_string t =
       (match t.channel with
       | Reliable -> []
       | c -> [ channel_to_string c ])
-      @ (if t.window > 0 then [ Printf.sprintf "win=%d" t.window ] else [])
+      @ (match t.window with
+        | None -> []
+        | Some w -> [ Printf.sprintf "win=%d" w ])
       @
       match t.synchrony with
       | None -> []
@@ -121,7 +123,7 @@ let parse_extra acc tok =
   | "flaky" -> Ok (Flaky, window, synchrony)
   | _ when String.length tok > 4 && String.sub tok 0 4 = "win=" -> (
       match int_of_string_opt (String.sub tok 4 (String.length tok - 4)) with
-      | Some w when w >= 1 -> Ok (channel, w, synchrony)
+      | Some w when w >= 1 -> Ok (channel, Some w, synchrony)
       | _ -> Error (Printf.sprintf "bad window %S (expected win=<k>)" tok))
   | _ when String.length tok > 3 && String.sub tok 0 3 = "ps=" -> (
       let body = String.sub tok 3 (String.length tok - 3) in
@@ -154,7 +156,7 @@ let of_string s =
     | body :: extras -> (body, extras)
   in
   let* channel, window, synchrony =
-    List.fold_left parse_extra (Ok (Reliable, 0, None)) extras
+    List.fold_left parse_extra (Ok (Reliable, None, None)) extras
   in
   let* bursts =
     if body = "none" || body = "" then Ok []

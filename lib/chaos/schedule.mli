@@ -19,20 +19,19 @@
     40:rb:2+90:b:1@lossy      routing+buffer burst on 2 victims at round
                               40, buffer burst on 1 victim at round 90,
                               lossy channels
-    none@lossy@win=8          lossy channels, sliding-window
-                              retransmission with window 8
+    none@lossy@win=8          lossy channels, sliding window of
+                              size 8
     40:c:2@flaky@ps=8:2000    crash burst under flaky channels that turn
                               synchronous (delta = 8) at step 2000
     v}
 
     ['@']-separated modifiers after the burst list: a channel preset
-    ([reliable] / [lossy] / [flaky]), [win=<k>] (sliding-window
-    retransmission, window [k]; absent = the historical exponential
-    backoff) and [ps=<delta>:<gst>] (partial-synchrony channels,
-    {!Mp.Synchrony}), in any order. Defaults reproduce the historical
-    behaviour exactly, and [to_string] omits defaulted modifiers, so
-    every pre-existing schedule string (and the campaign scenario ids
-    built from them) is unchanged.
+    ([reliable] / [lossy] / [flaky]), [win=<k>] (the mp port's
+    sliding-window size [k >= 1]; absent = the port's default,
+    {!Mp.Ssmfp_mp.create}) and [ps=<delta>:<gst>] (partial-synchrony
+    channels, {!Mp.Synchrony}), in any order. [to_string] omits absent
+    modifiers, so every schedule string (and the campaign scenario ids
+    built from them) round-trips unchanged.
 
     [of_string] accepts domains in any order with duplicates and
     normalizes to the canonical [rbqfc] order, so
@@ -68,10 +67,9 @@ val channel_to_string : channel -> string
 type t = {
   bursts : burst list;
   channel : channel;
-  window : int;
-      (** retransmission layer under an mp run: 0 = exponential backoff
-          (the historical default), [k > 0] = sliding window of size [k]
-          ({!Mp.Window}) *)
+  window : int option;
+      (** sliding-window size under an mp run ({!Mp.Window}); [None] =
+          the default of {!Mp.Ssmfp_mp.create} *)
   synchrony : Mp.Synchrony.t option;
       (** partial-synchrony channel model; [None] = fully asynchronous *)
 }

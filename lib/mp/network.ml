@@ -10,7 +10,7 @@ type 'm item = App of 'm * int | Marker of int (* snapshot epoch *)
 
 (* Profiling state: Lamport stamps and hop logging.
 
-   Every handler- or timeout-originated send is stamped with a fresh
+   Every handler- or timer-originated send is stamped with a fresh
    message id and the sender's incremented Lamport clock; the stamp
    travels with the message through loss, duplication and reordering (a
    duplicate carries the same id — seeing an id delivered twice IS the
@@ -91,7 +91,6 @@ type ('s, 'm) t = {
   synchrony : Synchrony.t option;
   mutable sync_cursor : int;
   chan_since : int array; (* step a channel last became nonempty *)
-  timeout : (self:int -> 's -> 's * (int * 'm) list) option;
   on_recover : (self:int -> 's -> 's) option;
   (* Crash spans as absolute deadlines: [down_until.(p) > now] = down.
      Expiries live on a timer wheel, so a step pays O(recoveries due)
@@ -118,7 +117,7 @@ type ('s, 'm) t = {
   mutable markers_dropped : int; (* lost, or evaporated at a crashed process *)
 }
 
-(* Cold-path channel lookup (inject, send_all, channel_contents). *)
+(* Cold-path channel lookup (inject, channel_contents). *)
 let chan t ~from ~into =
   if not (Topology.Graph.is_edge t.graph from into) then
     invalid_arg "Network: not an edge";
@@ -183,8 +182,7 @@ let make_prof_state prof n =
   end
 
 let create ?(loss = 0.) ?(duplication = 0.) ?(reorder = 0.)
-    ?(prof = Obs.Prof.disabled) ?synchrony ?timeout ?on_recover ~init ~handler
-    graph =
+    ?(prof = Obs.Prof.disabled) ?synchrony ?on_recover ~init ~handler graph =
   let n = Topology.Graph.n graph in
   (* Materialize every directed channel up front, in canonical sorted
      order — the same order the pre-ring scheduler drew from. *)
@@ -221,7 +219,6 @@ let create ?(loss = 0.) ?(duplication = 0.) ?(reorder = 0.)
     synchrony;
     sync_cursor = 0;
     chan_since = Array.make (max c 1) 0;
-    timeout;
     on_recover;
     down_until = Array.make n 0;
     crash_wheel = Wheel.create ~ids:n;
@@ -278,19 +275,9 @@ let inject t ~from ~into m =
   t.flight <- t.flight + 1;
   note_filled t ci
 
-let send_all t ~from m =
-  let sid = stamp t ~from in
-  List.iter
-    (fun q ->
-      let ci = chan t ~from ~into:q in
-      Ring.push t.rings.(ci) (App (m, sid));
-      t.flight <- t.flight + 1;
-      note_filled t ci)
-    (Topology.Graph.neighbors t.graph from)
-
-(* A single stamped send outside the unreliable link (bootstrap traffic,
-   like [send_all] but per-edge — the window layer's frames differ per
-   channel, so broadcasts can't share one payload). *)
+(* A single stamped send outside the unreliable link: bootstrap traffic,
+   one frame per channel since window frames carry per-channel sequence
+   numbers. *)
 let send_one t ~from ~into m =
   let ci = ci_of t from into in
   let sid = stamp t ~from in
@@ -398,20 +385,6 @@ let send_marker t rng ~from ~into ~epoch =
       t.markers_dropped <- t.markers_dropped + 1
     else enqueue t rng ci (Marker epoch)
   done
-
-let fire_timeout t rng =
-  match t.timeout with
-  | None -> false
-  | Some f ->
-      let p = Prng.Splitmix.int rng (Topology.Graph.n t.graph) in
-      if not (is_down t p) then begin
-        let s', sends = f ~self:p t.states.(p) in
-        t.states.(p) <- s';
-        post t rng ~from:p sends
-      end;
-      (* A timer drawn on a crashed process simply does not fire, but the
-         scheduler step still happened. *)
-      true
 
 (* {2 User timers} — the wheel-driven spontaneous actions the window
    layer runs its RTO and refresh on. Ids are [self * keys + key]. *)
@@ -592,9 +565,9 @@ let epilogue t rng =
   | None -> ()
   | Some w -> Wheel.advance w ~upto:t.now (fun id -> fire_timer t rng id)
 
-(* All channels empty and no [timeout] installed: with wheel timers
-   pending the clock jumps to the next deadline (that fire is the step);
-   otherwise the network is genuinely idle. *)
+(* All channels empty: with wheel timers pending the clock jumps to the
+   next deadline (that fire is the step); otherwise the network is
+   genuinely idle. *)
 let idle_timers t =
   match t.timer_wheel with
   | None -> false
@@ -608,21 +581,15 @@ let idle_timers t =
 let step t rng =
   sample_depths t;
   let acted =
-    if Fenwick.count t.fen = 0 then
-      if t.timeout <> None then fire_timeout t rng else idle_timers t
+    if Fenwick.count t.fen = 0 then idle_timers t
     else begin
       let fci = forced_channel t in
-      if fci >= 0 then begin
-        deliver_from t rng fci;
-        true
-      end
-      else if t.timeout <> None && Prng.Splitmix.bernoulli rng 0.125 then
-        fire_timeout t rng
-      else begin
-        let ci = Fenwick.select t.fen (Prng.Splitmix.int rng (Fenwick.count t.fen)) in
-        deliver_from t rng ci;
-        true
-      end
+      let ci =
+        if fci >= 0 then fci
+        else Fenwick.select t.fen (Prng.Splitmix.int rng (Fenwick.count t.fen))
+      in
+      deliver_from t rng ci;
+      true
     end
   in
   if acted then epilogue t rng;

@@ -36,7 +36,6 @@ val create :
   ?reorder:float ->
   ?prof:Obs.Prof.t ->
   ?synchrony:Synchrony.t ->
-  ?timeout:(self:int -> 's -> 's * (int * 'm) list) ->
   ?on_recover:(self:int -> 's -> 's) ->
   init:(int -> 's) ->
   handler:('s, 'm) handler ->
@@ -48,13 +47,10 @@ val create :
     that probability — each copy then takes its own loss draw.
     [reorder] (default 0.) makes an enqueued message overtake at least
     one message already in its channel with that probability (a FIFO
-    violation). [timeout] equips processes with a spontaneous action —
-    the scheduler occasionally fires it on a random process (and always
-    can when all channels are empty), modelling the timers that
-    retransmission-based protocols need on unreliable channels; it never
-    fires on a crashed process. [on_recover] is applied to a process's
-    state at the moment its {!crash} span expires — the hook where a
-    protocol models amnesia or re-initialization.
+    violation). Retransmission-based protocols get their spontaneous
+    actions from the timer wheel ({!set_timer_handler}). [on_recover] is
+    applied to a process's state at the moment its {!crash} span expires
+    — the hook where a protocol models amnesia or re-initialization.
 
     [?synchrony] switches the channels to the partial-synchrony model
     (known Δ, unknown GST): before step [gst] the three knobs apply
@@ -66,7 +62,7 @@ val create :
     fully-asynchronous network.
 
     [?prof] (track 0 = the scheduler's domain) turns on Lamport-stamped
-    causal tracing: every handler/timeout send gets a fresh message id
+    causal tracing: every handler/timer send gets a fresh message id
     and the sender's incremented Lamport clock (duplicated copies and
     broadcast fan-out share the id), each delivery advances the
     receiver's clock and appends a {!hop}, and the instruments
@@ -79,14 +75,11 @@ val inject : ('s, 'm) t -> from:int -> into:int -> 'm -> unit
 (** Plant a message in the channel [from → into] (initial garbage, or a
     kick-off message). @raise Invalid_argument on a non-edge. *)
 
-val send_all : ('s, 'm) t -> from:int -> 'm -> unit
-(** Enqueue a broadcast from [from] to all its neighbors. *)
-
 val send_one : ('s, 'm) t -> from:int -> into:int -> 'm -> unit
 (** Enqueue one stamped message on [from → into] outside the unreliable
-    link — the per-edge form of {!send_all} for bootstrap traffic whose
-    payload differs per channel (window frames carry per-channel
-    sequence numbers). @raise Invalid_argument on a non-edge. *)
+    link — bootstrap traffic, one message per channel (window frames
+    carry per-channel sequence numbers). @raise Invalid_argument on a
+    non-edge. *)
 
 val state : ('s, 'm) t -> int -> 's
 val set_state : ('s, 'm) t -> int -> 's -> unit
@@ -114,12 +107,11 @@ val now : ('s, 'm) t -> int
     spans and the partial-synchrony GST are measured in. *)
 
 (** {2 Timers} — wheel-driven per-process timers for retransmission
-    layers. Unlike [timeout] (which fires on a {e random} process),
-    these fire deterministically at their armed deadline, cost
-    O(expired) per step, and survive crashes (a timer due while its
-    process is down is re-armed to fire right after recovery). When all
-    channels are empty and no [timeout] is installed, pending timers
-    drive the step: the clock jumps to the next deadline. *)
+    layers. They fire deterministically at their armed deadline, consume
+    no scheduler draws, cost O(expired) per step, and survive crashes (a
+    timer due while its process is down is re-armed to fire right after
+    recovery). When all channels are empty, pending timers drive the
+    step: the clock jumps to the next deadline. *)
 
 val set_timer_handler :
   ('s, 'm) t -> keys:int -> (self:int -> key:int -> 's -> 's * (int * 'm) list) -> unit
@@ -231,14 +223,13 @@ val prof_overwrites : ('s, 'm) t -> prof_overwrites
 (** {2 Scheduling} *)
 
 val step : ('s, 'm) t -> Prng.Splitmix.t -> bool
-(** Deliver one message from a uniformly random non-empty channel, or
-    (with probability 1/8, or whenever all channels are empty) fire the
-    [timeout] of a random process; [false] when channels are empty and
-    neither a [timeout] nor a pending wheel timer exists. Down-spans
-    decrement once per returning-true step. Under [?synchrony], a
-    post-GST age-probe hit delivers from the over-age channel instead
-    (no draws consumed); with wheel timers pending and channels empty,
-    the clock jumps to the next deadline and that fire is the step. *)
+(** Deliver one message from a uniformly random non-empty channel;
+    [false] when channels are empty and no wheel timer is pending.
+    Down-spans decrement once per returning-true step. Under
+    [?synchrony], a post-GST age-probe hit delivers from the over-age
+    channel instead (no draws consumed); with wheel timers pending and
+    channels empty, the clock jumps to the next deadline and that fire
+    is the step. *)
 
 val run :
   ?max_deliveries:int ->

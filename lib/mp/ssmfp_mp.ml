@@ -5,12 +5,6 @@ type public = {
 
 type payload = Snapshot of int * public
 
-(* What actually rides the channels. With [window = 0] every payload is
-   [Plain] and the network behaves byte-for-byte as before the window
-   layer existed; with [window > 0] payloads travel inside sliding-
-   window Data frames and acks share the channels. *)
-type net_msg = Plain of payload | Win of payload Window.frame
-
 (* Per-neighbor snapshot store: every snapshot with pulse >= ours is kept
    (at most a couple after pruning), so a barrier can never be starved by
    a newer snapshot overwriting the one it still needs. *)
@@ -18,15 +12,14 @@ type proc = {
   core : Ssmfp.State.t;
   pulse : int;
   snaps : (int * (int * public) list) list; (* neighbor -> (pulse, pub) list *)
-  backoff : int; (* consecutive retransmissions without pulse progress *)
-  ticks : int; (* timer fires since the last retransmission *)
 }
 
 type event_hook = pid:int -> pulse:int -> Ssmfp.Protocol.event -> unit
 
 type t = {
   graph : Topology.Graph.t;
-  net : (proc, net_msg) Network.t;
+  (* Payloads ride sliding-window Data frames; acks share the channels. *)
+  net : (proc, payload Window.frame) Network.t;
   rng : Prng.Splitmix.t;
   oracle : Harness.Oracle.t;
   expected_valid : int;
@@ -34,9 +27,8 @@ type t = {
   on_event : event_hook option ref;
   drain_witness : int ref; (* last process seen busy by [all_drained] *)
   window : int;
-  (* Window machinery, empty arrays when [window = 0]: sender/receiver
-     state per directed channel, indexed [p].[slot] with slot the index
-     of the neighbor in [nbrs.(p)]. *)
+  (* Sender/receiver state per directed channel, indexed [p].[slot] with
+     slot the index of the neighbor in [nbrs.(p)]. *)
   nbrs : int array array;
   win_send : payload Window.sender array array;
   win_recv : payload Window.receiver array array;
@@ -108,10 +100,6 @@ let barrier_ready g proc ~self =
     (fun q -> List.mem_assoc proc.pulse (snaps_for proc q))
     (Topology.Graph.neighbors g self)
 
-(* Any pulse progress resets the retransmission backoff: the channel is
-   evidently moving again. *)
-let advance_pulse proc pulse = { proc with pulse; backoff = 0; ticks = 0 }
-
 let make_handler g oracle max_pulse_ref hook_ref =
   let n = Topology.Graph.n g in
   let proto = Ssmfp.Protocol.make g in
@@ -166,7 +154,7 @@ let make_handler g oracle max_pulse_ref hook_ref =
             events;
           core'
     in
-    let proc = prune (advance_pulse { proc with core } (proc.pulse + 1)) in
+    let proc = prune { proc with core; pulse = proc.pulse + 1 } in
     if proc.pulse > !max_pulse_ref then max_pulse_ref := proc.pulse;
     proc
   in
@@ -181,7 +169,7 @@ let make_handler g oracle max_pulse_ref hook_ref =
     (* Maximum adoption: jump forward to a larger pulse and republish. *)
     let proc =
       if k > proc.pulse then begin
-        let proc = prune (advance_pulse proc k) in
+        let proc = prune { proc with pulse = k } in
         broadcast proc;
         proc
       end
@@ -203,8 +191,8 @@ let make_handler g oracle max_pulse_ref hook_ref =
 
 let create ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0)
     ?(loss = 0.) ?(duplication = 0.) ?(reorder = 0.) ?(seed = 1)
-    ?(prof = Obs.Prof.disabled) ?(window = 0) ?synchrony ?rto graph workload =
-  if window < 0 then invalid_arg "Ssmfp_mp.create: window must be >= 0";
+    ?(prof = Obs.Prof.disabled) ?(window = 8) ?synchrony graph workload =
+  if window < 1 then invalid_arg "Ssmfp_mp.create: window must be >= 1";
   let master = Prng.Splitmix.of_int seed in
   let fault_rng = Prng.Splitmix.split master in
   let sched_rng = Prng.Splitmix.split master in
@@ -227,21 +215,16 @@ let create ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0)
     find 0
   in
   let win_send =
-    if window = 0 then [||]
-    else Array.init n (fun p -> Array.map (fun _ -> Window.sender window) nbrs.(p))
+    Array.init n (fun p -> Array.map (fun _ -> Window.sender window) nbrs.(p))
   in
   let win_recv =
-    if window = 0 then [||]
-    else
-      Array.init n (fun p -> Array.map (fun _ -> Window.receiver window) nbrs.(p))
+    Array.init n (fun p -> Array.map (fun _ -> Window.receiver window) nbrs.(p))
   in
   let init p =
     {
       core = Harness.Fault.initial_states ~rng:fault_rng spec graph ~workload p;
       pulse = 0;
       snaps = [];
-      backoff = 0;
-      ticks = 0;
     }
   in
   let prof_on = Obs.Prof.enabled prof in
@@ -261,12 +244,9 @@ let create ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0)
      even a mis-sized base converges instead of storming. *)
   let channels = 2 * List.length (Topology.Graph.edges graph) in
   let rto =
-    match rto with
-    | Some r -> max 1 r
-    | None -> (
-        match synchrony with
-        | Some sy -> 2 * (Synchrony.delta sy + channels)
-        | None -> max 64 channels)
+    match synchrony with
+    | Some sy -> 2 * (Synchrony.delta sy + channels)
+    | None -> max 64 channels
   in
   let rto_cap = rto * 1024 in
   (* The refresh floor keeps the steady-state republish load (two
@@ -274,207 +254,150 @@ let create ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0)
      the scheduler can serve, leaving idle gaps where channels actually
      drain. *)
   let refresh_every = max (8 * rto) (16 * channels) in
-  (* The network is built differently per mode:
-
-     window = 0 — the historical backoff path, byte-identical to every
-     build since the mp port landed. Timeout = retransmission with
-     exponential backoff: a timer fire only republishes once 2^backoff
-     fires have accumulated since the last retransmission, and every
-     pulse advance resets the backoff.
-
-     window > 0 — the sliding-window path. No random [timeout] at all:
-     liveness comes from per-channel RTO timers and a slow per-process
-     refresh timer on the network's wheel, both deterministic. Snapshots
-     ride Data frames; acks flow back on the reverse channels. *)
-  let net =
-    if window = 0 then begin
-      let timeout ~self (proc : proc) =
-        let threshold = 1 lsl min proc.backoff 6 in
-        if proc.ticks + 1 >= threshold then begin
-          if prof_on then Obs.Prof.add ptr c_retrans 1;
-          let msg = Plain (Snapshot (proc.pulse, public_of proc.core)) in
-          ( { proc with ticks = 0; backoff = min (proc.backoff + 1) 6 },
-            List.map (fun q -> (q, msg)) (Topology.Graph.neighbors graph self)
-          )
-        end
-        else ({ proc with ticks = proc.ticks + 1 }, [])
-      in
-      (* Crash–recovery amnesia: the synchronizer's volatile state
-         (neighbor mirrors, timers) is lost; the SSMFP core and the
-         pulse counter are on stable storage. The next timer fire
-         republishes and the barriers rebuild the mirrors. The recovery
-         also repoints the drain-witness cache at the recovered process:
-         recovery rebuilds traffic there, so [all_drained]'s O(1) check
-         keeps hitting a busy process instead of rescanning from 0
-         after every crash burst. *)
-      let on_recover ~self proc =
-        drain_witness := self;
-        { proc with snaps = []; backoff = 0; ticks = 0 }
-      in
-      let handler ~self ~from proc msg =
-        match msg with
-        | Plain pay ->
-            let proc, sends = inner ~self ~from proc pay in
-            (proc, List.map (fun (q, p) -> (q, Plain p)) sends)
-        | Win _ -> (proc, []) (* stray frame without a window layer *)
-      in
-      Network.create ~loss ~duplication ~reorder ~prof ?synchrony ~timeout
-        ~on_recover ~init ~handler graph
+  (* Liveness comes from per-channel RTO timers and a slow per-process
+     refresh timer on the network's wheel, both deterministic.
+     Snapshots ride Data frames; acks flow back on the reverse
+     channels. *)
+  let refresh_key p = Array.length nbrs.(p) in
+  let net_ref = ref None in
+  let the_net () = match !net_ref with Some n -> n | None -> assert false in
+  let count_retrans k = if prof_on && k > 0 then Obs.Prof.add ptr c_retrans k in
+  (* Per-channel adaptive RTO: doubles on every fire that found the
+     window still busy, resets to the base on any ack from the peer. *)
+  let rto_cur = Array.init n (fun p -> Array.map (fun _ -> rto) nbrs.(p)) in
+  (* Ensure the RTO timer for channel self -> nbrs.(self).(slot) is
+     armed iff the sender has frames in flight or backlog. The armed
+     delay is load-adaptive: the scheduler delivers one message per
+     step, so a frame's round trip is at least the network's current
+     in-flight count — arming below that would retransmit a frame
+     that is still queued. *)
+  let sync_rto self slot =
+    let net = the_net () in
+    if Window.busy win_send.(self).(slot) then begin
+      if not (Network.timer_armed net ~self ~key:slot) then
+        Network.arm_timer net ~self ~key:slot
+          ~after:(max rto_cur.(self).(slot) (2 * Network.in_flight net))
     end
-    else begin
-      let refresh_key p = Array.length nbrs.(p) in
-      let net_ref = ref None in
-      let the_net () =
-        match !net_ref with Some n -> n | None -> assert false
-      in
-      let count_retrans k = if prof_on && k > 0 then Obs.Prof.add ptr c_retrans k in
-      (* Per-channel adaptive RTO: doubles on every fire that found the
-         window still busy, resets to the base on any ack from the peer. *)
-      let rto_cur =
-        Array.init n (fun p -> Array.map (fun _ -> rto) nbrs.(p))
-      in
-      (* Ensure the RTO timer for channel self -> nbrs.(self).(slot) is
-         armed iff the sender has frames in flight or backlog. The armed
-         delay is load-adaptive: the scheduler delivers one message per
-         step, so a frame's round trip is at least the network's current
-         in-flight count — arming below that would retransmit a frame
-         that is still queued. *)
-      let sync_rto self slot =
-        let net = the_net () in
-        if Window.busy win_send.(self).(slot) then begin
-          if not (Network.timer_armed net ~self ~key:slot) then
-            Network.arm_timer net ~self ~key:slot
-              ~after:(max rto_cur.(self).(slot) (2 * Network.in_flight net))
-        end
-        else Network.cancel_timer net ~self ~key:slot
-      in
-      (* Route one payload into the window of channel self -> q.
-         Snapshots are full-state, so the backlog is conflated to the
-         newest payload: a congested channel then carries the peer's
-         *current* state with bounded lag instead of an ever-growing
-         queue of stale pulses (which starves the receiver's barriers
-         and livelocks the synchronizer at scale). *)
-      let win_push self q pay =
-        let slot = slot_of self q in
-        let before = Window.retransmits win_send.(self).(slot) in
-        let frames = Window.send_latest win_send.(self).(slot) pay in
-        count_retrans (Window.retransmits win_send.(self).(slot) - before);
-        sync_rto self slot;
-        List.map (fun fr -> (q, Win fr)) frames
-      in
-      let route_sends self sends =
-        List.concat_map (fun (q, pay) -> win_push self q pay) sends
-      in
-      let handler ~self ~from proc msg =
-        match msg with
-        | Win (Window.Ack { epoch; cum; nak }) ->
-            let slot = slot_of self from in
-            let snd = win_send.(self).(slot) in
-            let before = Window.retransmits snd in
-            let frames = Window.on_ack snd ~epoch ~cum ~nak in
-            count_retrans (Window.retransmits snd - before);
-            (* the peer acks, so the channel round-trips at the base RTO *)
-            rto_cur.(self).(slot) <- rto;
-            sync_rto self slot;
-            (proc, List.map (fun fr -> (from, Win fr)) frames)
-        | Win (Window.Data { epoch; seq; body }) ->
-            let slot = slot_of self from in
-            let accepted, reply =
-              Window.on_data win_recv.(self).(slot) ~epoch ~seq body
-            in
-            let proc, sends =
-              List.fold_left
-                (fun (proc, acc) pay ->
-                  let proc, s = inner ~self ~from proc pay in
-                  (proc, acc @ s))
-                (proc, []) accepted
-            in
-            (proc, ((from, Win reply) :: route_sends self sends))
-        | Plain pay ->
-            (* Stray plain payload (pre-window garbage): deliver it, but
-               route the reaction through the windows. *)
-            let proc, sends = inner ~self ~from proc pay in
-            (proc, route_sends self sends)
-      in
-      let on_recover ~self proc =
-        Array.iter Window.reset_sender win_send.(self);
-        Array.iter Window.reset_receiver win_recv.(self);
-        Array.iteri (fun slot _ -> rto_cur.(self).(slot) <- rto) rto_cur.(self);
-        Array.iteri (fun slot _ -> sync_rto self slot) win_send.(self);
-        drain_witness := self;
-        { proc with snaps = []; backoff = 0; ticks = 0 }
-      in
-      let net =
-        Network.create ~loss ~duplication ~reorder ~prof ?synchrony
-          ~on_recover ~init ~handler graph
-      in
-      net_ref := Some net;
-      (* Timer fires: per-channel RTO (key = slot) and the slow refresh
-         (key = degree): republish the current snapshot on channels with
-         no repair already in progress — the belt-and-braces that
-         rebuilds neighbor mirrors from arbitrary initial window state
-         or after crash amnesia. *)
-      Network.set_timer_handler net
-        ~keys:(Topology.Graph.max_degree graph + 1)
-        (fun ~self ~key proc ->
-          if key = refresh_key self then begin
-            Network.arm_timer net ~self ~key ~after:refresh_every;
-            let pay = Snapshot (proc.pulse, public_of proc.core) in
-            let out = ref [] in
-            Array.iteri
-              (fun slot q ->
-                if not (Window.busy win_send.(self).(slot)) then begin
-                  count_retrans 1;
-                  out := !out @ win_push self q pay
-                end)
-              nbrs.(self);
-            (proc, !out)
-          end
-          else if key < Array.length nbrs.(self) then begin
-            let snd = win_send.(self).(key) in
-            let before = Window.retransmits snd in
-            let frames = Window.on_rto snd in
-            count_retrans (Window.retransmits snd - before);
-            rto_cur.(self).(key) <- min (2 * rto_cur.(self).(key)) rto_cap;
-            sync_rto self key;
-            (proc, List.map (fun fr -> (nbrs.(self).(key), Win fr)) frames)
-          end
-          else (proc, []));
-      net
-    end
+    else Network.cancel_timer net ~self ~key:slot
   in
-  (* Bootstrap: everyone publishes its pulse-0 snapshot. *)
-  if window = 0 then
-    Topology.Graph.iter_vertices
-      (fun p ->
-        let proc = Network.state net p in
-        Network.send_all net ~from:p
-          (Plain (Snapshot (proc.pulse, public_of proc.core))))
-      graph
-  else
-    Topology.Graph.iter_vertices
-      (fun p ->
-        let proc = Network.state net p in
+  (* Route one payload into the window of channel self -> q.
+     Snapshots are full-state, so the backlog is conflated to the
+     newest payload: a congested channel then carries the peer's
+     *current* state with bounded lag instead of an ever-growing
+     queue of stale pulses (which starves the receiver's barriers
+     and livelocks the synchronizer at scale). *)
+  let win_push self q pay =
+    let slot = slot_of self q in
+    let before = Window.retransmits win_send.(self).(slot) in
+    let frames = Window.send_latest win_send.(self).(slot) pay in
+    count_retrans (Window.retransmits win_send.(self).(slot) - before);
+    sync_rto self slot;
+    List.map (fun fr -> (q, fr)) frames
+  in
+  let route_sends self sends =
+    List.concat_map (fun (q, pay) -> win_push self q pay) sends
+  in
+  let handler ~self ~from proc msg =
+    match msg with
+    | Window.Ack { epoch; cum; nak } ->
+        let slot = slot_of self from in
+        let snd = win_send.(self).(slot) in
+        let before = Window.retransmits snd in
+        let frames = Window.on_ack snd ~epoch ~cum ~nak in
+        count_retrans (Window.retransmits snd - before);
+        (* the peer acks, so the channel round-trips at the base RTO *)
+        rto_cur.(self).(slot) <- rto;
+        sync_rto self slot;
+        (proc, List.map (fun fr -> (from, fr)) frames)
+    | Window.Data { epoch; seq; body } ->
+        let slot = slot_of self from in
+        let accepted, reply =
+          Window.on_data win_recv.(self).(slot) ~epoch ~seq body
+        in
+        let proc, sends =
+          List.fold_left
+            (fun (proc, acc) pay ->
+              let proc, s = inner ~self ~from proc pay in
+              (proc, acc @ s))
+            (proc, []) accepted
+        in
+        (proc, (from, reply) :: route_sends self sends)
+  in
+  (* Crash–recovery amnesia: the synchronizer's volatile state (neighbor
+     mirrors, window state, RTOs) is lost; the SSMFP core and the pulse
+     counter are on stable storage. The timers republish and the
+     barriers rebuild the mirrors. The recovery also repoints the
+     drain-witness cache at the recovered process: recovery rebuilds
+     traffic there, so [all_drained]'s O(1) check keeps hitting a busy
+     process instead of rescanning from 0 after every crash burst. *)
+  let on_recover ~self proc =
+    Array.iter Window.reset_sender win_send.(self);
+    Array.iter Window.reset_receiver win_recv.(self);
+    Array.iteri (fun slot _ -> rto_cur.(self).(slot) <- rto) rto_cur.(self);
+    Array.iteri (fun slot _ -> sync_rto self slot) win_send.(self);
+    drain_witness := self;
+    { proc with snaps = [] }
+  in
+  let net =
+    Network.create ~loss ~duplication ~reorder ~prof ?synchrony ~on_recover
+      ~init ~handler graph
+  in
+  net_ref := Some net;
+  (* Timer fires: per-channel RTO (key = slot) and the slow refresh
+     (key = degree): republish the current snapshot on channels with no
+     repair already in progress — the belt-and-braces that rebuilds
+     neighbor mirrors from arbitrary initial window state or after crash
+     amnesia. *)
+  Network.set_timer_handler net
+    ~keys:(Topology.Graph.max_degree graph + 1)
+    (fun ~self ~key proc ->
+      if key = refresh_key self then begin
+        Network.arm_timer net ~self ~key ~after:refresh_every;
         let pay = Snapshot (proc.pulse, public_of proc.core) in
+        let out = ref [] in
         Array.iteri
           (fun slot q ->
-            List.iter
-              (fun fr -> Network.send_one net ~from:p ~into:q (Win fr))
-              (Window.send win_send.(p).(slot) pay);
-            if Window.busy win_send.(p).(slot) then
-              Network.arm_timer net ~self:p ~key:slot
-                ~after:(max rto (2 * Network.in_flight net)))
-          nbrs.(p);
-        (* Stagger the refresh timers across a whole period so the
-           republish waves don't cluster; the offset is deterministic
-           in the pid. *)
-        Network.arm_timer net ~self:p
-          ~key:(Array.length nbrs.(p))
-          ~after:(refresh_every + (p mod refresh_every)))
-      graph;
-  (* Garbage in flight: random snapshots with random pulses and buffers —
-     wrapped in window frames with random epochs/seqs when the window
-     layer is on, so the initial garbage attacks the window state too. *)
+            if not (Window.busy win_send.(self).(slot)) then begin
+              count_retrans 1;
+              out := !out @ win_push self q pay
+            end)
+          nbrs.(self);
+        (proc, !out)
+      end
+      else if key < Array.length nbrs.(self) then begin
+        let snd = win_send.(self).(key) in
+        let before = Window.retransmits snd in
+        let frames = Window.on_rto snd in
+        count_retrans (Window.retransmits snd - before);
+        rto_cur.(self).(key) <- min (2 * rto_cur.(self).(key)) rto_cap;
+        sync_rto self key;
+        (proc, List.map (fun fr -> (nbrs.(self).(key), fr)) frames)
+      end
+      else (proc, []));
+  (* Bootstrap: everyone publishes its pulse-0 snapshot. *)
+  Topology.Graph.iter_vertices
+    (fun p ->
+      let proc = Network.state net p in
+      let pay = Snapshot (proc.pulse, public_of proc.core) in
+      Array.iteri
+        (fun slot q ->
+          List.iter
+            (fun fr -> Network.send_one net ~from:p ~into:q fr)
+            (Window.send win_send.(p).(slot) pay);
+          if Window.busy win_send.(p).(slot) then
+            Network.arm_timer net ~self:p ~key:slot
+              ~after:(max rto (2 * Network.in_flight net)))
+        nbrs.(p);
+      (* Stagger the refresh timers across a whole period so the
+         republish waves don't cluster; the offset is deterministic in
+         the pid. *)
+      Network.arm_timer net ~self:p
+        ~key:(Array.length nbrs.(p))
+        ~after:(refresh_every + (p mod refresh_every)))
+    graph;
+  (* Garbage in flight: random snapshots with random pulses and buffers,
+     wrapped in Data frames with random epochs and seqs, so the initial
+     garbage attacks the window state too. *)
   let edges = Topology.Graph.edges graph in
   for _ = 1 to channel_garbage do
     let u, v = Prng.Splitmix.choose garbage_rng edges in
@@ -489,15 +412,12 @@ let create ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0)
     let pulse = Prng.Splitmix.int garbage_rng 50 in
     let pay = Snapshot (pulse, public_of garbage_core) in
     let msg =
-      if window = 0 then Plain pay
-      else
-        Win
-          (Window.Data
-             {
-               epoch = Prng.Splitmix.int garbage_rng 1000;
-               seq = Prng.Splitmix.int garbage_rng (4 * window);
-               body = pay;
-             })
+      Window.Data
+        {
+          epoch = Prng.Splitmix.int garbage_rng 1000;
+          seq = Prng.Splitmix.int garbage_rng (4 * window);
+          body = pay;
+        }
     in
     Network.inject net ~from ~into msg
   done;
@@ -542,26 +462,22 @@ let set_event_hook t f = t.on_event := Some f
 
 (* Snapshot-layer plumbing: the Chandy–Lamport engine in lib/snapshot
    attaches through these without ever seeing the network record. The
-   tap and the channel view unwrap window frames: Data bodies and plain
-   payloads are application traffic, acks are link-control and elided. *)
+   tap and the channel view unwrap window frames: Data bodies are
+   application traffic, acks are link-control and elided. *)
 let on_marker t f = Network.on_marker t.net f
 
 let on_deliver t f =
   Network.on_deliver t.net (fun ~self ~from msg ->
       match msg with
-      | Plain pay -> f ~self ~from pay
-      | Win (Window.Data { body; _ }) -> f ~self ~from body
-      | Win (Window.Ack _) -> ())
+      | Window.Data { body; _ } -> f ~self ~from body
+      | Window.Ack _ -> ())
 
 let send_marker t rng ~from ~into ~epoch =
   Network.send_marker t.net rng ~from ~into ~epoch
 
 let channel_contents t ~from ~into =
   List.filter_map
-    (function
-      | Plain pay -> Some pay
-      | Win (Window.Data { body; _ }) -> Some body
-      | Win (Window.Ack _) -> None)
+    (function Window.Data { body; _ } -> Some body | Window.Ack _ -> None)
     (Network.channel_contents t.net ~from ~into)
 
 type marker_stats = { m_sent : int; m_delivered : int; m_dropped : int }

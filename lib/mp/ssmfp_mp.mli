@@ -65,7 +65,6 @@ val create :
   ?prof:Obs.Prof.t ->
   ?window:int ->
   ?synchrony:Synchrony.t ->
-  ?rto:int ->
   Topology.Graph.t ->
   Harness.Workload.t ->
   t
@@ -75,32 +74,26 @@ val create :
     runs; [loss]/[duplication]/[reorder] (default 0.) are the
     {!Network.create} unreliability knobs applied to every sent snapshot.
 
-    [?window] picks the retransmission layer. With [window = 0] (the
-    default, byte-identical to every build before the window layer
-    existed): exponential backoff — a process's random timer republishes
-    its current pulse's snapshot only once [2^backoff] timer fires have
-    accumulated, the backoff growing (capped at [2^6]) with each
-    retransmission and resetting whenever the pulse advances. With
-    [window = w > 0]: each directed channel gets a {!Window}
-    sender/receiver pair of size [w]; snapshots ride sequence-numbered
-    Data frames, receivers return cumulative acks with nak-based
-    selective retransmit, and liveness is driven by deterministic
-    per-channel RTO timers plus a slow per-process refresh timer on the
-    network's wheel (no random [timeout] at all). Snapshots are
+    Retransmission is a sliding window: each directed channel gets a
+    {!Window} sender/receiver pair of size [w] ([?window], default 8);
+    snapshots ride sequence-numbered Data frames, receivers return
+    cumulative acks with nak-based selective retransmit, and liveness is
+    driven by deterministic per-channel RTO timers plus a slow
+    per-process refresh timer on the network's wheel. Snapshots are
     full-state, so publishing conflates each channel's overflow backlog
     to the newest payload ({!Window.send_latest}) — bounding channel
     lag at [w + 1] payloads so congested channels carry current state
-    rather than an unbounded queue of stale pulses. [?rto] overrides the
-    {e base} retransmission timeout (default [2 * (delta + C)] under
-    [?synchrony], else [max 64 C], where [C] is the directed-channel
-    count — the scheduler delivers one message per step, so an RTO
-    below the in-flight count would retransmit into its own queue);
-    each channel doubles its RTO on consecutive fires without an
-    intervening ack (capped at [1024 * rto]) and resets to the base on
-    any ack. The refresh period is [max (8 * rto) (16 * C)], staggered
-    per process across a whole period.
-    Channel garbage is planted as Data frames with random epochs and
-    sequence numbers, attacking the window state machines too.
+    rather than an unbounded queue of stale pulses. The {e base}
+    retransmission timeout is [2 * (delta + C)] under [?synchrony], else
+    [max 64 C], where [C] is the directed-channel count — the scheduler
+    delivers one message per step, so an RTO below the in-flight count
+    would retransmit into its own queue; each channel doubles its RTO
+    on consecutive fires without an intervening ack (capped at
+    [1024 * rto]) and resets to the base on any ack. The refresh period
+    is [max (8 * rto) (16 * C)], staggered per process across a whole
+    period. Channel garbage is planted as Data frames with random
+    epochs and sequence numbers, attacking the window state machines
+    too. @raise Invalid_argument if [window < 1].
 
     [?synchrony] threads the partial-synchrony config to
     {!Network.create}: before GST all knobs apply; after GST faults stop
@@ -116,7 +109,7 @@ val create :
 
     [?prof] threads through to {!Network.create} (Lamport stamps, hop
     log, latency and queue-depth histograms) and additionally counts
-    every republish and window retransmission in
+    every refresh republish and window retransmission in
     ["mp.retransmissions"]. Profiling consumes no PRNG draws: the run is
     identical with it on or off. *)
 
@@ -159,11 +152,11 @@ val pulse_of : t -> int -> int
     {!max_pulse}). *)
 
 val window : t -> int
-(** The window size this instance was created with (0 = backoff mode). *)
+(** The window size this instance was created with. *)
 
 val window_retransmits : t -> int
 (** Total window-layer retransmissions (RTO, nak, resync) across all
-    channels; 0 in backoff mode. *)
+    channels. *)
 
 val prof_overwrites : t -> Network.prof_overwrites
 (** Profiling-ring overwrite accounting from the underlying network
@@ -220,6 +213,6 @@ val drive :
   t ->
   [ `Idle | `Stopped | `Max_deliveries ]
 (** Run the scheduler until [stop] holds (checked before each step), the
-    channels drain with no timer installed, or the budget runs out —
+    channels drain with no timer pending, or the budget runs out —
     the segmented form of {!run} the chaos layer interleaves with
     injections. *)

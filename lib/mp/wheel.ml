@@ -3,8 +3,8 @@
    into the top level and are re-bucketed as they surface (the standard
    hashed-wheel trick). Arming is O(1); a tick touches one slot per
    level boundary crossed, so a step with no due timers costs an array
-   read — the property that replaces the O(n)-per-step down-counter and
-   backoff scans.
+   read — the property that replaces the O(n)-per-step down-counter
+   scan.
 
    Cancellation and re-arming are lazy: [deadline.(id)] holds the one
    authoritative fire time (or -1). Slot entries are just ids; an entry

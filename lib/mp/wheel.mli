@@ -1,5 +1,5 @@
 (** Hierarchical timer wheel over integer timer ids — the O(expired)
-    replacement for the per-step down-counter and backoff scans. Six
+    replacement for the per-step down-counter scan. Six
     levels of 64 slots; arming is O(1), a tick with nothing due costs an
     array read, cancellation and re-arming are lazy (stale slot entries
     drop when they surface). Ticks are abstract: the network advances

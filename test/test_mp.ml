@@ -46,7 +46,8 @@ let test_network_rejects_non_edge () =
 let test_network_in_flight () =
   let net = counter_net () in
   Alcotest.(check int) "empty" 0 (Mp.Network.in_flight net);
-  Mp.Network.send_all net ~from:1 7;
+  Mp.Network.send_one net ~from:1 ~into:0 7;
+  Mp.Network.send_one net ~from:1 ~into:2 7;
   Alcotest.(check int) "two channels" 2 (Mp.Network.in_flight net)
 
 let test_network_budget () =
@@ -94,25 +95,27 @@ let test_port_channel_garbage () =
   Alcotest.(check bool) "SP with garbage in flight" true ok
 
 let test_network_loss_and_timeout () =
-  (* a lossy relay with timeout-driven resend: the message still gets
+  (* a lossy relay with timer-driven resend: the message still gets
      through *)
   let arrived = ref false in
   let net =
     Mp.Network.create ~loss:0.5
-      ~timeout:(fun ~self s ->
-        (* processor 0 keeps retransmitting until delivery is confirmed
-           locally (s = true means it sent at least the original) *)
-        if self = 0 && s then (s, [ (1, "payload") ]) else (s, []))
-      ~init:(fun p -> p = 0)
-      ~handler:(fun ~self ~from:_ s msg ->
+      ~init:(fun _ -> ())
+      ~handler:(fun ~self ~from:_ () msg ->
         if self = 1 && msg = "payload" then arrived := true;
-        (s, []))
+        ((), []))
       (Topology.Builders.path 2)
   in
-  Mp.Network.inject net ~from:0 ~into:1 "payload";
-  let rng = Prng.Splitmix.of_int 9 in
+  (* processor 0 sends from a periodic timer until the run stops; every
+     copy crosses the lossy link *)
+  Mp.Network.set_timer_handler net ~keys:1 (fun ~self ~key () ->
+      Mp.Network.arm_timer net ~self ~key ~after:4;
+      ((), [ (1, "payload") ]));
+  Mp.Network.arm_timer net ~self:0 ~key:0 ~after:4;
+  let rng = Prng.Splitmix.of_int 7 in
   ignore
     (Mp.Network.run ~max_deliveries:500 ~stop:(fun _ -> !arrived) net rng);
+  Alcotest.(check bool) "copies were lost" true (Mp.Network.dropped net > 0);
   Alcotest.(check bool) "arrived despite loss" true !arrived
 
 let test_port_lossy_channels () =
@@ -274,8 +277,8 @@ let test_port_causal_chain () =
     (Mp.Ssmfp_mp.causal_chain t ~id:(-42))
 
 let test_port_retransmissions_counted () =
-  (* under loss, the backoff timer must republish — and the profiler
-     must see it *)
+  (* under loss, the window's RTO and refresh timers must retransmit —
+     and the profiler must see it *)
   let _, r, prof = profiled_port ~loss:0.3 ~seed:6 (Topology.Builders.ring 4) 1 in
   Alcotest.(check bool) "still drains under loss" true
     (r.Mp.Ssmfp_mp.outcome = `All_done);

@@ -2,10 +2,10 @@
    channel scheduler, the per-channel ring buffers, the hierarchical
    timer wheel, the sliding-window retransmission layer and its
    partial-synchrony timing model — plus the two contracts that hold
-   the whole rework together: (a) the new [Mp.Network] is byte-identical
-   to the frozen [Mp.Network_legacy] for the same seed, and (b) the
-   window-off synchronizer port replays the exact pre-rework
-   trajectories (golden pins recorded on the pre-ring runtime). *)
+   the runtime together: (a) [Mp.Network] is byte-identical to the
+   frozen [Mp.Network_legacy] for the same seed, and (b) the
+   synchronizer port replays pinned sliding-window trajectories
+   exactly (golden pins). *)
 
 (* ---------------- Fenwick scheduler ---------------- *)
 
@@ -520,31 +520,19 @@ let test_synchrony_bounded_age () =
    that the PRNG draw sequence — and hence the whole trajectory — is
    byte-identical. *)
 let differential ?(loss = 0.) ?(duplication = 0.) ?(reorder = 0.)
-    ?(with_timeout = false) ?(crash = None) ~seed ~budget label =
+    ?(crash = None) ~seed ~budget label =
   let g = Topology.Builders.ring 6 in
   let n = Topology.Graph.n g in
   let handler ~self ~from:_ count ttl =
     (count + 1, if ttl > 0 then [ ((self + 1) mod n, ttl - 1) ] else [])
   in
-  let timeout ~self s = (s, [ ((self + 1) mod n, 3) ]) in
   let new_net =
-    if with_timeout then
-      Mp.Network.create ~loss ~duplication ~reorder ~timeout
-        ~init:(fun _ -> 0)
-        ~handler g
-    else
-      Mp.Network.create ~loss ~duplication ~reorder ~init:(fun _ -> 0) ~handler
-        g
+    Mp.Network.create ~loss ~duplication ~reorder ~init:(fun _ -> 0) ~handler g
   in
   let old_net =
-    if with_timeout then
-      Mp.Network_legacy.create ~loss ~duplication ~reorder ~timeout
-        ~init:(fun _ -> 0)
-        ~handler g
-    else
-      Mp.Network_legacy.create ~loss ~duplication ~reorder
-        ~init:(fun _ -> 0)
-        ~handler g
+    Mp.Network_legacy.create ~loss ~duplication ~reorder
+      ~init:(fun _ -> 0)
+      ~handler g
   in
   for p = 0 to n - 1 do
     Mp.Network.inject new_net ~from:p ~into:((p + 1) mod n) (20 + p);
@@ -601,16 +589,17 @@ let test_differential_duplicating () =
 let test_differential_reordering () =
   differential ~reorder:0.3 ~seed:104 ~budget:5000 "reordering"
 
-let test_differential_flaky_timeout_crash () =
-  differential ~loss:0.3 ~duplication:0.1 ~reorder:0.2 ~with_timeout:true
-    ~crash:(Some (2, 40)) ~seed:105 ~budget:2000 "flaky+timeout+crash"
+let test_differential_flaky_crash () =
+  differential ~loss:0.3 ~duplication:0.1 ~reorder:0.2 ~crash:(Some (2, 40))
+    ~seed:105 ~budget:2000 "flaky+crash"
 
 (* ---------------- golden trajectory pins ---------------- *)
 
-(* Exact end-of-run observables of the window-off synchronizer port,
-   recorded on the pre-ring/pre-wheel runtime. The rework (and the
-   window layer at window=0) must replay them bit-for-bit: deliveries,
-   pulses and a digest of every core + pulse counter. *)
+(* Exact end-of-run observables of the synchronizer port at its default
+   sliding window (size 8): deliveries, pulses, channel fault counts and
+   a digest of every core + pulse counter. Any change to the runtime,
+   the window layer or the synchronizer that moves a trajectory shows
+   up here; re-pin only on purpose. *)
 
 let fingerprint t g =
   let n = Topology.Graph.n g in
@@ -643,36 +632,45 @@ let pin ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0) ?(loss = 0.)
   chk "lost" lost st.Mp.Ssmfp_mp.lost;
   chk "duplicated" dup st.Mp.Ssmfp_mp.duplicated;
   chk "reordered" reord st.Mp.Ssmfp_mp.reordered;
-  Alcotest.(check string) (label ^ ": trajectory digest") fp (fingerprint t g)
+  Alcotest.(check string) (label ^ ": trajectory digest") fp (fingerprint t g);
+  t
 
 let test_pin_ring5_pristine () =
-  pin ~seed:31 ~per_processor:2 ~deliveries:432 ~max_pulse:37
-    ~fp:"62d8f6db0fa037c200d1e038676938e5" "ring5-pristine"
-    (Topology.Builders.ring 5)
+  ignore
+    (pin ~seed:31 ~per_processor:2 ~deliveries:736 ~max_pulse:34
+       ~fp:"215e2d887fa5671c74ddcdb20dc7978b" "ring5-pristine"
+       (Topology.Builders.ring 5))
 
 let test_pin_ring6_adversarial () =
-  pin ~spec:Harness.Fault.adversarial ~seed:44 ~per_processor:2
-    ~deliveries:4315 ~max_pulse:281 ~fp:"e2bb788b694320a75229649928397003"
-    "ring6-adversarial" (Topology.Builders.ring 6)
+  ignore
+    (pin ~spec:Harness.Fault.adversarial ~seed:44 ~per_processor:2
+       ~deliveries:5600 ~max_pulse:203 ~fp:"279d3eeca896aece80632a4395552a50"
+       "ring6-adversarial" (Topology.Builders.ring 6))
 
 let test_pin_path4_garbage () =
-  pin ~spec:Harness.Fault.adversarial ~channel_garbage:6 ~seed:9
-    ~per_processor:1 ~deliveries:1649 ~max_pulse:265
-    ~fp:"7d997ed3e29d06c473cc6656de79a847" "path4-garbage"
-    (Topology.Builders.path 4)
+  ignore
+    (pin ~spec:Harness.Fault.adversarial ~channel_garbage:6 ~seed:9
+       ~per_processor:1 ~deliveries:2587 ~max_pulse:202
+       ~fp:"4180f1d0ee9155d5802b9fc3847146e5" "path4-garbage"
+       (Topology.Builders.path 4))
 
 let test_pin_ring6_lossy () =
-  pin ~loss:0.15 ~duplication:0.05 ~reorder:0.10 ~seed:7 ~per_processor:2
-    ~deliveries:843 ~max_pulse:65 ~lost:155 ~dup:49 ~reord:33
-    ~fp:"b4120f58063908476bb95d4188d4d316" "ring6-lossy"
-    (Topology.Builders.ring 6)
+  ignore
+    (pin ~loss:0.15 ~duplication:0.05 ~reorder:0.10 ~seed:7 ~per_processor:2
+       ~deliveries:960 ~max_pulse:37 ~lost:160 ~dup:57 ~reord:54
+       ~fp:"d9716c0f91e1fb2ae0a86c309f30c404" "ring6-lossy"
+       (Topology.Builders.ring 6))
 
 let test_pin_fig2_flaky () =
-  pin ~spec:Harness.Fault.adversarial ~loss:0.30 ~duplication:0.10
-    ~reorder:0.20 ~channel_garbage:4 ~seed:12 ~per_processor:1
-    ~deliveries:1987 ~max_pulse:281 ~lost:811 ~dup:253 ~reord:127
-    ~fp:"8f81828f0eaf59ca301ca2289b760dee" "fig2-flaky"
-    (Topology.Builders.paper_figure2)
+  let t =
+    pin ~spec:Harness.Fault.adversarial ~loss:0.30 ~duplication:0.10
+      ~reorder:0.20 ~channel_garbage:4 ~seed:12 ~per_processor:1
+      ~deliveries:6707 ~max_pulse:384 ~lost:2784 ~dup:877 ~reord:447
+      ~fp:"cc8e35b3e3ee07f75edbf4588ec226c5" "fig2-flaky"
+      Topology.Builders.paper_figure2
+  in
+  Alcotest.(check bool) "fig2-flaky: window layer retransmitted" true
+    (Mp.Ssmfp_mp.window_retransmits t > 0)
 
 let chaos_pin ~schedule ~seed ?(aftermath = 0) ?(channel_garbage = 0)
     ?(snapshot_every = 0) ~per_processor ~deliveries ~max_pulse ~fired
@@ -716,19 +714,21 @@ let chaos_pin ~schedule ~seed ?(aftermath = 0) ?(channel_garbage = 0)
   | _ -> Alcotest.fail (label ^ ": snapshot outcome presence mismatch")
 
 let test_pin_chaos_zerofault () =
-  chaos_pin ~schedule:"none" ~seed:21 ~per_processor:2 ~deliveries:3012
-    ~max_pulse:195 ~fired:[] "chaos-zerofault" (Topology.Builders.ring 6)
+  chaos_pin ~schedule:"none" ~seed:21 ~per_processor:2 ~deliveries:6078
+    ~max_pulse:221 ~fired:[] "chaos-zerofault" (Topology.Builders.ring 6)
 
+(* Crash bursts on lossy windowed channels: [chaos_pin] also requires
+   the recovery verdict. *)
 let test_pin_chaos_crash () =
   chaos_pin ~schedule:"4:rc:2@lossy" ~seed:23 ~aftermath:2 ~channel_garbage:3
-    ~per_processor:2 ~deliveries:3548 ~max_pulse:314
-    ~fired:[ (47, 2) ] ~lost:613 ~dup:186 ~reord:152 ~down:14 "chaos-crash"
+    ~per_processor:2 ~deliveries:8823 ~max_pulse:329
+    ~fired:[ (4, 2) ] ~lost:1544 ~dup:493 ~reord:415 ~down:13 "chaos-crash"
     (Topology.Builders.ring 6)
 
 let test_pin_chaos_snapshot () =
   chaos_pin ~schedule:"3:rb:1" ~seed:25 ~aftermath:1 ~snapshot_every:400
-    ~per_processor:2 ~deliveries:2402 ~max_pulse:182 ~fired:[ (3, 1) ]
-    ~snap:(6, 6) "chaos-snapshot" (Topology.Builders.ring 5)
+    ~per_processor:2 ~deliveries:2975 ~max_pulse:133 ~fired:[ (3, 1) ]
+    ~snap:(8, 8) "chaos-snapshot" (Topology.Builders.ring 5)
 
 (* ---------------- window-mode end-to-end ---------------- *)
 
@@ -751,17 +751,23 @@ let test_window_port_pristine () =
   Alcotest.(check bool) "SP" true r.Mp.Ssmfp_mp.verdict.Harness.Oracle.ok;
   Alcotest.(check int) "window accessor" 4 (Mp.Ssmfp_mp.window t)
 
+(* Passing the default window explicitly must replay the default-window
+   pin exactly: same deliveries, same trajectory digest. *)
 let test_window_port_flaky () =
+  let g = Topology.Builders.paper_figure2 in
   let t, r =
     win_run ~spec:Harness.Fault.adversarial ~loss:0.30 ~duplication:0.10
-      ~reorder:0.20 ~channel_garbage:4 ~window:8 ~seed:12 ~per_processor:1
-      Topology.Builders.paper_figure2
+      ~reorder:0.20 ~channel_garbage:4 ~window:8 ~seed:12 ~per_processor:1 g
   in
   Alcotest.(check bool) "done under flaky channels" true
     (r.Mp.Ssmfp_mp.outcome = `All_done);
   Alcotest.(check bool) "SP" true r.Mp.Ssmfp_mp.verdict.Harness.Oracle.ok;
   Alcotest.(check bool) "window layer retransmitted" true
-    (Mp.Ssmfp_mp.window_retransmits t > 0)
+    (Mp.Ssmfp_mp.window_retransmits t > 0);
+  Alcotest.(check int) "deliveries match the fig2-flaky pin" 6707
+    r.Mp.Ssmfp_mp.channel_deliveries;
+  Alcotest.(check string) "digest matches the fig2-flaky pin"
+    "cc8e35b3e3ee07f75edbf4588ec226c5" (fingerprint t g)
 
 let test_window_port_partial_synchrony () =
   let _, r =
@@ -772,6 +778,16 @@ let test_window_port_partial_synchrony () =
   Alcotest.(check bool) "done" true (r.Mp.Ssmfp_mp.outcome = `All_done);
   Alcotest.(check bool) "SP" true r.Mp.Ssmfp_mp.verdict.Harness.Oracle.ok
 
+let test_window_zero_rejected () =
+  Alcotest.(check bool) "window 0 raises" true
+    (try
+       ignore
+         (Mp.Ssmfp_mp.create ~window:0 (Topology.Builders.ring 3)
+            (Harness.Workload.empty ~n:3));
+       false
+     with Invalid_argument _ -> true)
+
+(* [@win=8] spells out the default, so this replays the chaos-crash pin. *)
 let test_window_chaos_crash () =
   let g = Topology.Builders.ring 6 in
   let n = Topology.Graph.n g in
@@ -787,7 +803,9 @@ let test_window_chaos_crash () =
       ~seed:23 ~aftermath:2 ~schedule:sch g wl
   in
   Alcotest.(check bool) "recovery verdict under window layer" true
-    o.Chaos.Mp_run.report.Chaos.Recovery.ok
+    o.Chaos.Mp_run.report.Chaos.Recovery.ok;
+  Alcotest.(check int) "deliveries match the chaos-crash pin" 8823
+    o.Chaos.Mp_run.channel_deliveries
 
 let test_window_chaos_snapshot () =
   let g = Topology.Builders.ring 5 in
@@ -821,7 +839,7 @@ let sched s =
 
 let test_schedule_window_modifier () =
   let t = sched "none@lossy@win=8" in
-  Alcotest.(check int) "window parsed" 8 t.Chaos.Schedule.window;
+  Alcotest.(check (option int)) "window parsed" (Some 8) t.Chaos.Schedule.window;
   Alcotest.(check bool) "channel kept" true
     (t.Chaos.Schedule.channel = Chaos.Schedule.Lossy);
   Alcotest.(check string) "round trip" "none@lossy@win=8"
@@ -842,9 +860,16 @@ let test_schedule_modifier_order_canonicalized () =
     "none@lossy@win=4@ps=16:500"
     (Chaos.Schedule.to_string (sched "none@win=4@ps=16:500@lossy"))
 
+let test_schedule_window_default () =
+  Alcotest.(check (option int)) "absent win= leaves the default" None
+    (sched "none").Chaos.Schedule.window;
+  let t = sched "none@win=8" in
+  Alcotest.(check (option int)) "explicit win=8" (Some 8) t.Chaos.Schedule.window;
+  Alcotest.(check string) "round trip" "none@win=8" (Chaos.Schedule.to_string t)
+
 let test_schedule_defaults_unchanged () =
   let t = sched "none" in
-  Alcotest.(check int) "window off" 0 t.Chaos.Schedule.window;
+  Alcotest.(check (option int)) "no window modifier" None t.Chaos.Schedule.window;
   Alcotest.(check bool) "async" true (t.Chaos.Schedule.synchrony = None);
   Alcotest.(check string) "none unchanged" "none" (Chaos.Schedule.to_string t);
   Alcotest.(check string) "historical strings unchanged" "40:rb:2+90:b:1@lossy"
@@ -922,8 +947,7 @@ let () =
           Alcotest.test_case "lossy" `Quick test_differential_lossy;
           Alcotest.test_case "duplicating" `Quick test_differential_duplicating;
           Alcotest.test_case "reordering" `Quick test_differential_reordering;
-          Alcotest.test_case "flaky + timeout + crash" `Quick
-            test_differential_flaky_timeout_crash;
+          Alcotest.test_case "flaky + crash" `Quick test_differential_flaky_crash;
         ] );
       ( "golden pins",
         [
@@ -945,10 +969,12 @@ let () =
             test_window_port_partial_synchrony;
           Alcotest.test_case "chaos crash" `Quick test_window_chaos_crash;
           Alcotest.test_case "chaos snapshot" `Quick test_window_chaos_snapshot;
+          Alcotest.test_case "window 0 rejected" `Quick test_window_zero_rejected;
         ] );
       ( "schedule modifiers",
         [
           Alcotest.test_case "win=" `Quick test_schedule_window_modifier;
+          Alcotest.test_case "win= absent" `Quick test_schedule_window_default;
           Alcotest.test_case "ps=" `Quick test_schedule_synchrony_modifier;
           Alcotest.test_case "order canonicalized" `Quick
             test_schedule_modifier_order_canonicalized;
