@@ -1,7 +1,8 @@
 (* Benchmark harness: regenerates every table (E1-E11) and figure (F1-F4)
    of EXPERIMENTS.md, then runs Bechamel micro-benchmarks of the hot
    paths. `dune exec bench/main.exe` runs everything; pass experiment ids
-   (e.g. `e1 e7 figures micro`) to run a subset. *)
+   (e.g. `e1 e7 figures micro`) to run a subset. The exit status is 1
+   when any entry written to BENCH_<n>.json failed its gate. *)
 
 (* One timed experiment outcome, accumulated into BENCH_<n>.json so the
    perf trajectory of the suite finally survives across runs. *)
@@ -1300,13 +1301,20 @@ let () =
     | Some _ -> want "tables"
     | None -> table_filter <> [] || args = [] || List.mem "tables" args)
   then timings := !timings @ run_tables table_filter;
-  if want "campaign" then timings := !timings @ [ run_campaign_bench () ];
-  if want "b1" then timings := !timings @ run_b1 ();
-  if want "b2" then timings := !timings @ run_b2 ();
-  if want "b3" then timings := !timings @ run_b3 ();
-  if want "b4" then timings := !timings @ run_b4 ();
-  if want "b5" then timings := !timings @ run_b5 ();
-  if want "bobs" then timings := !timings @ run_bobs ();
+  (* A suite that wrote no entry would pass its gate unseen. *)
+  let suite name run =
+    if want name then
+      match run () with
+      | [] -> failwith (Printf.sprintf "bench %s wrote no entries" name)
+      | entries -> timings := !timings @ entries
+  in
+  suite "campaign" (fun () -> [ run_campaign_bench () ]);
+  suite "b1" run_b1;
+  suite "b2" run_b2;
+  suite "b3" run_b3;
+  suite "b4" run_b4;
+  suite "b5" run_b5;
+  suite "bobs" run_bobs;
   if want "figures" then run_figures ();
   if want "charts" then begin
     run_charts ();
@@ -1320,4 +1328,12 @@ let () =
   | "artifacts" :: rest ->
       export_artifacts (match rest with d :: _ -> d | [] -> "artifacts")
   | _ -> ());
-  print_newline ()
+  print_newline ();
+  (* The exit status is the gate: any entry written with ok = false
+     fails the run. *)
+  match List.filter (fun t -> not t.ok) !timings with
+  | [] -> ()
+  | failed ->
+      Printf.eprintf "bench: gate failed: %s\n"
+        (String.concat ", " (List.map (fun t -> t.id) failed));
+      exit 1

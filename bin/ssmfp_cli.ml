@@ -11,33 +11,70 @@
 
 open Cmdliner
 
-(* ---------------- integer converters ---------------- *)
+(* ---------------- converters ---------------- *)
 
-(* Counts and sizes: a malformed value is a usage error (exit 124) that
-   names the option, never an exception from deep inside a run. *)
-let int_at_least ~min ~what =
+(* Counts, sizes and tolerances: a malformed value is a usage error
+   (exit 124) that names the option, never an exception from deep inside
+   a run. *)
+let at_least of_string pp ~min ~what =
   Arg.conv
     ( (fun s ->
-        match int_of_string_opt s with
+        match of_string s with
         | Some n when n >= min -> Ok n
         | _ -> Error (`Msg (Printf.sprintf "invalid value %S, expected %s" s what))),
-      Format.pp_print_int )
+      pp )
 
-let positive = int_at_least ~min:1 ~what:"a positive integer"
-let non_negative = int_at_least ~min:0 ~what:"a non-negative integer"
+let positive =
+  at_least int_of_string_opt Format.pp_print_int ~min:1 ~what:"a positive integer"
 
-(* ---------------- topology parsing ---------------- *)
+let non_negative =
+  at_least int_of_string_opt Format.pp_print_int ~min:0
+    ~what:"a non-negative integer"
+
+let non_negative_float =
+  at_least float_of_string_opt Format.pp_print_float ~min:0.
+    ~what:"a non-negative number"
 
 (* One grammar for every command: the campaign grid DSL owns it. *)
-let parse_topology s =
-  match Campaign.Spec.topology_of_string s with
-  | Ok t -> Ok (t.Campaign.Spec.t_name, t.Campaign.Spec.graph)
-  | Error e -> Error (`Msg e)
-
 let topology_conv =
   Arg.conv
-    ( (fun s -> parse_topology s),
+    ( (fun s ->
+        match Campaign.Spec.topology_of_string s with
+        | Ok t -> Ok (t.Campaign.Spec.t_name, t.Campaign.Spec.graph)
+        | Error e -> Error (`Msg e)),
       fun fmt (name, _) -> Format.pp_print_string fmt name )
+
+let corruption_conv =
+  let parse s =
+    match String.lowercase_ascii s with
+    | "pristine" | "none" -> Ok ("pristine", Harness.Fault.pristine)
+    | "random" -> Ok ("random", Harness.Fault.random_spec (Prng.Splitmix.of_int 3))
+    | "adversarial" | "worst" -> Ok ("adversarial", Harness.Fault.adversarial)
+    | _ -> Error (`Msg "corruption must be pristine, random or adversarial")
+  in
+  Arg.conv (parse, fun fmt (name, _) -> Format.pp_print_string fmt name)
+
+let daemon_conv =
+  let parse s =
+    match Harness.Runner.daemon_kind_of_string s with
+    | Ok k -> Ok k
+    | Error e -> Error (`Msg e)
+  in
+  Arg.conv (parse, fun fmt k ->
+      Format.pp_print_string fmt (Harness.Runner.daemon_kind_to_string k))
+
+let schedule_conv =
+  Arg.conv
+    ( (fun s ->
+        match Chaos.Schedule.of_string s with
+        | Ok v -> Ok v
+        | Error e -> Error (`Msg e)),
+      fun fmt t -> Format.pp_print_string fmt (Chaos.Schedule.to_string t) )
+
+(* ---------------- shared flags ---------------- *)
+
+(* Each flag that several commands take is declared once here; a command
+   passes only what differs (default, doc). *)
 
 let topology_arg =
   Arg.(
@@ -46,20 +83,56 @@ let topology_arg =
     & info [ "t"; "topology" ] ~docv:"TOPOLOGY"
         ~doc:"Network: ring:8, path:5, star:6, grid:3x4, random:12:6, fig2, ...")
 
-(* ---------------- profiling options ---------------- *)
+let corruption_arg default =
+  Arg.(
+    value
+    & opt corruption_conv default
+    & info [ "c"; "corruption" ] ~docv:"LEVEL"
+        ~doc:"Initial configuration: pristine, random or adversarial.")
+
+let daemon_arg default ~doc =
+  Arg.(value & opt daemon_conv default & info [ "d"; "daemon" ] ~docv:"DAEMON" ~doc)
+
+let schedule_arg default ~doc =
+  Arg.(value & opt schedule_conv default & info [ "schedule" ] ~docv:"SPEC" ~doc)
+
+let seed_arg =
+  Arg.(value & opt int 1 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Master seed.")
+
+let messages_arg =
+  Arg.(
+    value & opt non_negative 2
+    & info [ "m"; "messages" ] ~docv:"K"
+        ~doc:"Messages per processor (uniform random destinations).")
+
+let max_steps_arg parse default ~doc =
+  Arg.(value & opt parse default & info [ "max-steps" ] ~docv:"N" ~doc)
+
+let dest_arg ~doc =
+  Arg.(value & opt non_negative 0 & info [ "dest" ] ~docv:"D" ~doc)
+
+let every_arg default ~docv ~doc =
+  Arg.(value & opt positive default & info [ "every" ] ~docv ~doc)
+
+let workers_arg parse default ~doc =
+  Arg.(value & opt parse default & info [ "workers" ] ~docv:"N" ~doc)
+
+let file_arg names ~doc =
+  Arg.(value & opt (some string) None & info names ~docv:"FILE" ~doc)
+
+let json_arg = file_arg [ "json" ]
+let journal_arg = file_arg [ "journal" ]
+let cut_journal_arg = file_arg [ "cut-journal" ]
 
 (* Shared by mc/chaos/campaign: --profile writes a Chrome trace-event
    JSON (one lane per domain, loadable in Perfetto), --prof-summary
    prints the text report. Either one turns the profiler on. *)
 let profile_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "profile" ] ~docv:"FILE"
-        ~doc:
-          "Write a Chrome trace-event JSON trace to $(docv) — load it in \
-           Perfetto (ui.perfetto.dev) or chrome://tracing. One lane per \
-           domain, counters as value tracks.")
+  file_arg [ "profile" ]
+    ~doc:
+      "Write a Chrome trace-event JSON trace to $(docv) — load it in \
+       Perfetto (ui.perfetto.dev) or chrome://tracing. One lane per \
+       domain, counters as value tracks."
 
 let prof_summary_arg =
   Arg.(
@@ -69,20 +142,6 @@ let prof_summary_arg =
           "Print a profiling report: per-span totals, per-domain busy \
            time, counters, histogram digests and the wall-clock \
            attribution figure.")
-
-let make_prof ~profile ~prof_summary ~tracks =
-  if profile <> None || prof_summary then Obs.Prof.create ~tracks ()
-  else Obs.Prof.disabled
-
-let emit_prof ~profile ~prof_summary prof =
-  if Obs.Prof.enabled prof then begin
-    (match profile with
-    | Some path ->
-        Obs.Traceview.write_file path prof;
-        Printf.printf "trace       : %s\n" path
-    | None -> ());
-    if prof_summary then print_string (Obs.Traceview.summary prof)
-  end
 
 (* Shared by chaos/snapshot: the mp sliding-window size and channel
    timing model. The flags override the schedule's own @win=/@ps=
@@ -128,26 +187,134 @@ let synchrony_of_flags ~delta ~gst =
       | exception Invalid_argument m -> Error m)
   | None, Some _ -> Error "--gst requires --delta"
 
+(* ---------------- shared plumbing ---------------- *)
+
+(* Artifact paths come from the command line: one that cannot be created
+   or written is an error exit (2) with a message, never an uncaught
+   exception. *)
+let artifact_errors f =
+  try f ()
+  with Sys_error msg ->
+    Printf.eprintf "ssmfp_cli: cannot write artifact: %s\n" msg;
+    2
+
+let write_json path doc =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Obs.Json.to_string doc);
+      output_char oc '\n');
+  Printf.printf "summary     : %s\n" path
+
+let make_prof ~profile ~prof_summary ~tracks =
+  if profile <> None || prof_summary then Obs.Prof.create ~tracks ()
+  else Obs.Prof.disabled
+
+let emit_prof ~profile ~prof_summary prof =
+  if Obs.Prof.enabled prof then begin
+    (match profile with
+    | Some path ->
+        Obs.Traceview.write_file path prof;
+        Printf.printf "trace       : %s\n" path
+    | None -> ());
+    if prof_summary then print_string (Obs.Traceview.summary prof)
+  end
+
+(* --json or --journal attach an observability sink to a state-model
+   run. The journal streams to disk as events are recorded; closing it
+   in a [finally] means an aborted run keeps a partial JSONL. *)
+let with_sink ~json_file ~journal_file run =
+  let obs =
+    if json_file <> None || journal_file <> None then
+      Some
+        (Obs.Sink.create
+           ~with_journal:(journal_file <> None)
+           ?journal_path:journal_file ())
+    else None
+  in
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Option.iter Obs.Sink.close obs)
+      (fun () -> run obs)
+  in
+  match (journal_file, Option.bind obs Obs.Sink.journal) with
+  | Some path, Some j -> (r, Some (path, j))
+  | _ -> (r, None)
+
+(* --cut-journal streams one snapshot_cut JSONL line per completed cut to
+   disk; [run] receives the recorder to call on each cut. *)
+let with_cut_journal cut_journal run =
+  let cut_j =
+    Option.map (fun path -> (path, Obs.Journal.create ~path ())) cut_journal
+  in
+  let record =
+    Option.map
+      (fun (_, j) (c : Snapshot.Ssmfp_link.cut) ->
+        Obs.Journal.record_cut j ~step:c.Snapshot.Cut.completed_at
+          ~epoch:c.Snapshot.Cut.epoch ~initiator:c.Snapshot.Cut.initiator
+          ~fingerprint:(Snapshot.Ssmfp_link.fingerprint_hex c))
+      cut_j
+  in
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Option.iter (fun (_, j) -> Obs.Journal.close j) cut_j)
+      (fun () -> run record)
+  in
+  (r, cut_j)
+
+let print_journal label what =
+  Option.iter (fun (path, j) ->
+      Printf.printf "%s: %d %s -> %s\n" label (Obs.Journal.length j) what path)
+
+(* The workload stream of run/chaos/snapshot. *)
+let workload_rng seed = Prng.Splitmix.of_int (seed + 7919)
+
+let print_topology name graph =
+  Printf.printf "topology    : %s (n=%d, Δ=%d, D=%d)\n" name
+    (Topology.Graph.n graph)
+    (Topology.Graph.max_degree graph)
+    (Topology.Metrics.diameter graph)
+
+let state_outcome = function
+  | `Quiescent -> "quiescent"
+  | `Max_steps -> "step budget exhausted"
+
+let print_mp_outcome ~suffix (o : Chaos.Mp_run.outcome) =
+  Printf.printf "outcome     : %s after %d deliveries / %d pulses%s\n"
+    (match o.Chaos.Mp_run.mp_outcome with
+    | `All_done -> "all drained"
+    | `Max_deliveries -> "delivery budget exhausted")
+    o.Chaos.Mp_run.channel_deliveries o.Chaos.Mp_run.max_pulse suffix
+
+let print_channel (ch : Mp.Ssmfp_mp.channel_stats) =
+  Printf.printf
+    "channel     : %d delivered, %d lost, %d duplicated, %d reordered, %d dropped at down processes\n"
+    ch.Mp.Ssmfp_mp.delivered ch.Mp.Ssmfp_mp.lost ch.Mp.Ssmfp_mp.duplicated
+    ch.Mp.Ssmfp_mp.reordered ch.Mp.Ssmfp_mp.dropped_while_down
+
+(* chaos and snapshot open alike: resolve --delta/--gst, print the run
+   header, then hand over the synchrony model and the uniform workload. *)
+let with_chaos_header ~cmd ~delta ~gst ~seed ~messages (name, graph) schedule
+    spec_name run =
+  match synchrony_of_flags ~delta ~gst with
+  | Error m ->
+      Printf.eprintf "ssmfp_cli %s: %s\n" cmd m;
+      2
+  | Ok synchrony ->
+      artifact_errors @@ fun () ->
+      print_topology name graph;
+      Printf.printf "schedule    : %s\n" (Chaos.Schedule.to_string schedule);
+      Printf.printf "corruption  : %s\n" spec_name;
+      run synchrony
+        (Harness.Workload.uniform_random (workload_rng seed)
+           ~n:(Topology.Graph.n graph) ~per_processor:messages)
+
+(* --dest must name a processor of the chosen topology. *)
+let check_dest graph dest =
+  if dest >= Topology.Graph.n graph then begin
+    Printf.eprintf "dest %d out of range\n" dest;
+    exit 2
+  end
+
 (* ---------------- run command ---------------- *)
-
-let corruption_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "pristine" | "none" -> Ok ("pristine", Harness.Fault.pristine)
-    | "random" -> Ok ("random", Harness.Fault.random_spec (Prng.Splitmix.of_int 3))
-    | "adversarial" | "worst" -> Ok ("adversarial", Harness.Fault.adversarial)
-    | _ -> Error (`Msg "corruption must be pristine, random or adversarial")
-  in
-  Arg.conv (parse, fun fmt (name, _) -> Format.pp_print_string fmt name)
-
-let daemon_conv =
-  let parse s =
-    match Harness.Runner.daemon_kind_of_string s with
-    | Ok k -> Ok k
-    | Error e -> Error (`Msg e)
-  in
-  Arg.conv (parse, fun fmt k ->
-      Format.pp_print_string fmt (Harness.Runner.daemon_kind_to_string k))
 
 (* The machine-readable twin of the `run` command's printed report. *)
 let run_summary_json ~topology ~n ~graph ~corruption ~daemon ~seed
@@ -216,30 +383,11 @@ let run_summary_json ~topology ~n ~graph ~corruption ~daemon ~seed
     ]
 
 let run_cmd =
-  let corruption =
-    Arg.(
-      value
-      & opt corruption_conv ("adversarial", Harness.Fault.adversarial)
-      & info [ "c"; "corruption" ] ~docv:"LEVEL"
-          ~doc:"Initial configuration: pristine, random or adversarial.")
-  in
   let daemon =
-    Arg.(
-      value
-      & opt daemon_conv Harness.Runner.Distributed_random
-      & info [ "d"; "daemon" ] ~docv:"DAEMON"
-          ~doc:
-            "Scheduler: synchronous, central, distributed, round-robin, \
-             adversarial or random-action.")
-  in
-  let seed =
-    Arg.(value & opt int 1 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Master seed.")
-  in
-  let messages =
-    Arg.(
-      value & opt non_negative 2
-      & info [ "m"; "messages" ] ~docv:"K"
-          ~doc:"Messages per processor (uniform random destinations).")
+    daemon_arg Harness.Runner.Distributed_random
+      ~doc:
+        "Scheduler: synchronous, central, distributed, round-robin, \
+         adversarial or random-action."
   in
   let workload_kind =
     Arg.(
@@ -257,33 +405,11 @@ let run_cmd =
             "Traffic pattern: uniform, all-to-one, one-to-all, permutation \
              or neighbors.")
   in
-  let max_steps =
-    Arg.(
-      value & opt int 2_000_000
-      & info [ "max-steps" ] ~docv:"N" ~doc:"Step budget.")
-  in
-  let json_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Write a machine-readable run summary (outcome, engine stats, \
-             oracle verdict, metrics snapshot) to $(docv).")
-  in
-  let journal_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"FILE"
-          ~doc:
-            "Write the structured event journal to $(docv) as JSONL (one \
-             protocol event per line with step, round, pid and ghost id).")
-  in
   let run (name, graph) (spec_name, spec) daemon seed messages max_steps
       workload_kind json_file journal_file =
+    artifact_errors @@ fun () ->
     let n = Topology.Graph.n graph in
-    let rng = Prng.Splitmix.of_int (seed + 7919) in
+    let rng = workload_rng seed in
     let workload =
       match workload_kind with
       | `Uniform -> Harness.Workload.uniform_random rng ~n ~per_processor:messages
@@ -298,32 +424,16 @@ let run_cmd =
     let cfg =
       Harness.Runner.config ~spec ~daemon ~seed ~max_steps graph workload
     in
-    let obs =
-      if json_file <> None || journal_file <> None then
-        Some
-          (Obs.Sink.create
-             ~with_journal:(journal_file <> None)
-             ?journal_path:journal_file ())
-      else None
+    let r, journal =
+      with_sink ~json_file ~journal_file (fun obs -> Harness.Runner.run ?obs cfg)
     in
-    (* Stream the journal: every event hits disk as it is recorded, and
-       the [finally] close means an aborted run keeps a partial JSONL. *)
-    let r =
-      Fun.protect
-        ~finally:(fun () -> Option.iter Obs.Sink.close obs)
-        (fun () -> Harness.Runner.run ?obs cfg)
-    in
-    Printf.printf "topology    : %s (n=%d, Δ=%d, D=%d)\n" name n
-      (Topology.Graph.max_degree graph)
-      (Topology.Metrics.diameter graph);
+    print_topology name graph;
     Printf.printf "corruption  : %s (%d invalid messages planted)\n" spec_name
       r.invalid_planted;
     Printf.printf "daemon      : %s\n" (Harness.Runner.daemon_kind_to_string daemon);
     Printf.printf "outcome     : %s after %d steps / %d rounds / %d moves\n"
-      (match r.outcome with
-      | `Quiescent -> "quiescent"
-      | `Max_steps -> "step budget exhausted")
-      r.stats.Sim.Engine.steps r.stats.Sim.Engine.rounds r.stats.Sim.Engine.moves;
+      (state_outcome r.outcome) r.stats.Sim.Engine.steps
+      r.stats.Sim.Engine.rounds r.stats.Sim.Engine.moves;
     Printf.printf "moves       : %s\n"
       (String.concat ", "
          (List.map
@@ -343,33 +453,30 @@ let run_cmd =
     Printf.printf "SP verdict  : %s\n"
       (if r.verdict.Harness.Oracle.ok then "satisfied (exactly-once)"
        else "VIOLATED — " ^ String.concat "; " r.verdict.Harness.Oracle.violations);
-    try
-      (match (journal_file, Option.map Obs.Sink.journal obs) with
-      | Some path, Some (Some j) ->
-          Printf.printf "journal     : %d events -> %s\n" (Obs.Journal.length j)
-            path
-      | _ -> ());
-      (match json_file with
-      | None -> ()
-      | Some path ->
-          let summary =
-            run_summary_json ~topology:name ~n ~graph ~corruption:spec_name
-              ~daemon ~seed ~journal_file r
-          in
-          let oc = open_out path in
-          output_string oc (Obs.Json.to_string summary);
-          output_char oc '\n';
-          close_out oc;
-          Printf.printf "summary     : %s\n" path);
-      if r.verdict.Harness.Oracle.ok then 0 else 1
-    with Sys_error msg ->
-      Printf.eprintf "ssmfp_cli: cannot write artifact: %s\n" msg;
-      2
+    print_journal "journal     " "events" journal;
+    Option.iter
+      (fun path ->
+        write_json path
+          (run_summary_json ~topology:name ~n ~graph ~corruption:spec_name
+             ~daemon ~seed ~journal_file r))
+      json_file;
+    if r.verdict.Harness.Oracle.ok then 0 else 1
   in
   let term =
     Term.(
-      const run $ topology_arg $ corruption $ daemon $ seed $ messages
-      $ max_steps $ workload_kind $ json_file $ journal_file)
+      const run $ topology_arg
+      $ corruption_arg ("adversarial", Harness.Fault.adversarial)
+      $ daemon $ seed_arg $ messages_arg
+      $ max_steps_arg positive 2_000_000 ~doc:"Step budget."
+      $ workload_kind
+      $ json_arg
+          ~doc:
+            "Write a machine-readable run summary (outcome, engine stats, \
+             oracle verdict, metrics snapshot) to $(docv)."
+      $ journal_arg
+          ~doc:
+            "Write the structured event journal to $(docv) as JSONL (one \
+             protocol event per line with step, round, pid and ghost id).")
   in
   Cmd.v
     (Cmd.info "run"
@@ -423,9 +530,6 @@ let figures_cmd =
 (* ---------------- dot command ---------------- *)
 
 let dot_cmd =
-  let dest =
-    Arg.(value & opt int 0 & info [ "dest" ] ~docv:"D" ~doc:"Destination component.")
-  in
   let scheme =
     Arg.(
       value
@@ -433,6 +537,7 @@ let dot_cmd =
       & info [ "scheme" ] ~doc:"Buffer graph scheme: ssmfp or destination.")
   in
   let run (_, graph) dest scheme =
+    check_dest graph dest;
     let tables = Routing.Table.correct_all graph in
     let next_hop ~p ~d = Routing.Selfstab.next_hop tables.(p) ~d in
     let bg =
@@ -446,36 +551,18 @@ let dot_cmd =
   in
   Cmd.v
     (Cmd.info "dot" ~doc:"Emit a buffer graph in Graphviz DOT format.")
-    Term.(const run $ topology_arg $ dest $ scheme)
+    Term.(
+      const run $ topology_arg $ dest_arg ~doc:"Destination component." $ scheme)
 
 (* ---------------- watch command ---------------- *)
 
 let watch_cmd =
-  let dest =
-    Arg.(value & opt int 0 & info [ "dest" ] ~docv:"D" ~doc:"Destination component to display.")
-  in
   let steps =
-    Arg.(value & opt int 40 & info [ "steps" ] ~docv:"N" ~doc:"Steps to display.")
-  in
-  let every =
-    Arg.(value & opt int 1 & info [ "every" ] ~docv:"K" ~doc:"Render every K-th step.")
-  in
-  let corruption =
-    Arg.(
-      value
-      & opt corruption_conv ("adversarial", Harness.Fault.adversarial)
-      & info [ "c"; "corruption" ] ~docv:"LEVEL"
-          ~doc:"Initial configuration: pristine, random or adversarial.")
-  in
-  let seed =
-    Arg.(value & opt int 1 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Master seed.")
+    Arg.(value & opt positive 40 & info [ "steps" ] ~docv:"N" ~doc:"Steps to display.")
   in
   let run (name, graph) (spec_name, spec) dest steps every seed =
+    check_dest graph dest;
     let n = Topology.Graph.n graph in
-    if dest < 0 || dest >= n then begin
-      Printf.eprintf "dest %d out of range\n" dest;
-      exit 2
-    end;
     let master = Prng.Splitmix.of_int seed in
     let fault_rng = Prng.Splitmix.split master in
     let daemon_rng = Prng.Splitmix.split master in
@@ -539,22 +626,25 @@ let watch_cmd =
   Cmd.v
     (Cmd.info "watch"
        ~doc:"Step a run and render one destination's buffers after each step.")
-    Term.(const run $ topology_arg $ corruption $ dest $ steps $ every $ seed)
+    Term.(
+      const run $ topology_arg
+      $ corruption_arg ("adversarial", Harness.Fault.adversarial)
+      $ dest_arg ~doc:"Destination component to display."
+      $ steps
+      $ every_arg 1 ~docv:"K" ~doc:"Render every K-th step."
+      $ seed_arg)
 
 (* ---------------- pif command ---------------- *)
 
 let pif_cmd =
   let waves =
-    Arg.(value & opt int 3 & info [ "waves" ] ~docv:"K" ~doc:"Waves to run.")
+    Arg.(value & opt positive 3 & info [ "waves" ] ~docv:"K" ~doc:"Waves to run.")
   in
   let root =
     Arg.(value & opt int 0 & info [ "root" ] ~docv:"R" ~doc:"Root processor.")
   in
   let corrupted =
     Arg.(value & flag & info [ "corrupted" ] ~doc:"Random initial phases.")
-  in
-  let seed =
-    Arg.(value & opt int 1 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Master seed.")
   in
   let run (name, graph) waves root corrupted seed =
     match Pif.tree_of graph ~root with
@@ -580,7 +670,7 @@ let pif_cmd =
   Cmd.v
     (Cmd.info "pif"
        ~doc:"Run the companion snap-stabilizing PIF protocol on a tree.")
-    Term.(const run $ topology_arg $ waves $ root $ corrupted $ seed)
+    Term.(const run $ topology_arg $ waves $ root $ corrupted $ seed_arg)
 
 (* ---------------- mc command ---------------- *)
 
@@ -595,15 +685,6 @@ let mc_cmd =
     Arg.(
       value & opt positive 2000
       & info [ "samples" ] ~docv:"N" ~doc:"Initial configurations for 3chain.")
-  in
-  let workers =
-    Arg.(
-      value & opt int 1
-      & info [ "workers" ] ~docv:"W"
-          ~doc:
-            "Work-stealing worker domains for the safety search; 0 \
-             autodetects (one less than the recommended domain count). \
-             The report is identical for any worker count.")
   in
   let no_por =
     Arg.(
@@ -621,6 +702,7 @@ let mc_cmd =
           ~doc:"Print the visited-store footprint after the safety search.")
   in
   let run scenario samples workers no_por stats profile prof_summary =
+    artifact_errors @@ fun () ->
     let sc, inits =
       match scenario with
       | `Two ->
@@ -671,35 +753,17 @@ let mc_cmd =
   Cmd.v
     (Cmd.info "mc" ~doc:"Model-check SP on small networks.")
     Term.(
-      const run $ scenario $ samples $ workers $ no_por $ stats $ profile_arg
-      $ prof_summary_arg)
+      const run $ scenario $ samples
+      $ workers_arg non_negative 1
+          ~doc:
+            "Work-stealing worker domains for the safety search; 0 \
+             autodetects (one less than the recommended domain count). \
+             The report is identical for any worker count."
+      $ no_por $ stats $ profile_arg $ prof_summary_arg)
 
 (* ---------------- chaos command ---------------- *)
 
 let chaos_cmd =
-  let schedule_conv =
-    Arg.conv
-      ( (fun s ->
-          match Chaos.Schedule.of_string s with
-          | Ok v -> Ok v
-          | Error e -> Error (`Msg e)),
-        fun fmt t -> Format.pp_print_string fmt (Chaos.Schedule.to_string t) )
-  in
-  let schedule =
-    Arg.(
-      value
-      & opt schedule_conv (Campaign.Spec.chaos_exn "10:rbqf:all")
-      & info [ "schedule" ] ~docv:"SPEC"
-          ~doc:
-            "Fault schedule: bursts joined by '+', each \
-             <round>:<domains>:<victims> with domains from r(outing) \
-             b(uffers) q(ueues) f(lags) c(rash) and victims a count or \
-             'all'; optional '@' modifiers (mp model only): a channel \
-             preset '@lossy' or '@flaky', '@win=<k>' (sliding-window \
-             size, default 8) and '@ps=<delta>:<gst>' (partial \
-             synchrony). Example: 10:rbqf:all+40:c:2@lossy@win=4. \
-             'none' disables faults.")
-  in
   let model =
     Arg.(
       value
@@ -709,29 +773,6 @@ let chaos_cmd =
             "Execution model: state (shared-memory engine, burst rounds are \
              engine rounds) or mp (message-passing synchronizer, burst \
              rounds are pulses).")
-  in
-  let corruption =
-    Arg.(
-      value
-      & opt corruption_conv ("adversarial", Harness.Fault.adversarial)
-      & info [ "c"; "corruption" ] ~docv:"LEVEL"
-          ~doc:"Initial configuration: pristine, random or adversarial.")
-  in
-  let daemon =
-    Arg.(
-      value
-      & opt daemon_conv Harness.Runner.Synchronous
-      & info [ "d"; "daemon" ] ~docv:"DAEMON"
-          ~doc:"Scheduler for the state model (ignored by mp).")
-  in
-  let seed =
-    Arg.(value & opt int 1 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Master seed.")
-  in
-  let messages =
-    Arg.(
-      value & opt non_negative 2
-      & info [ "m"; "messages" ] ~docv:"K"
-          ~doc:"Messages per processor (uniform random destinations).")
   in
   let aftermath =
     Arg.(
@@ -747,28 +788,6 @@ let chaos_cmd =
       & info [ "channel-garbage" ] ~docv:"K"
           ~doc:"Forged messages pre-loaded into the mp channels.")
   in
-  let max_steps =
-    Arg.(
-      value & opt int 2_000_000
-      & info [ "max-steps" ] ~docv:"N"
-          ~doc:"Step budget (state) / per-segment delivery budget (mp).")
-  in
-  let json_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write a machine-readable chaos summary to $(docv).")
-  in
-  let journal_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"FILE"
-          ~doc:
-            "State model only: write the event journal (including \
-             fault_injected events) to $(docv) as JSONL.")
-  in
   let snapshot_every =
     Arg.(
       value & opt non_negative 0
@@ -777,16 +796,6 @@ let chaos_cmd =
             "Mp model only: initiate an in-band Chandy–Lamport snapshot \
              every $(docv) channel deliveries and check the cut oracle \
              online; 0 (default) disables the layer entirely.")
-  in
-  let cut_journal =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cut-journal" ] ~docv:"FILE"
-          ~doc:
-            "With --snapshot-every: stream one snapshot_cut JSONL line \
-             per completed cut (epoch, initiator, fingerprint, clock) to \
-             $(docv) as cuts are harvested.")
   in
   let report_lines (r : Chaos.Recovery.report) =
     Printf.printf "bursts fired: %s\n"
@@ -811,284 +820,182 @@ let chaos_cmd =
       (if r.Chaos.Recovery.ok then "recovery oracle satisfied"
        else "VIOLATED — " ^ String.concat "; " r.Chaos.Recovery.violations)
   in
-  let chaos_json ~name ~model ~schedule ~fired ~seed
-      ~(report : Chaos.Recovery.report) ~sp_ok ~verdict_ok extra =
-    let open Obs.Json in
-    Obj
-      ([
-         ("topology", String name);
-         ("model", String model);
-         ("schedule", String (Chaos.Schedule.to_string schedule));
-         ("seed", Int seed);
-         ( "fired",
-           List
-             (List.map
-                (fun (round, victims) ->
-                  Obj [ ("round", Int round); ("victims", Int victims) ])
-                fired) );
-         ("recovery", Chaos.Recovery.to_json report);
-         ("sp_whole_run_ok", Bool sp_ok);
-         ("verdict_ok", Bool verdict_ok);
-       ]
-      @ extra)
-  in
-  let write_json path doc =
-    let oc = open_out path in
-    output_string oc (Obs.Json.to_string doc);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "summary     : %s\n" path
-  in
   let run (name, graph) schedule model (spec_name, spec) daemon seed messages
       aftermath channel_garbage max_steps json_file journal_file snapshot_every
       cut_journal window delta gst profile prof_summary =
-    match synchrony_of_flags ~delta ~gst with
-    | Error m ->
-        Printf.eprintf "ssmfp_cli chaos: %s\n" m;
-        2
-    | Ok synchrony ->
-    let n = Topology.Graph.n graph in
-    let rng = Prng.Splitmix.of_int (seed + 7919) in
-    let workload =
-      Harness.Workload.uniform_random rng ~n ~per_processor:messages
-    in
-    Printf.printf "topology    : %s (n=%d, Δ=%d, D=%d)\n" name n
-      (Topology.Graph.max_degree graph)
-      (Topology.Metrics.diameter graph);
-    Printf.printf "schedule    : %s\n" (Chaos.Schedule.to_string schedule);
-    Printf.printf "corruption  : %s\n" spec_name;
+    with_chaos_header ~cmd:"chaos" ~delta ~gst ~seed ~messages (name, graph)
+      schedule spec_name
+    @@ fun synchrony workload ->
     let prof = make_prof ~profile ~prof_summary ~tracks:1 in
-    try
-      match model with
-      | `State ->
-          let cfg =
-            Harness.Runner.config ~spec ~daemon ~seed ~max_steps graph workload
-          in
-          let obs =
-            if json_file <> None || journal_file <> None then
-              Some
-                (Obs.Sink.create
-                   ~with_journal:(journal_file <> None)
-                   ?journal_path:journal_file ())
-            else None
-          in
-          (* The journal streams to disk as events are recorded; closing
-             in a [finally] means a crashed run keeps its partial JSONL. *)
-          let o =
-            Fun.protect
-              ~finally:(fun () -> Option.iter Obs.Sink.close obs)
-              (fun () -> Chaos.Runner.run ?obs ~prof ~aftermath ~schedule cfg)
-          in
-          let r = o.Chaos.Runner.run in
-          Printf.printf "model       : state (%s daemon)\n"
-            (Harness.Runner.daemon_kind_to_string daemon);
-          Printf.printf "outcome     : %s after %d steps / %d rounds\n"
-            (match r.Harness.Runner.outcome with
-            | `Quiescent -> "quiescent"
-            | `Max_steps -> "step budget exhausted")
-            r.Harness.Runner.stats.Sim.Engine.steps
-            r.Harness.Runner.stats.Sim.Engine.rounds;
-          Printf.printf "faults      : %s\n"
-            (if o.Chaos.Runner.fired = [] then "none fired"
-             else
-               String.concat ", "
-                 (List.map
-                    (fun (round, victims) ->
-                      Printf.sprintf "round %d -> %d victim(s)" round victims)
-                    o.Chaos.Runner.fired));
-          if aftermath > 0 then
-            Printf.printf "aftermath   : %d probe request(s)\n"
-              o.Chaos.Runner.aftermath_submitted;
-          report_lines o.Chaos.Runner.report;
-          let verdict_ok, violations, _ =
-            Campaign.Pool.chaos_verdict ~schedule
-              ~verdict:o.Chaos.Runner.sp_verdict ~report:o.Chaos.Runner.report
-          in
-          Printf.printf "verdict     : %s\n"
-            (if verdict_ok then "ok"
-             else "VIOLATED — " ^ String.concat "; " violations);
-          (match (journal_file, Option.map Obs.Sink.journal obs) with
-          | Some path, Some (Some j) ->
-              Printf.printf "journal     : %d events -> %s\n"
-                (Obs.Journal.length j) path
-          | _ -> ());
-          (match json_file with
-          | None -> ()
-          | Some path ->
-              write_json path
-                (chaos_json ~name ~model:"state" ~schedule
-                   ~fired:o.Chaos.Runner.fired ~seed ~report:o.Chaos.Runner.report
-                   ~sp_ok:o.Chaos.Runner.sp_verdict.Harness.Oracle.ok ~verdict_ok
-                   []));
-          emit_prof ~profile ~prof_summary prof;
-          if verdict_ok then 0 else 1
-      | `Mp ->
-          let cut_j =
-            match cut_journal with
-            | Some path when snapshot_every > 0 ->
-                Some (Obs.Journal.create ~path ())
-            | _ -> None
-          in
-          let on_cut =
-            Option.map
-              (fun j (c : Snapshot.Ssmfp_link.cut) ->
-                Obs.Journal.record_cut j ~step:c.Snapshot.Cut.completed_at
-                  ~epoch:c.Snapshot.Cut.epoch
-                  ~initiator:c.Snapshot.Cut.initiator
-                  ~fingerprint:(Snapshot.Ssmfp_link.fingerprint_hex c))
-              cut_j
-          in
-          let o =
-            Fun.protect
-              ~finally:(fun () -> Option.iter Obs.Journal.close cut_j)
-              (fun () ->
-                Chaos.Mp_run.run ~spec ~channel_garbage ~seed
-                  ~max_deliveries:max_steps ~aftermath ~snapshot_every ?on_cut
-                  ~prof ?window ?synchrony ~schedule graph workload)
-          in
-          Printf.printf "model       : mp (α-synchronizer port)\n";
-          let eff_sync =
-            match synchrony with
-            | Some _ -> synchrony
-            | None -> schedule.Chaos.Schedule.synchrony
-          in
-          Printf.printf "retransmit  : sliding window (w=%d)%s\n"
-            o.Chaos.Mp_run.window
-            (match eff_sync with
-            | None -> ""
-            | Some sy ->
-                Printf.sprintf ", partial synchrony Δ=%d GST=%d"
-                  (Mp.Synchrony.delta sy) (Mp.Synchrony.gst sy));
-          Printf.printf
-            "outcome     : %s after %d deliveries / %d pulses / %d window \
-             retransmissions\n"
-            (match o.Chaos.Mp_run.mp_outcome with
-            | `All_done -> "all drained"
-            | `Max_deliveries -> "delivery budget exhausted")
-            o.Chaos.Mp_run.channel_deliveries o.Chaos.Mp_run.max_pulse
-            o.Chaos.Mp_run.window_retransmits;
-          let ch = o.Chaos.Mp_run.channel in
-          Printf.printf
-            "channel     : %d delivered, %d lost, %d duplicated, %d reordered, %d dropped at down processes\n"
-            ch.Mp.Ssmfp_mp.delivered ch.Mp.Ssmfp_mp.lost
-            ch.Mp.Ssmfp_mp.duplicated ch.Mp.Ssmfp_mp.reordered
-            ch.Mp.Ssmfp_mp.dropped_while_down;
-          Printf.printf "faults      : %s\n"
-            (if o.Chaos.Mp_run.fired = [] then "none fired"
-             else
-               String.concat ", "
-                 (List.map
-                    (fun (pulse, victims) ->
-                      Printf.sprintf "pulse %d -> %d victim(s)" pulse victims)
-                    o.Chaos.Mp_run.fired));
-          if aftermath > 0 then
-            Printf.printf "aftermath   : %d probe request(s)\n"
-              o.Chaos.Mp_run.aftermath_submitted;
-          (match o.Chaos.Mp_run.snapshot with
-          | None -> ()
-          | Some s ->
-              Printf.printf
-                "snapshots   : %d cuts / %d epochs every %d deliveries (%d \
-                 consistent, %d shadow-ok, %d abandoned, %d markers resent)\n"
-                s.Chaos.Mp_run.cuts s.Chaos.Mp_run.epochs
-                s.Chaos.Mp_run.snapshot_every s.Chaos.Mp_run.consistent
-                s.Chaos.Mp_run.shadow_ok s.Chaos.Mp_run.abandoned
-                s.Chaos.Mp_run.markers_resent;
-              Printf.printf "cut oracle  : %s%s\n"
-                (if s.Chaos.Mp_run.cut_agrees then
-                   "verdict agrees with the omniscient oracle"
-                 else "verdict DISAGREES with the omniscient oracle")
-                (match s.Chaos.Mp_run.online_violations with
-                | [] -> ""
-                | v -> "; online flags: " ^ String.concat "; " v));
-          report_lines o.Chaos.Mp_run.report;
-          let verdict_ok, violations, _ =
-            Campaign.Pool.chaos_verdict ~schedule ~verdict:o.Chaos.Mp_run.verdict
-              ~report:o.Chaos.Mp_run.report
-          in
-          (* With the layer on, the in-band view must corroborate the
-             omniscient verdict for the run to count as ok. *)
-          let verdict_ok, violations =
-            match o.Chaos.Mp_run.snapshot with
-            | None -> (verdict_ok, violations)
-            | Some s ->
-                let extra =
-                  (if s.Chaos.Mp_run.cut_agrees then []
-                   else [ "cut-oracle verdict disagrees with the omniscient one" ])
-                  @ s.Chaos.Mp_run.online_violations
-                in
-                (verdict_ok && extra = [], violations @ extra)
-          in
-          Printf.printf "verdict     : %s\n"
-            (if verdict_ok then "ok"
-             else "VIOLATED — " ^ String.concat "; " violations);
-          (match (cut_journal, cut_j) with
-          | Some path, Some j ->
-              Printf.printf "cut journal : %d cuts -> %s\n"
-                (Obs.Journal.length j) path
-          | _ -> ());
-          let snapshot_json_fields =
-            match o.Chaos.Mp_run.snapshot with
-            | None -> []
-            | Some s ->
-                [
-                  ( "snapshot",
-                    Obs.Json.Obj
-                      [
-                        ("every", Obs.Json.Int s.Chaos.Mp_run.snapshot_every);
-                        ("epochs", Obs.Json.Int s.Chaos.Mp_run.epochs);
-                        ("cuts", Obs.Json.Int s.Chaos.Mp_run.cuts);
-                        ("consistent", Obs.Json.Int s.Chaos.Mp_run.consistent);
-                        ("shadow_ok", Obs.Json.Int s.Chaos.Mp_run.shadow_ok);
-                        ("abandoned", Obs.Json.Int s.Chaos.Mp_run.abandoned);
-                        ( "markers_resent",
-                          Obs.Json.Int s.Chaos.Mp_run.markers_resent );
-                        ("cut_agrees", Obs.Json.Bool s.Chaos.Mp_run.cut_agrees);
-                        ( "online_violations",
-                          Obs.Json.List
-                            (List.map
-                               (fun v -> Obs.Json.String v)
-                               s.Chaos.Mp_run.online_violations) );
-                      ] );
+    let print_faults ~at fired ~aftermath_submitted =
+      Printf.printf "faults      : %s\n"
+        (if fired = [] then "none fired"
+         else
+           String.concat ", "
+             (List.map
+                (fun (t, victims) ->
+                  Printf.sprintf "%s %d -> %d victim(s)" at t victims)
+                fired));
+      if aftermath > 0 then
+        Printf.printf "aftermath   : %d probe request(s)\n" aftermath_submitted
+    in
+    (* Both models end alike: the verdict line, the journal line, the
+       JSON summary and the profile. *)
+    let conclude ~model ~fired ~report ~sp_ok ~journal (verdict_ok, violations, _)
+        extra =
+      Printf.printf "verdict     : %s\n"
+        (if verdict_ok then "ok"
+         else "VIOLATED — " ^ String.concat "; " violations);
+      journal ();
+      Option.iter
+        (fun path ->
+          let open Obs.Json in
+          write_json path
+            (Obj
+               ([
+                  ("topology", String name);
+                  ("model", String model);
+                  ("schedule", String (Chaos.Schedule.to_string schedule));
+                  ("seed", Int seed);
+                  ( "fired",
+                    List
+                      (List.map
+                         (fun (round, victims) ->
+                           Obj [ ("round", Int round); ("victims", Int victims) ])
+                         fired) );
+                  ("recovery", Chaos.Recovery.to_json report);
+                  ("sp_whole_run_ok", Bool sp_ok);
+                  ("verdict_ok", Bool verdict_ok);
                 ]
-          in
-          (match json_file with
-          | None -> ()
-          | Some path ->
-              write_json path
-                (chaos_json ~name ~model:"mp" ~schedule ~fired:o.Chaos.Mp_run.fired
-                   ~seed ~report:o.Chaos.Mp_run.report
-                   ~sp_ok:o.Chaos.Mp_run.verdict.Harness.Oracle.ok ~verdict_ok
-                   ([
-                      ( "channel",
-                        Obs.Json.Obj
-                          [
-                            ("delivered", Obs.Json.Int ch.Mp.Ssmfp_mp.delivered);
-                            ("lost", Obs.Json.Int ch.Mp.Ssmfp_mp.lost);
-                            ("duplicated", Obs.Json.Int ch.Mp.Ssmfp_mp.duplicated);
-                            ("reordered", Obs.Json.Int ch.Mp.Ssmfp_mp.reordered);
-                            ( "dropped_while_down",
-                              Obs.Json.Int ch.Mp.Ssmfp_mp.dropped_while_down );
-                          ] );
-                      ("window", Obs.Json.Int o.Chaos.Mp_run.window);
-                      ( "window_retransmits",
-                        Obs.Json.Int o.Chaos.Mp_run.window_retransmits );
-                      ("deliveries", Obs.Json.Int o.Chaos.Mp_run.channel_deliveries);
-                      ("max_pulse", Obs.Json.Int o.Chaos.Mp_run.max_pulse);
-                    ]
-                   @ snapshot_json_fields)));
-          emit_prof ~profile ~prof_summary prof;
-          if verdict_ok then 0 else 1
-    with Sys_error msg ->
-      Printf.eprintf "ssmfp_cli: cannot write artifact: %s\n" msg;
-      2
+               @ extra)))
+        json_file;
+      emit_prof ~profile ~prof_summary prof;
+      if verdict_ok then 0 else 1
+    in
+    match model with
+    | `State ->
+        let cfg =
+          Harness.Runner.config ~spec ~daemon ~seed ~max_steps graph workload
+        in
+        let o, journal =
+          with_sink ~json_file ~journal_file (fun obs ->
+              Chaos.Runner.run ?obs ~prof ~aftermath ~schedule cfg)
+        in
+        let r = o.Chaos.Runner.run in
+        Printf.printf "model       : state (%s daemon)\n"
+          (Harness.Runner.daemon_kind_to_string daemon);
+        Printf.printf "outcome     : %s after %d steps / %d rounds\n"
+          (state_outcome r.Harness.Runner.outcome)
+          r.Harness.Runner.stats.Sim.Engine.steps
+          r.Harness.Runner.stats.Sim.Engine.rounds;
+        print_faults ~at:"round" o.Chaos.Runner.fired
+          ~aftermath_submitted:o.Chaos.Runner.aftermath_submitted;
+        report_lines o.Chaos.Runner.report;
+        conclude ~model:"state" ~fired:o.Chaos.Runner.fired
+          ~report:o.Chaos.Runner.report
+          ~sp_ok:o.Chaos.Runner.sp_verdict.Harness.Oracle.ok
+          ~journal:(fun () -> print_journal "journal     " "events" journal)
+          (Chaos.Recovery.verdict ~schedule ~verdict:o.Chaos.Runner.sp_verdict
+             ~report:o.Chaos.Runner.report)
+          []
+    | `Mp ->
+        let o, cut_j =
+          with_cut_journal
+            (if snapshot_every > 0 then cut_journal else None)
+            (fun on_cut ->
+              Chaos.Mp_run.run ~spec ~channel_garbage ~seed
+                ~max_deliveries:max_steps ~aftermath ~snapshot_every ?on_cut
+                ~prof ?window ?synchrony ~schedule graph workload)
+        in
+        Printf.printf "model       : mp (α-synchronizer port)\n";
+        let eff_sync =
+          match synchrony with
+          | Some _ -> synchrony
+          | None -> schedule.Chaos.Schedule.synchrony
+        in
+        Printf.printf "retransmit  : sliding window (w=%d)%s\n"
+          o.Chaos.Mp_run.window
+          (match eff_sync with
+          | None -> ""
+          | Some sy ->
+              Printf.sprintf ", partial synchrony Δ=%d GST=%d"
+                (Mp.Synchrony.delta sy) (Mp.Synchrony.gst sy));
+        print_mp_outcome o
+          ~suffix:
+            (Printf.sprintf " / %d window retransmissions"
+               o.Chaos.Mp_run.window_retransmits);
+        print_channel o.Chaos.Mp_run.channel;
+        print_faults ~at:"pulse" o.Chaos.Mp_run.fired
+          ~aftermath_submitted:o.Chaos.Mp_run.aftermath_submitted;
+        (match o.Chaos.Mp_run.snapshot with
+        | None -> ()
+        | Some s ->
+            Printf.printf
+              "snapshots   : %d cuts / %d epochs every %d deliveries (%d \
+               consistent, %d shadow-ok, %d abandoned, %d markers resent)\n"
+              s.Chaos.Mp_run.cuts s.Chaos.Mp_run.epochs
+              s.Chaos.Mp_run.snapshot_every s.Chaos.Mp_run.consistent
+              s.Chaos.Mp_run.shadow_ok s.Chaos.Mp_run.abandoned
+              s.Chaos.Mp_run.markers_resent;
+            Printf.printf "cut oracle  : %s%s\n"
+              (if s.Chaos.Mp_run.cut_agrees then
+                 "verdict agrees with the omniscient oracle"
+               else "verdict DISAGREES with the omniscient oracle")
+              (match s.Chaos.Mp_run.online_violations with
+              | [] -> ""
+              | v -> "; online flags: " ^ String.concat "; " v));
+        report_lines o.Chaos.Mp_run.report;
+        conclude ~model:"mp" ~fired:o.Chaos.Mp_run.fired
+          ~report:o.Chaos.Mp_run.report
+          ~sp_ok:o.Chaos.Mp_run.verdict.Harness.Oracle.ok
+          ~journal:(fun () -> print_journal "cut journal " "cuts" cut_j)
+          (Chaos.Mp_run.verdict o)
+          ([
+             ("channel", Chaos.Mp_run.channel_to_json o.Chaos.Mp_run.channel);
+             ("window", Obs.Json.Int o.Chaos.Mp_run.window);
+             ( "window_retransmits",
+               Obs.Json.Int o.Chaos.Mp_run.window_retransmits );
+             ("deliveries", Obs.Json.Int o.Chaos.Mp_run.channel_deliveries);
+             ("max_pulse", Obs.Json.Int o.Chaos.Mp_run.max_pulse);
+           ]
+          @
+          match o.Chaos.Mp_run.snapshot with
+          | None -> []
+          | Some s -> [ ("snapshot", Chaos.Mp_run.snapshot_to_json s) ])
   in
   let term =
     Term.(
-      const run $ topology_arg $ schedule $ model $ corruption $ daemon $ seed
-      $ messages $ aftermath $ channel_garbage $ max_steps $ json_file
-      $ journal_file $ snapshot_every $ cut_journal $ window_arg $ delta_arg
-      $ gst_arg $ profile_arg $ prof_summary_arg)
+      const run $ topology_arg
+      $ schedule_arg
+          (Campaign.Spec.chaos_exn "10:rbqf:all")
+          ~doc:
+            "Fault schedule: bursts joined by '+', each \
+             <round>:<domains>:<victims> with domains from r(outing) \
+             b(uffers) q(ueues) f(lags) c(rash) and victims a count or \
+             'all'; optional '@' modifiers (mp model only): a channel \
+             preset '@lossy' or '@flaky', '@win=<k>' (sliding-window \
+             size, default 8) and '@ps=<delta>:<gst>' (partial \
+             synchrony). Example: 10:rbqf:all+40:c:2@lossy@win=4. \
+             'none' disables faults."
+      $ model
+      $ corruption_arg ("adversarial", Harness.Fault.adversarial)
+      $ daemon_arg Harness.Runner.Synchronous
+          ~doc:"Scheduler for the state model (ignored by mp)."
+      $ seed_arg $ messages_arg $ aftermath $ channel_garbage
+      $ max_steps_arg positive 2_000_000
+          ~doc:"Step budget (state) / per-segment delivery budget (mp)."
+      $ json_arg ~doc:"Write a machine-readable chaos summary to $(docv)."
+      $ journal_arg
+          ~doc:
+            "State model only: write the event journal (including \
+             fault_injected events) to $(docv) as JSONL."
+      $ snapshot_every
+      $ cut_journal_arg
+          ~doc:
+            "With --snapshot-every: stream one snapshot_cut JSONL line \
+             per completed cut (epoch, initiator, fingerprint, clock) to \
+             $(docv) as cuts are harvested."
+      $ window_arg $ delta_arg $ gst_arg $ profile_arg $ prof_summary_arg)
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -1104,224 +1011,128 @@ let chaos_cmd =
    model with in-band Chandy–Lamport cuts, print each cut as it
    completes, and end on the cut-vs-omniscient verdict comparison. *)
 let snapshot_cmd =
-  let schedule_conv =
-    Arg.conv
-      ( (fun s ->
-          match Chaos.Schedule.of_string s with
-          | Ok v -> Ok v
-          | Error e -> Error (`Msg e)),
-        fun fmt t -> Format.pp_print_string fmt (Chaos.Schedule.to_string t) )
-  in
-  let schedule =
-    Arg.(
-      value
-      & opt schedule_conv Chaos.Schedule.none
-      & info [ "schedule" ] ~docv:"SPEC"
-          ~doc:
-            "Fault schedule running under the snapshots (chaos grammar), \
-             e.g. none@lossy or 8:rb:2@flaky. 'none' keeps the channel \
-             reliable.")
-  in
-  let corruption =
-    Arg.(
-      value
-      & opt corruption_conv ("pristine", Harness.Fault.pristine)
-      & info [ "c"; "corruption" ] ~docv:"LEVEL"
-          ~doc:"Initial configuration: pristine, random or adversarial.")
-  in
-  let seed =
-    Arg.(value & opt int 1 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Master seed.")
-  in
-  let every =
-    Arg.(
-      value & opt int 400
-      & info [ "every" ] ~docv:"N"
-          ~doc:"Initiate a snapshot epoch every $(docv) channel deliveries.")
-  in
-  let messages =
-    Arg.(
-      value & opt non_negative 2
-      & info [ "m"; "messages" ] ~docv:"K"
-          ~doc:"Messages per processor (uniform random destinations).")
-  in
-  let max_steps =
-    Arg.(
-      value & opt int 2_000_000
-      & info [ "max-steps" ] ~docv:"N" ~doc:"Per-segment delivery budget.")
-  in
-  let json_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Write a machine-readable snapshot summary (including every \
-             cut) to $(docv).")
-  in
-  let cut_journal =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cut-journal" ] ~docv:"FILE"
-          ~doc:
-            "Stream one snapshot_cut JSONL line per completed cut to \
-             $(docv) as cuts are harvested.")
-  in
   let run (name, graph) schedule (spec_name, spec) seed every messages
       max_steps json_file cut_journal window delta gst =
-    match synchrony_of_flags ~delta ~gst with
-    | Error m ->
-        Printf.eprintf "ssmfp_cli snapshot: %s\n" m;
-        2
-    | Ok synchrony ->
-    if every <= 0 then begin
-      Printf.eprintf "ssmfp_cli snapshot: --every must be positive\n";
-      2
-    end
-    else begin
-      let n = Topology.Graph.n graph in
-      let rng = Prng.Splitmix.of_int (seed + 7919) in
-      let workload =
-        Harness.Workload.uniform_random rng ~n ~per_processor:messages
-      in
-      Printf.printf "topology    : %s (n=%d, Δ=%d, D=%d)\n" name n
-        (Topology.Graph.max_degree graph)
-        (Topology.Metrics.diameter graph);
-      Printf.printf "schedule    : %s\n" (Chaos.Schedule.to_string schedule);
-      Printf.printf "corruption  : %s\n" spec_name;
-      Printf.printf "snapshots   : every %d channel deliveries\n" every;
-      let aftermath = if schedule.Chaos.Schedule.bursts = [] then 0 else 4 in
-      let cut_j = Option.map (fun path -> Obs.Journal.create ~path ()) cut_journal in
-      let cuts_seen = ref [] in
-      let on_cut (c : Snapshot.Ssmfp_link.cut) =
-        cuts_seen := c :: !cuts_seen;
-        Printf.printf
-          "cut         : epoch=%-3d initiator=%-3d latency=%-5d in-flight=%-3d fp=%s%s%s\n"
-          c.Snapshot.Cut.epoch c.Snapshot.Cut.initiator
-          (Snapshot.Cut.latency c)
-          (Snapshot.Cut.in_flight c)
-          (Snapshot.Ssmfp_link.fingerprint_hex c)
-          (if Snapshot.Cut.shadow_ok c then "" else " SHADOW-MISMATCH")
-          (if Snapshot.Ssmfp_link.consistent c then "" else " INCONSISTENT");
-        Option.iter
-          (fun j ->
-            Obs.Journal.record_cut j ~step:c.Snapshot.Cut.completed_at
-              ~epoch:c.Snapshot.Cut.epoch ~initiator:c.Snapshot.Cut.initiator
-              ~fingerprint:(Snapshot.Ssmfp_link.fingerprint_hex c))
-          cut_j
-      in
-      try
-        let o =
-          Fun.protect
-            ~finally:(fun () -> Option.iter Obs.Journal.close cut_j)
-            (fun () ->
-              Chaos.Mp_run.run ~spec ~seed ~max_deliveries:max_steps ~aftermath
-                ~snapshot_every:every ~on_cut ?window ?synchrony ~schedule
-                graph workload)
-        in
-        Printf.printf "outcome     : %s after %d deliveries / %d pulses\n"
-          (match o.Chaos.Mp_run.mp_outcome with
-          | `All_done -> "all drained"
-          | `Max_deliveries -> "delivery budget exhausted")
-          o.Chaos.Mp_run.channel_deliveries o.Chaos.Mp_run.max_pulse;
-        let ch = o.Chaos.Mp_run.channel in
-        Printf.printf
-          "channel     : %d delivered, %d lost, %d duplicated, %d reordered, %d dropped at down processes\n"
-          ch.Mp.Ssmfp_mp.delivered ch.Mp.Ssmfp_mp.lost
-          ch.Mp.Ssmfp_mp.duplicated ch.Mp.Ssmfp_mp.reordered
-          ch.Mp.Ssmfp_mp.dropped_while_down;
-        match o.Chaos.Mp_run.snapshot with
-        | None ->
-            Printf.eprintf "ssmfp_cli snapshot: layer did not attach\n";
-            2
-        | Some s ->
+    with_chaos_header ~cmd:"snapshot" ~delta ~gst ~seed ~messages (name, graph)
+      schedule spec_name
+    @@ fun synchrony workload ->
+    Printf.printf "snapshots   : every %d channel deliveries\n" every;
+    let cuts_seen = ref [] in
+    let o, cut_j =
+      with_cut_journal cut_journal (fun record ->
+          let on_cut (c : Snapshot.Ssmfp_link.cut) =
+            cuts_seen := c :: !cuts_seen;
             Printf.printf
-              "cuts        : %d over %d epochs (%d consistent, %d shadow-ok, \
-               %d abandoned, %d markers resent)\n"
-              s.Chaos.Mp_run.cuts s.Chaos.Mp_run.epochs
-              s.Chaos.Mp_run.consistent s.Chaos.Mp_run.shadow_ok
-              s.Chaos.Mp_run.abandoned s.Chaos.Mp_run.markers_resent;
-            (match s.Chaos.Mp_run.relegitimacy_bracket with
-            | None -> ()
-            | Some (lo, hi) ->
-                Printf.printf
-                  "relegitimacy: invalid deliveries stopped growing within \
-                   pulses (%d, %s]\n"
-                  lo
-                  (match hi with Some h -> string_of_int h | None -> "∞"));
-            (match s.Chaos.Mp_run.online_violations with
-            | [] -> Printf.printf "cut oracle  : no online violations\n"
-            | v ->
-                Printf.printf "cut oracle  : ONLINE FLAGS — %s\n"
-                  (String.concat "; " v));
-            Printf.printf "cut verdict : %s\n"
-              (if s.Chaos.Mp_run.cut_agrees then
-                 "agrees with the omniscient oracle"
-               else "DISAGREES with the omniscient oracle");
-            (match (cut_journal, cut_j) with
-            | Some path, Some j ->
-                Printf.printf "cut journal : %d cuts -> %s\n"
-                  (Obs.Journal.length j) path
-            | _ -> ());
-            (match json_file with
-            | None -> ()
-            | Some path ->
-                let doc =
-                  Obs.Json.Obj
-                    [
-                      ("topology", Obs.Json.String name);
-                      ( "schedule",
-                        Obs.Json.String (Chaos.Schedule.to_string schedule) );
-                      ("corruption", Obs.Json.String spec_name);
-                      ("seed", Obs.Json.Int seed);
-                      ("every", Obs.Json.Int every);
-                      ( "outcome",
-                        Obs.Json.String
-                          (match o.Chaos.Mp_run.mp_outcome with
-                          | `All_done -> "all_done"
-                          | `Max_deliveries -> "max_deliveries") );
-                      ( "deliveries",
-                        Obs.Json.Int o.Chaos.Mp_run.channel_deliveries );
-                      ("epochs", Obs.Json.Int s.Chaos.Mp_run.epochs);
-                      ("cuts_completed", Obs.Json.Int s.Chaos.Mp_run.cuts);
-                      ("consistent", Obs.Json.Int s.Chaos.Mp_run.consistent);
-                      ("shadow_ok", Obs.Json.Int s.Chaos.Mp_run.shadow_ok);
-                      ("abandoned", Obs.Json.Int s.Chaos.Mp_run.abandoned);
-                      ( "markers_resent",
-                        Obs.Json.Int s.Chaos.Mp_run.markers_resent );
-                      ("cut_agrees", Obs.Json.Bool s.Chaos.Mp_run.cut_agrees);
-                      ( "online_violations",
-                        Obs.Json.List
-                          (List.map
-                             (fun v -> Obs.Json.String v)
-                             s.Chaos.Mp_run.online_violations) );
-                      ( "cuts",
-                        Obs.Json.List
-                          (List.rev_map Snapshot.Ssmfp_link.cut_to_json
-                             !cuts_seen) );
-                    ]
-                in
-                let oc = open_out path in
-                output_string oc (Obs.Json.to_string doc);
-                output_char oc '\n';
-                close_out oc;
-                Printf.printf "summary     : %s\n" path);
-            if
-              s.Chaos.Mp_run.cuts > 0
-              && s.Chaos.Mp_run.cut_agrees
-              && s.Chaos.Mp_run.online_violations = []
-            then 0
-            else 1
-      with Sys_error msg ->
-        Printf.eprintf "ssmfp_cli: cannot write artifact: %s\n" msg;
+              "cut         : epoch=%-3d initiator=%-3d latency=%-5d in-flight=%-3d fp=%s%s%s\n"
+              c.Snapshot.Cut.epoch c.Snapshot.Cut.initiator
+              (Snapshot.Cut.latency c)
+              (Snapshot.Cut.in_flight c)
+              (Snapshot.Ssmfp_link.fingerprint_hex c)
+              (if Snapshot.Cut.shadow_ok c then "" else " SHADOW-MISMATCH")
+              (if Snapshot.Ssmfp_link.consistent c then "" else " INCONSISTENT");
+            Option.iter (fun f -> f c) record
+          in
+          Chaos.Mp_run.run ~spec ~seed ~max_deliveries:max_steps
+            ~aftermath:(Chaos.Recovery.aftermath_for schedule)
+            ~snapshot_every:every ~on_cut ?window ?synchrony ~schedule graph
+            workload)
+    in
+    print_mp_outcome o ~suffix:"";
+    print_channel o.Chaos.Mp_run.channel;
+    match o.Chaos.Mp_run.snapshot with
+    | None ->
+        Printf.eprintf "ssmfp_cli snapshot: layer did not attach\n";
         2
-    end
+    | Some s ->
+        Printf.printf
+          "cuts        : %d over %d epochs (%d consistent, %d shadow-ok, \
+           %d abandoned, %d markers resent)\n"
+          s.Chaos.Mp_run.cuts s.Chaos.Mp_run.epochs
+          s.Chaos.Mp_run.consistent s.Chaos.Mp_run.shadow_ok
+          s.Chaos.Mp_run.abandoned s.Chaos.Mp_run.markers_resent;
+        (match s.Chaos.Mp_run.relegitimacy_bracket with
+        | None -> ()
+        | Some (lo, hi) ->
+            Printf.printf
+              "relegitimacy: invalid deliveries stopped growing within \
+               pulses (%d, %s]\n"
+              lo
+              (match hi with Some h -> string_of_int h | None -> "∞"));
+        (match s.Chaos.Mp_run.online_violations with
+        | [] -> Printf.printf "cut oracle  : no online violations\n"
+        | v ->
+            Printf.printf "cut oracle  : ONLINE FLAGS — %s\n"
+              (String.concat "; " v));
+        Printf.printf "cut verdict : %s\n"
+          (if s.Chaos.Mp_run.cut_agrees then
+             "agrees with the omniscient oracle"
+           else "DISAGREES with the omniscient oracle");
+        print_journal "cut journal " "cuts" cut_j;
+        Option.iter
+          (fun path ->
+            let open Obs.Json in
+            write_json path
+              (Obj
+                 [
+                   ("topology", String name);
+                   ("schedule", String (Chaos.Schedule.to_string schedule));
+                   ("corruption", String spec_name);
+                   ("seed", Int seed);
+                   ("every", Int every);
+                   ( "outcome",
+                     String
+                       (match o.Chaos.Mp_run.mp_outcome with
+                       | `All_done -> "all_done"
+                       | `Max_deliveries -> "max_deliveries") );
+                   ("deliveries", Int o.Chaos.Mp_run.channel_deliveries);
+                   ("epochs", Int s.Chaos.Mp_run.epochs);
+                   ("cuts_completed", Int s.Chaos.Mp_run.cuts);
+                   ("consistent", Int s.Chaos.Mp_run.consistent);
+                   ("shadow_ok", Int s.Chaos.Mp_run.shadow_ok);
+                   ("abandoned", Int s.Chaos.Mp_run.abandoned);
+                   ("markers_resent", Int s.Chaos.Mp_run.markers_resent);
+                   ("cut_agrees", Bool s.Chaos.Mp_run.cut_agrees);
+                   ( "online_violations",
+                     List
+                       (List.map
+                          (fun v -> String v)
+                          s.Chaos.Mp_run.online_violations) );
+                   ( "cuts",
+                     List
+                       (List.rev_map Snapshot.Ssmfp_link.cut_to_json !cuts_seen)
+                   );
+                 ]))
+          json_file;
+        if
+          s.Chaos.Mp_run.cuts > 0
+          && s.Chaos.Mp_run.cut_agrees
+          && s.Chaos.Mp_run.online_violations = []
+        then 0
+        else 1
   in
   let term =
     Term.(
-      const run $ topology_arg $ schedule $ corruption $ seed $ every
-      $ messages $ max_steps $ json_file $ cut_journal $ window_arg
-      $ delta_arg $ gst_arg)
+      const run $ topology_arg
+      $ schedule_arg Chaos.Schedule.none
+          ~doc:
+            "Fault schedule running under the snapshots (chaos grammar), \
+             e.g. none@lossy or 8:rb:2@flaky. 'none' keeps the channel \
+             reliable."
+      $ corruption_arg ("pristine", Harness.Fault.pristine)
+      $ seed_arg
+      $ every_arg 400 ~docv:"N"
+          ~doc:"Initiate a snapshot epoch every $(docv) channel deliveries."
+      $ messages_arg
+      $ max_steps_arg positive 2_000_000 ~doc:"Per-segment delivery budget."
+      $ json_arg
+          ~doc:
+            "Write a machine-readable snapshot summary (including every \
+             cut) to $(docv)."
+      $ cut_journal_arg
+          ~doc:
+            "Stream one snapshot_cut JSONL line per completed cut to \
+             $(docv) as cuts are harvested."
+      $ window_arg $ delta_arg $ gst_arg)
   in
   Cmd.v
     (Cmd.info "snapshot"
@@ -1372,7 +1183,7 @@ let campaign_cmd =
       & info [ "grid" ] ~docv:"NAME"
           ~doc:
             "Base grid: default (32 scenarios), smoke (8, for CI) or chaos \
-             (144 fault-schedule scenarios across both models, with and \
+             (168 fault-schedule scenarios across both models, with and \
              without the snapshot layer).")
   in
   let topologies =
@@ -1476,12 +1287,6 @@ let campaign_cmd =
       & info [ "seeds" ] ~docv:"SPEC"
           ~doc:"Seeds overriding the grid's axis: 1,2,5 or 1..8.")
   in
-  let max_steps =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-steps" ] ~docv:"N" ~doc:"Per-scenario step budget.")
-  in
   let only =
     Arg.(
       value
@@ -1489,56 +1294,39 @@ let campaign_cmd =
       & info [ "only" ] ~docv:"SUBSTR"
           ~doc:"Keep only scenarios whose id contains $(docv).")
   in
-  let workers =
-    Arg.(
-      value
-      & opt int (Campaign.Pool.default_workers ())
-      & info [ "workers" ] ~docv:"N"
-          ~doc:
-            "Worker domains (default: recommended domain count, capped at \
-             8). Results are byte-identical whatever the value.")
-  in
   let dry_run =
     Arg.(
       value & flag
       & info [ "dry-run" ] ~doc:"List the expanded scenario grid and exit.")
   in
   let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Write the aggregate campaign artifact (JSON) to $(docv).")
+    file_arg [ "o"; "out" ]
+      ~doc:"Write the aggregate campaign artifact (JSON) to $(docv)."
   in
   let baseline =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:
-            "Compare against a prior campaign artifact and exit 3 on \
-             regression (new oracle failure, missing scenario, or latency \
-             above tolerance).")
+    file_arg [ "baseline" ]
+      ~doc:
+        "Compare against a prior campaign artifact and exit 3 on \
+         regression (new oracle failure, missing scenario, or latency \
+         above tolerance)."
   in
   let from_ =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "from" ] ~docv:"FILE"
-          ~doc:
-            "Skip running: load $(docv) as the current campaign artifact \
-             (validates it parses as one) — for offline regression checks \
-             and artifact inspection.")
+    file_arg [ "from" ]
+      ~doc:
+        "Skip running: load $(docv) as the current campaign artifact \
+         (validates it parses as one) — for offline regression checks \
+         and artifact inspection."
   in
   let latency_tolerance =
     Arg.(
-      value & opt float 25.0
+      value & opt non_negative_float 25.0
       & info [ "latency-tolerance" ] ~docv:"PCT"
           ~doc:"Latency p50 regression tolerance for --baseline, in percent.")
   in
   let run grid_base topologies corruptions daemons workloads models chaos
       snapshots seeds max_steps only workers dry_run out baseline from_
       latency_tolerance profile prof_summary =
+    artifact_errors @@ fun () ->
     let grid =
       match grid_base with
       | `Default -> Spec.default_grid ()
@@ -1618,57 +1406,55 @@ let campaign_cmd =
           (match Aggregate.render_summary current with
           | Ok s -> print_string s
           | Error e -> Printf.eprintf "ssmfp_cli campaign: %s\n" e);
-          let write_failed =
-            match out with
-            | None -> false
-            | Some path -> (
-                try
-                  Aggregate.write path current;
-                  Printf.printf "artifact    : %s\n" path;
-                  false
-                with Sys_error msg ->
-                  Printf.eprintf "ssmfp_cli: cannot write artifact: %s\n" msg;
-                  true)
-          in
+          Option.iter
+            (fun path ->
+              Aggregate.write path current;
+              Printf.printf "artifact    : %s\n" path)
+            out;
           let failed =
             match Aggregate.failed_scenarios current with
             | Ok l -> l
             | Error _ -> []
           in
-          if write_failed then 2
-          else
-            match baseline with
-            | None -> if failed = [] then 0 else 1
-            | Some path -> (
-                match Aggregate.of_file path with
-                | Error e ->
-                    Printf.eprintf "ssmfp_cli campaign: %s\n" e;
-                    2
-                | Ok base -> (
-                    match
-                      Baseline.compare_artifacts
-                        ~latency_tolerance:(latency_tolerance /. 100.)
-                        ~baseline:base ~current ()
-                    with
-                    | Error e ->
-                        Printf.eprintf "ssmfp_cli campaign: %s\n" e;
-                        2
-                    | Ok [] ->
-                        Printf.printf "baseline    : no regressions vs %s\n" path;
-                        if failed = [] then 0 else 1
-                    | Ok regressions ->
-                        Printf.printf "baseline    : %d regression(s) vs %s\n"
-                          (List.length regressions) path;
-                        List.iter
-                          (fun line -> Printf.printf "  REGRESSED %s\n" line)
-                          (Baseline.to_strings regressions);
-                        3)))
+          match baseline with
+          | None -> if failed = [] then 0 else 1
+          | Some path -> (
+              match Aggregate.of_file path with
+              | Error e ->
+                  Printf.eprintf "ssmfp_cli campaign: %s\n" e;
+                  2
+              | Ok base -> (
+                  match
+                    Baseline.compare_artifacts
+                      ~latency_tolerance:(latency_tolerance /. 100.)
+                      ~baseline:base ~current ()
+                  with
+                  | Error e ->
+                      Printf.eprintf "ssmfp_cli campaign: %s\n" e;
+                      2
+                  | Ok [] ->
+                      Printf.printf "baseline    : no regressions vs %s\n" path;
+                      if failed = [] then 0 else 1
+                  | Ok regressions ->
+                      Printf.printf "baseline    : %d regression(s) vs %s\n"
+                        (List.length regressions) path;
+                      List.iter
+                        (fun line -> Printf.printf "  REGRESSED %s\n" line)
+                        (Baseline.to_strings regressions);
+                      3)))
     end
   in
   let term =
     Term.(
       const run $ grid_base $ topologies $ corruptions $ daemons $ workloads
-      $ models $ chaos $ snapshots $ seeds $ max_steps $ only $ workers
+      $ models $ chaos $ snapshots $ seeds
+      $ max_steps_arg (Arg.some positive) None ~doc:"Per-scenario step budget."
+      $ only
+      $ workers_arg positive
+          (Campaign.Pool.default_workers ())
+          ~doc:
+            "Worker domains (default: recommended domain count, capped at \
+             8). Results are byte-identical whatever the value."
       $ dry_run $ out $ baseline $ from_ $ latency_tolerance $ profile_arg
       $ prof_summary_arg)
   in

@@ -85,31 +85,6 @@ let count_status outcomes want =
 let recovery_reports dones =
   List.filter_map (fun (_, s) -> s.Pool.recovery) dones
 
-let channel_json (c : Pool.channel_summary) =
-  Obj
-    [
-      ("delivered", Int c.Pool.ch_delivered);
-      ("lost", Int c.Pool.ch_lost);
-      ("duplicated", Int c.Pool.ch_duplicated);
-      ("reordered", Int c.Pool.ch_reordered);
-      ("dropped_while_down", Int c.Pool.ch_dropped_while_down);
-    ]
-
-let snapshot_json (s : Pool.snapshot_summary) =
-  Obj
-    [
-      ("every", Int s.Pool.snap_every);
-      ("epochs", Int s.Pool.snap_epochs);
-      ("cuts", Int s.Pool.snap_cuts);
-      ("consistent", Int s.Pool.snap_consistent);
-      ("shadow_ok", Int s.Pool.snap_shadow_ok);
-      ("abandoned", Int s.Pool.snap_abandoned);
-      ("markers_resent", Int s.Pool.snap_markers_resent);
-      ("cut_agrees", Bool s.Pool.snap_cut_agrees);
-      ( "online_violations",
-        List (List.map (fun v -> String v) s.Pool.snap_online_violations) );
-    ]
-
 (* Channel and snapshot roll-ups only appear in groups that actually
    carry them (mp scenarios / snapshot-on scenarios), so state-only
    groups keep their pre-/3 shape apart from the schema tag. *)
@@ -120,15 +95,15 @@ let channel_fields dones =
       let sumc f = sum f chans in
       [
         ( "channel",
-          Obj
-            [
-              ("delivered", Int (sumc (fun c -> c.Pool.ch_delivered)));
-              ("lost", Int (sumc (fun c -> c.Pool.ch_lost)));
-              ("duplicated", Int (sumc (fun c -> c.Pool.ch_duplicated)));
-              ("reordered", Int (sumc (fun c -> c.Pool.ch_reordered)));
-              ( "dropped_while_down",
-                Int (sumc (fun c -> c.Pool.ch_dropped_while_down)) );
-            ] );
+          Chaos.Mp_run.channel_to_json
+            {
+              Mp.Ssmfp_mp.delivered = sumc (fun c -> c.Mp.Ssmfp_mp.delivered);
+              lost = sumc (fun c -> c.Mp.Ssmfp_mp.lost);
+              duplicated = sumc (fun c -> c.Mp.Ssmfp_mp.duplicated);
+              reordered = sumc (fun c -> c.Mp.Ssmfp_mp.reordered);
+              dropped_while_down =
+                sumc (fun c -> c.Mp.Ssmfp_mp.dropped_while_down);
+            } );
       ]
 
 let snapshot_fields dones =
@@ -137,19 +112,20 @@ let snapshot_fields dones =
   | snaps ->
       let sums f = sum f snaps in
       let agreeing =
-        List.length (List.filter (fun s -> s.Pool.snap_cut_agrees) snaps)
+        List.length (List.filter (fun s -> s.Chaos.Mp_run.cut_agrees) snaps)
       in
       [
         ( "snapshot",
           Obj
             [
               ("scenarios", Int (List.length snaps));
-              ("epochs", Int (sums (fun s -> s.Pool.snap_epochs)));
-              ("cuts", Int (sums (fun s -> s.Pool.snap_cuts)));
-              ("consistent", Int (sums (fun s -> s.Pool.snap_consistent)));
-              ("shadow_ok", Int (sums (fun s -> s.Pool.snap_shadow_ok)));
-              ("abandoned", Int (sums (fun s -> s.Pool.snap_abandoned)));
-              ("markers_resent", Int (sums (fun s -> s.Pool.snap_markers_resent)));
+              ("epochs", Int (sums (fun s -> s.Chaos.Mp_run.epochs)));
+              ("cuts", Int (sums (fun s -> s.Chaos.Mp_run.cuts)));
+              ("consistent", Int (sums (fun s -> s.Chaos.Mp_run.consistent)));
+              ("shadow_ok", Int (sums (fun s -> s.Chaos.Mp_run.shadow_ok)));
+              ("abandoned", Int (sums (fun s -> s.Chaos.Mp_run.abandoned)));
+              ( "markers_resent",
+                Int (sums (fun s -> s.Chaos.Mp_run.markers_resent)) );
               ("cut_agrees", Int agreeing);
             ] );
       ]
@@ -248,10 +224,10 @@ let scenario_json (o : Pool.outcome) =
           ]
         @ (match s.Pool.channel with
           | None -> []
-          | Some c -> [ ("channel", channel_json c) ])
+          | Some c -> [ ("channel", Chaos.Mp_run.channel_to_json c) ])
         @ (match s.Pool.snapshot with
           | None -> []
-          | Some snap -> [ ("snapshot", snapshot_json snap) ])
+          | Some snap -> [ ("snapshot", Chaos.Mp_run.snapshot_to_json snap) ])
         @
         match s.Pool.recovery with
         | None -> []

@@ -9,31 +9,6 @@
     A scenario that raises is recorded as a {!Crashed} outcome; it never
     takes the campaign (or its worker domain) down. *)
 
-type channel_summary = {
-  ch_delivered : int;
-  ch_lost : int;  (** dropped by the loss knob *)
-  ch_duplicated : int;
-  ch_reordered : int;
-  ch_dropped_while_down : int;  (** evaporated at a crashed process *)
-}
-(** The mp network's channel-perturbation counters, surfaced next to the
-    verdict so artifacts show what the channel actually did to the run. *)
-
-type snapshot_summary = {
-  snap_every : int;  (** initiation interval in channel deliveries *)
-  snap_epochs : int;
-  snap_cuts : int;  (** cuts completed and checked online *)
-  snap_consistent : int;
-  snap_shadow_ok : int;
-  snap_abandoned : int;
-  snap_markers_resent : int;
-  snap_cut_agrees : bool;
-      (** the final cut's replayed verdicts match the omniscient ones *)
-  snap_online_violations : string list;
-}
-(** The in-band Chandy–Lamport layer's outcome ({!Chaos.Mp_run}), present
-    exactly when the scenario's [snapshot] interval is nonzero. *)
-
 type run_summary = {
   outcome : [ `Quiescent | `Max_steps ];
       (** mp scenarios map [`All_done] to [`Quiescent] and delivery-budget
@@ -54,10 +29,11 @@ type run_summary = {
   submitted : int;  (** workload requests plus any chaos aftermath wave *)
   routing_settled_round : int;  (** measured [R_A]; [0] on mp scenarios *)
   verdict_ok : bool;
-      (** SP verdict of {!Harness.Oracle.check_sp} on burst-free scenarios;
-          on bursty ones, the recovery oracle's [report.ok] (bursts may
-          legitimately destroy in-flight valid messages, so the whole-run
-          check does not apply) *)
+      (** {!Chaos.Recovery.verdict} ({!Chaos.Mp_run.verdict} on mp
+          scenarios): the SP verdict of {!Harness.Oracle.check_sp} on
+          burst-free scenarios; on bursty ones, the recovery oracle's
+          [report.ok] (bursts may legitimately destroy in-flight valid
+          messages, so the whole-run check does not apply) *)
   violations : string list;
   latencies : float list;
       (** per-delivered-message rounds (Prop. 5), sorted ascending *)
@@ -65,11 +41,14 @@ type run_summary = {
   recovery : Chaos.Recovery.report option;
       (** [Some] exactly when the scenario's schedule is not
           [Chaos.Schedule.none] *)
-  channel : channel_summary option;  (** [Some] on mp scenarios *)
-  snapshot : snapshot_summary option;
-      (** [Some] on mp scenarios with a nonzero snapshot interval; a
-          disagreeing cut verdict or any online cut-oracle flag also
-          clears [verdict_ok] *)
+  channel : Mp.Ssmfp_mp.channel_stats option;
+      (** the mp network's channel-perturbation counters; [Some] on mp
+          scenarios *)
+  snapshot : Chaos.Mp_run.snapshot_outcome option;
+      (** the in-band Chandy–Lamport layer's outcome; [Some] on mp
+          scenarios with a nonzero snapshot interval, where
+          {!Chaos.Mp_run.verdict} also clears [verdict_ok] on a
+          disagreeing cut verdict or any online cut-oracle flag *)
 }
 
 type crash = {
@@ -91,76 +70,8 @@ type outcome = {
           never serialized (artifacts must be bit-reproducible) *)
 }
 
-val chaos_verdict :
-  schedule:Chaos.Schedule.t ->
-  verdict:Harness.Oracle.verdict ->
-  report:Chaos.Recovery.report ->
-  bool * string list * Chaos.Recovery.report option
-(** The verdict rule shared by the pool, the CLI and the tests:
-    [Chaos.Schedule.none] keeps the whole-run SP verdict alone (and no
-    report); an unreliable channel without bursts requires both the
-    whole-run verdict and the recovery report; bursts hand the verdict to
-    the recovery report (the whole-run check may legitimately fail once
-    faults destroy in-flight valid messages). *)
-
 val default_workers : unit -> int
 (** [Domain.recommended_domain_count], clamped to [1..8]. *)
-
-type fanout
-(** A persistent work-stealing pool: [workers - 1] helper domains parked
-    between jobs, so callers that fan out many small batches (the model
-    checker dispatches one per BFS level) pay the domain-spawn cost once
-    instead of per batch. *)
-
-val fanout_create : workers:int -> fanout
-(** Spawn the helpers. [workers <= 1] creates a pool with no helper
-    domains; {!fanout_run} then executes inline on the calling domain. *)
-
-val fanout_workers : fanout -> int
-(** Number of domains that execute a job: the helpers plus the caller. *)
-
-val fanout_run : fanout -> tasks:int -> (int -> unit) -> unit
-(** Execute [job 0 .. job (tasks - 1)] across the helpers and the calling
-    domain, indices handed out by a shared cursor; returns when all are
-    done. The job must communicate through per-index cells — the join
-    barrier makes every write visible to the caller afterwards. If a task
-    raises, one such exception is re-raised on the calling domain after
-    the join (the remaining tasks still run). Not reentrant: one
-    [fanout_run] at a time per pool. *)
-
-val fanout_run_w : fanout -> tasks:int -> (worker:int -> int -> unit) -> unit
-(** {!fanout_run}, but the job also learns which domain runs it:
-    [worker] is [0] on the calling domain and [1 .. workers - 1] on the
-    helpers — a stable identity for per-domain profiler tracks
-    ({!Obs.Prof.track}) or other domain-local accumulators. *)
-
-val fanout_close : fanout -> unit
-(** Shut the helpers down and join them. The pool must be idle. *)
-
-type 'a deque
-(** A lock-protected work-stealing deque: the owner pushes and pops at
-    the tail (LIFO), thieves batch-steal from the head (the oldest —
-    in a search frontier, the largest-subtree — entries). Every
-    operation takes the deque's mutex; {!deque_steal} never holds two
-    locks at once, so any steal pattern (including mutual theft) is
-    deadlock-free. *)
-
-val deque_create : unit -> 'a deque
-
-val deque_push : 'a deque -> 'a -> unit
-(** Append at the owner end. Grows the ring as needed. *)
-
-val deque_pop : 'a deque -> 'a option
-(** Take the most recently pushed entry, or [None] when empty. *)
-
-val deque_steal : victim:'a deque -> into:'a deque -> int
-(** Move a batch (half the victim's entries, at least 1, at most 64)
-    from the victim's head to [into]'s tail; returns the count moved
-    ([0] = victim was empty). *)
-
-val deque_size : 'a deque -> int
-(** Lock-free size hint (atomic read) — for victim selection; may lag
-    in-flight operations by a batch. *)
 
 val run_list :
   ?prof:Obs.Prof.t ->

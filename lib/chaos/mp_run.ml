@@ -333,3 +333,45 @@ let run ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0) ?(seed = 1)
     schedule;
     snapshot;
   }
+
+(* With the snapshot layer on, the run also vouches for the in-band
+   view: the cut-side verdict must agree with the omniscient one, and
+   the online cut oracle must stay silent. *)
+let verdict (o : outcome) =
+  let ok, violations, report =
+    Recovery.verdict ~schedule:o.schedule ~verdict:o.verdict ~report:o.report
+  in
+  match o.snapshot with
+  | None -> (ok, violations, report)
+  | Some s ->
+      let extra =
+        (if s.cut_agrees then []
+         else [ "cut-oracle verdict disagrees with the omniscient one" ])
+        @ s.online_violations
+      in
+      (ok && extra = [], violations @ extra, report)
+
+let channel_to_json (c : Mp.Ssmfp_mp.channel_stats) =
+  Obs.Json.Obj
+    [
+      ("delivered", Obs.Json.Int c.Mp.Ssmfp_mp.delivered);
+      ("lost", Obs.Json.Int c.Mp.Ssmfp_mp.lost);
+      ("duplicated", Obs.Json.Int c.Mp.Ssmfp_mp.duplicated);
+      ("reordered", Obs.Json.Int c.Mp.Ssmfp_mp.reordered);
+      ("dropped_while_down", Obs.Json.Int c.Mp.Ssmfp_mp.dropped_while_down);
+    ]
+
+let snapshot_to_json (s : snapshot_outcome) =
+  Obs.Json.Obj
+    [
+      ("every", Obs.Json.Int s.snapshot_every);
+      ("epochs", Obs.Json.Int s.epochs);
+      ("cuts", Obs.Json.Int s.cuts);
+      ("consistent", Obs.Json.Int s.consistent);
+      ("shadow_ok", Obs.Json.Int s.shadow_ok);
+      ("abandoned", Obs.Json.Int s.abandoned);
+      ("markers_resent", Obs.Json.Int s.markers_resent);
+      ("cut_agrees", Obs.Json.Bool s.cut_agrees);
+      ( "online_violations",
+        Obs.Json.List (List.map (fun v -> Obs.Json.String v) s.online_violations) );
+    ]

@@ -102,3 +102,19 @@ val run :
     a ["chaos.snapshot_drain"] span for the final-cut completion, each
     phase attributing its delivery count to the matching
     ["chaos.*_deliveries"] counter. *)
+
+val verdict : outcome -> bool * string list * Recovery.report option
+(** {!Recovery.verdict} on the run's schedule, whole-run verdict and
+    report, plus the cut clause when the snapshot layer is on: the cut
+    verdict must agree with the omniscient one ([cut_agrees]) and the
+    online cut oracle must have raised no flag. A failed clause clears
+    the verdict and appends its violations. *)
+
+val channel_to_json : Mp.Ssmfp_mp.channel_stats -> Obs.Json.t
+(** [{"delivered", "lost", "duplicated", "reordered",
+    "dropped_while_down"}], in that order. *)
+
+val snapshot_to_json : snapshot_outcome -> Obs.Json.t
+(** [{"every", "epochs", "cuts", "consistent", "shadow_ok", "abandoned",
+    "markers_resent", "cut_agrees", "online_violations"}], in that
+    order. *)

@@ -175,3 +175,24 @@ let to_json (r : report) =
       ("ok", Obs.Json.Bool r.ok);
       ("violations", Obs.Json.List (List.map (fun v -> Obs.Json.String v) r.violations));
     ]
+
+(* With no schedule at all the classic whole-run SP check stands alone;
+   with an unreliable channel but no bursts both the whole-run check and
+   the recovery oracle must hold (retransmission must still get
+   everything through); once bursts strike, the whole-run check may
+   legitimately fail (a crash destroys in-flight valid messages), so the
+   recovery oracle's post-burst clauses are the verdict. *)
+let verdict ~(schedule : Schedule.t) ~(verdict : Harness.Oracle.verdict)
+    ~(report : report) =
+  if Schedule.is_none schedule then
+    (verdict.Harness.Oracle.ok, verdict.Harness.Oracle.violations, None)
+  else if schedule.Schedule.bursts = [] then
+    ( verdict.Harness.Oracle.ok && report.ok,
+      verdict.Harness.Oracle.violations @ report.violations,
+      Some report )
+  else (report.ok, report.violations, Some report)
+
+(* Enough traffic that the post-burst once-and-only-once clause is never
+   vacuous, small enough not to reshape the workload. *)
+let aftermath_for (schedule : Schedule.t) =
+  if schedule.Schedule.bursts = [] then 0 else 4

@@ -61,3 +61,20 @@ val analyze :
     [routing_settled_round = 0]). *)
 
 val to_json : report -> Obs.Json.t
+
+val verdict :
+  schedule:Schedule.t ->
+  verdict:Harness.Oracle.verdict ->
+  report:report ->
+  bool * string list * report option
+(** The chaos verdict rule, shared by campaigns, the CLI and the tests:
+    [Schedule.none] keeps the whole-run SP verdict alone (and no
+    report); an unreliable channel without bursts requires both the
+    whole-run verdict and the recovery report; bursts hand the verdict
+    to the recovery report (the whole-run check may legitimately fail
+    once faults destroy in-flight valid messages). Returns the verdict,
+    its violations and the report to publish. *)
+
+val aftermath_for : Schedule.t -> int
+(** Size of the post-burst probe wave a scenario submits: [0] when the
+    schedule has no bursts, else [4]. *)

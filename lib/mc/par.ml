@@ -14,7 +14,7 @@
      domain is contention-free except on fingerprint-colliding stripes
      and the aggregate stats are a pure function of the key set;
 
-   - each worker owns a deque (Campaign.Pool.deque) and expands
+   - each worker owns a Deque and expands
      continuously — pop, generate successors, insert-or-drop against the
      shared store, push the fresh ones — stealing a batch from the
      fullest victim when its own deque runs dry. Termination is an
@@ -214,11 +214,12 @@ let check_safety ?(simultaneity = false) ?(max_configs = 2_000_000)
   let store = Store.Sharded.create () in
   (* Profiling vocabulary, registered up front so the span-name set is
      independent of the worker count. Track 0 is the calling domain
-     (roots, its own worker loop, the reduce); tracks 1.. are the fanout
-     helpers. Each worker-loop task records one "mc.run" span, a
-     "mc.steal" span per successful steal (the span id is re-looked-up
-     from the worker domain — the registration path is mutex-guarded),
-     and per-track counters. Recording never branches the search. *)
+     (roots, worker loop 0, the reduce); track [i] is the helper domain
+     running worker loop [i]. Each worker loop records one "mc.run"
+     span, a "mc.steal" span per successful steal (the span id is
+     re-looked-up from the worker domain — the registration path is
+     mutex-guarded), and per-track counters. Recording never branches
+     the search. *)
   let prof_on = Obs.Prof.enabled prof in
   let tr0 = Obs.Prof.track prof 0 in
   let sp_roots = Obs.Prof.span prof "mc.roots" in
@@ -241,10 +242,16 @@ let check_safety ?(simultaneity = false) ?(max_configs = 2_000_000)
      entries: incremented before a push, decremented after the popped
      entry's expansion completes, so it reaches 0 exactly when no entry
      exists anywhere and none is being generated. *)
-  let deques = Array.init nworkers (fun _ -> Campaign.Pool.deque_create ()) in
+  let deques = Array.init nworkers (fun _ -> Deque.create ()) in
   let pending = Atomic.make 0 in
   let abort = Atomic.make false in
   let failure : exn option Atomic.t = Atomic.make None in
+  (* The first failure is kept for the caller; every loop stops at its
+     next pop. *)
+  let fail e =
+    ignore (Atomic.compare_and_set failure None (Some e));
+    Atomic.set abort true
+  in
   let g_explored = Atomic.make 0 and g_transitions = Atomic.make 0 in
   (* Candidate slots: one per worker loop, plus slot [nworkers] for the
      roots. Each slot is written by one domain only. *)
@@ -268,8 +275,7 @@ let check_safety ?(simultaneity = false) ?(max_configs = 2_000_000)
       else begin
         if model.witness states m then elect witnesses slot codec states m;
         Atomic.incr pending;
-        Campaign.Pool.deque_push own
-          { e_states = states; e_monitor = m; e_origin = origin }
+        Deque.push own { e_states = states; e_monitor = m; e_origin = origin }
       end
   in
   (* Roots: dealt round-robin over the deques, no transition counted. *)
@@ -283,12 +289,12 @@ let check_safety ?(simultaneity = false) ?(max_configs = 2_000_000)
        initials
    with Store.Sharded.Full -> budget_fail ());
   if prof_on then Obs.Prof.record tr0 sp_roots ~start:roots_t0;
-  (* One worker loop per deque. The loop index [i] (deque ownership,
-     candidate slots) is the fanout task index; the domain that runs it
-     supplies [worker] for profiler-track identity. A loop exits when
-     the frontier is globally drained or another loop aborted. *)
-  let run_task ~worker i =
-    let trw = Obs.Prof.track prof worker in
+  (* One worker loop per deque, each on its own domain. The loop index
+     [i] names its deque, its candidate slots and its profiler track. A
+     loop exits when the frontier is globally drained or another loop
+     aborted. *)
+  let run_task i =
+    let trw = Obs.Prof.track prof i in
     (* worker-domain registration: an idempotent, mutex-guarded lookup *)
     let sp_steal = Obs.Prof.span prof "mc.steal" in
     let t_start = Obs.Prof.now prof in
@@ -315,7 +321,7 @@ let check_safety ?(simultaneity = false) ?(max_configs = 2_000_000)
     in
     let rec loop () =
       if not (Atomic.get abort) then
-        match Campaign.Pool.deque_pop own with
+        match Deque.pop own with
         | Some entry ->
             expand entry;
             ignore (Atomic.fetch_and_add pending (-1));
@@ -327,7 +333,7 @@ let check_safety ?(simultaneity = false) ?(max_configs = 2_000_000)
               let victim = ref (-1) and best = ref 0 in
               for j = 0 to nworkers - 1 do
                 if j <> i then begin
-                  let sz = Campaign.Pool.deque_size deques.(j) in
+                  let sz = Deque.size deques.(j) in
                   if sz > !best then begin
                     victim := j;
                     best := sz
@@ -337,7 +343,7 @@ let check_safety ?(simultaneity = false) ?(max_configs = 2_000_000)
               let t0 = if prof_on then Obs.Prof.now prof else 0 in
               let got =
                 if !victim >= 0 then
-                  Campaign.Pool.deque_steal ~victim:deques.(!victim) ~into:own
+                  Deque.steal ~victim:deques.(!victim) ~into:own
                 else 0
               in
               if got > 0 then begin
@@ -354,10 +360,7 @@ let check_safety ?(simultaneity = false) ?(max_configs = 2_000_000)
               loop ()
             end
     in
-    (try loop ()
-     with e ->
-       ignore (Atomic.compare_and_set failure None (Some e));
-       Atomic.set abort true);
+    (try loop () with e -> fail e);
     ignore (Atomic.fetch_and_add g_explored !explored);
     ignore (Atomic.fetch_and_add g_transitions !transitions);
     if prof_on then begin
@@ -370,13 +373,35 @@ let check_safety ?(simultaneity = false) ?(max_configs = 2_000_000)
       Obs.Prof.add trw c_idle_ns !idle_ns
     end
   in
-  if nworkers = 1 then run_task ~worker:0 0
-  else begin
-    let fanout = Campaign.Pool.fanout_create ~workers:nworkers in
-    Fun.protect
-      ~finally:(fun () -> Campaign.Pool.fanout_close fanout)
-      (fun () -> Campaign.Pool.fanout_run_w fanout ~tasks:nworkers run_task)
-  end;
+  (* Loop 0 runs on the calling domain, loops 1.. on helper domains
+     spawned for this call. Helpers wait on [gate] until all are
+     spawned: domain creation waits out stop-the-world sections, and a
+     helper blocked on a mutex neither triggers them (no allocation) nor
+     delays them, while a searching one does both (with four domains on
+     a 2-core VM, spawning three searching helpers took ~20 ms, gated
+     ~1 ms). Every helper that started is joined before a failure
+     (including a domain that could not be spawned) is re-raised, so
+     none outlives the search. *)
+  let gate = Mutex.create () in
+  Mutex.lock gate;
+  let helpers =
+    List.filter_map
+      (fun i ->
+        let helper () =
+          Mutex.lock gate;
+          Mutex.unlock gate;
+          run_task i
+        in
+        match Domain.spawn helper with
+        | d -> Some d
+        | exception e ->
+            fail e;
+            None)
+      (List.init (nworkers - 1) succ)
+  in
+  Mutex.unlock gate;
+  (try run_task 0 with e -> fail e);
+  List.iter (fun d -> try Domain.join d with e -> fail e) helpers;
   (match Atomic.get failure with
   | Some Store.Sharded.Full -> budget_fail ()
   | Some e -> raise e

@@ -34,7 +34,7 @@
       fingerprint + bytes-key layout, stripe count independent of the
       worker count, used at {e every} worker count (including 1) so the
       reported store stats are a pure function of the reachable key set;
-    - each worker owns a {!Campaign.Pool.deque} and expands
+    - each worker owns a {!Deque} and expands
       continuously — pop, generate successors, insert-or-drop against
       the shared store, push the fresh ones — batch-stealing from the
       fullest victim when its own deque runs dry; termination is an
@@ -121,17 +121,18 @@ val check_safety :
     initial configurations (each paired with [init_monitor]).
     [simultaneity] (default false) adds composite steps. [workers]
     (default 1; [0] = autodetect via {!effective_workers}) is the number
-    of worker loops and deques; helper domains come from a
-    {!Campaign.Pool.fanout} created for the call. Every report field is
-    independent of [workers]. [max_configs] defaults to 2_000_000;
-    exceeding it raises [Failure] as described above.
+    of worker loops and deques: loop 0 runs on the calling domain, the
+    others on [workers - 1] domains spawned for the call and joined
+    before it returns. Every report field is independent of [workers].
+    [max_configs] defaults to 2_000_000; exceeding it raises [Failure]
+    as described above.
 
     [?prof] (needs ≥ the effective worker count in tracks) attributes
     the search's wall-clock without altering it — reports stay
     byte-identical across worker counts, profiling on or off. Track 0
     (calling domain) records ["mc.roots"], its own worker loop, and the
-    final ["mc.reduce"]; every domain records one ["mc.run"] span per
-    worker loop it executes, a ["mc.steal"] span per successful steal
+    final ["mc.reduce"]; worker loop [i] records, on track [i], one
+    ["mc.run"] span, a ["mc.steal"] span per successful steal
     (the span id is looked up from the worker domain — registration is
     mutex-guarded), and per-track counters ["mc.configs"],
     ["mc.transitions"], ["mc.steals"], ["mc.stolen"],

@@ -322,31 +322,31 @@ let test_chaos_verdict_rule () =
   let bursty = sched_exn "5:rb:1" in
   (* none: whole-run SP alone, no report in the artifact *)
   let ok, _, rep =
-    Campaign.Pool.chaos_verdict ~schedule:Chaos.Schedule.none
+    Chaos.Recovery.verdict ~schedule:Chaos.Schedule.none
       ~verdict:(verdict false) ~report:(report true)
   in
   Alcotest.(check bool) "none follows SP" false ok;
   Alcotest.(check bool) "none drops report" true (rep = None);
   (* channel-only: both checks must hold *)
   let ok, _, _ =
-    Campaign.Pool.chaos_verdict ~schedule:lossy_only ~verdict:(verdict true)
+    Chaos.Recovery.verdict ~schedule:lossy_only ~verdict:(verdict true)
       ~report:(report false)
   in
   Alcotest.(check bool) "channel-only needs recovery ok" false ok;
   let ok, _, rep =
-    Campaign.Pool.chaos_verdict ~schedule:lossy_only ~verdict:(verdict true)
+    Chaos.Recovery.verdict ~schedule:lossy_only ~verdict:(verdict true)
       ~report:(report true)
   in
   Alcotest.(check bool) "channel-only both ok" true ok;
   Alcotest.(check bool) "channel-only keeps report" true (rep <> None);
   (* bursts: the recovery oracle owns the verdict *)
   let ok, _, _ =
-    Campaign.Pool.chaos_verdict ~schedule:bursty ~verdict:(verdict false)
+    Chaos.Recovery.verdict ~schedule:bursty ~verdict:(verdict false)
       ~report:(report true)
   in
   Alcotest.(check bool) "bursts forgive whole-run SP" true ok;
   let ok, _, _ =
-    Campaign.Pool.chaos_verdict ~schedule:bursty ~verdict:(verdict true)
+    Chaos.Recovery.verdict ~schedule:bursty ~verdict:(verdict true)
       ~report:(report false)
   in
   Alcotest.(check bool) "bursts demand recovery" false ok
@@ -371,6 +371,49 @@ let test_mp_chaos_run () =
     o.Chaos.Mp_run.report.Chaos.Recovery.ok;
   Alcotest.(check bool) "lossy channel dropped something" true
     (o.Chaos.Mp_run.channel.Mp.Ssmfp_mp.lost >= 0)
+
+(* The mp verdict is the chaos rule plus the cut clause: with the
+   snapshot layer on, a disagreeing cut verdict or an online cut-oracle
+   flag clears the verdict and is named among its violations. *)
+let test_mp_verdict_cut_clause () =
+  let g = Topology.Builders.ring 5 in
+  let wl =
+    Harness.Workload.uniform_random (Prng.Splitmix.of_int 4) ~n:5
+      ~per_processor:1
+  in
+  Ssmfp.Message.reset_ghost_counter ();
+  let o =
+    Chaos.Mp_run.run ~spec:Harness.Fault.pristine ~seed:2 ~aftermath:2
+      ~snapshot_every:60 ~schedule:(sched_exn "4:rb:2@lossy") g wl
+  in
+  let s = Option.get o.Chaos.Mp_run.snapshot in
+  let rule =
+    Chaos.Recovery.verdict ~schedule:o.Chaos.Mp_run.schedule
+      ~verdict:o.Chaos.Mp_run.verdict ~report:o.Chaos.Mp_run.report
+  in
+  let _, rule_violations, _ = rule in
+  let with_snapshot snapshot =
+    Chaos.Mp_run.verdict { o with Chaos.Mp_run.snapshot }
+  in
+  Alcotest.(check bool) "cuts agree online" true
+    (s.Chaos.Mp_run.cut_agrees && s.Chaos.Mp_run.online_violations = []);
+  Alcotest.(check bool) "agreeing cuts keep the rule" true
+    (with_snapshot (Some s) = rule);
+  Alcotest.(check bool) "no layer: the rule alone" true
+    (with_snapshot None = rule);
+  let ok, violations, _ =
+    with_snapshot (Some { s with Chaos.Mp_run.cut_agrees = false })
+  in
+  Alcotest.(check bool) "disagreeing cut fails" false ok;
+  Alcotest.(check (list string)) "disagreement named"
+    (rule_violations @ [ "cut-oracle verdict disagrees with the omniscient one" ])
+    violations;
+  let ok, violations, _ =
+    with_snapshot (Some { s with Chaos.Mp_run.online_violations = [ "flag" ] })
+  in
+  Alcotest.(check bool) "online flag fails" false ok;
+  Alcotest.(check (list string)) "flag appended" (rule_violations @ [ "flag" ])
+    violations
 
 (* ---------------- the campaign chaos axis ---------------- *)
 
@@ -515,7 +558,11 @@ let () =
           Alcotest.test_case "verdict rule" `Quick test_chaos_verdict_rule;
         ] );
       ( "mp",
-        [ Alcotest.test_case "burst + lossy channel" `Quick test_mp_chaos_run ] );
+        [
+          Alcotest.test_case "burst + lossy channel" `Quick test_mp_chaos_run;
+          Alcotest.test_case "verdict cut clause" `Quick
+            test_mp_verdict_cut_clause;
+        ] );
       ( "campaign",
         [
           Alcotest.test_case "chaos axis" `Quick test_campaign_chaos_axis;

@@ -1,8 +1,9 @@
 (* Tests for the model-checker core: the compact binary codec, the
-   sharded visited store, and the parallel explorer. The codec and the
-   parallel explorer are only trustworthy if they are *observationally
-   identical* to a search keyed by the readable Codec.string_key and to
-   the single-worker search, so most of these tests are differential. *)
+   sharded visited store, the work-stealing deque, and the parallel
+   explorer. The codec and the parallel explorer are only trustworthy if
+   they are *observationally identical* to a search keyed by the readable
+   Codec.string_key and to the single-worker search, so most of these
+   tests are differential. *)
 
 let two = Mc.Explore.two_chain
 let three = Mc.Explore.three_chain
@@ -451,6 +452,131 @@ let test_por_workers_determinism () =
   let w4 = Mc.Explore.check_safety ~por:true ~workers:4 three inits in
   check_reports_equal ~stats:true "por w1=w4" w1 w4
 
+(* --------------- deque --------------- *)
+
+(* Operations on two deques, 0 and 1; [Steal d] is deque [d] stealing
+   from the other one. *)
+type deque_op = Push of int | Push_many of int * int | Pop of int | Steal of int
+
+let deque_op_to_string = function
+  | Push d -> Printf.sprintf "push %d" d
+  | Push_many (d, k) -> Printf.sprintf "push %d x%d" d k
+  | Pop d -> Printf.sprintf "pop %d" d
+  | Steal d -> Printf.sprintf "steal into %d" d
+
+(* Against a list model (oldest entry first): the owner's pop is LIFO,
+   a steal moves min 64 (max 1 (n/2)) of the victim's oldest entries,
+   in order, to the thief's tail and returns that count, and the size
+   hint is exact whenever the deque is idle. Bulk pushes grow the ring
+   past its initial 64 slots and make the 64-entry steal cap bind. *)
+let prop_deque_model =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 0 200)
+        (frequency
+           [
+             (6, map (fun d -> Push d) (int_bound 1));
+             (1, map2 (fun d k -> Push_many (d, k)) (int_bound 1) (int_range 40 160));
+             (3, map (fun d -> Pop d) (int_bound 1));
+             (2, map (fun d -> Steal d) (int_bound 1));
+           ]))
+  in
+  QCheck.Test.make ~name:"deque matches a list model" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map deque_op_to_string ops))
+       gen)
+    (fun ops ->
+      let dq = [| Mc.Deque.create (); Mc.Deque.create () |] in
+      let model = [| []; [] |] in
+      let next = ref 0 in
+      let push d =
+        Mc.Deque.push dq.(d) !next;
+        model.(d) <- model.(d) @ [ !next ];
+        incr next
+      in
+      let step = function
+        | Push d ->
+            push d;
+            true
+        | Push_many (d, k) ->
+            for _ = 1 to k do
+              push d
+            done;
+            true
+        | Pop d ->
+            let expected =
+              match List.rev model.(d) with
+              | [] -> None
+              | newest :: rest ->
+                  model.(d) <- List.rev rest;
+                  Some newest
+            in
+            Mc.Deque.pop dq.(d) = expected
+        | Steal d ->
+            let v = 1 - d in
+            let n = List.length model.(v) in
+            let take = if n = 0 then 0 else min 64 (max 1 (n / 2)) in
+            model.(d) <- model.(d) @ List.filteri (fun i _ -> i < take) model.(v);
+            model.(v) <- List.filteri (fun i _ -> i >= take) model.(v);
+            Mc.Deque.steal ~victim:dq.(v) ~into:dq.(d) = take
+      in
+      let rec drain d acc =
+        match Mc.Deque.pop dq.(d) with
+        | Some x -> drain d (x :: acc)
+        | None -> acc
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && Mc.Deque.size dq.(0) = List.length model.(0)
+          && Mc.Deque.size dq.(1) = List.length model.(1))
+        ops
+      && drain 0 [] = model.(0)
+      && drain 1 [] = model.(1))
+
+(* Two owners pushing, popping and stealing from each other at once:
+   every pushed entry is popped exactly once, and mutual theft never
+   deadlocks. A lost entry cannot hang the test: each domain gives up
+   after a long run of failed steals, and the count check then fails. *)
+let test_deque_mutual_steal () =
+  let per_domain = 20_000 in
+  let total = 2 * per_domain in
+  let dq = [| Mc.Deque.create (); Mc.Deque.create () |] in
+  let taken = Atomic.make 0 in
+  let worker d () =
+    let own = dq.(d) and other = dq.(1 - d) in
+    let got = ref [] in
+    let take v =
+      got := v :: !got;
+      Atomic.incr taken
+    in
+    for k = 0 to per_domain - 1 do
+      Mc.Deque.push own ((d * per_domain) + k);
+      if k mod 3 = 0 then Option.iter take (Mc.Deque.pop own);
+      if k mod 97 = 0 then ignore (Mc.Deque.steal ~victim:other ~into:own)
+    done;
+    let idle = ref 0 in
+    while Atomic.get taken < total && !idle < 10_000_000 do
+      match Mc.Deque.pop own with
+      | Some v ->
+          take v;
+          idle := 0
+      | None ->
+          if Mc.Deque.steal ~victim:other ~into:own = 0 then begin
+            incr idle;
+            Domain.cpu_relax ()
+          end
+    done;
+    !got
+  in
+  let domains = Array.init 2 (fun d -> Domain.spawn (worker d)) in
+  let got = List.concat_map Domain.join (Array.to_list domains) in
+  Alcotest.(check int) "popped count" total (List.length got);
+  Alcotest.(check bool) "every entry exactly once" true
+    (List.sort compare got = List.init total Fun.id);
+  Alcotest.(check int) "both deques empty" 0
+    (Mc.Deque.size dq.(0) + Mc.Deque.size dq.(1))
+
 let () =
   Alcotest.run "mc_core"
     [
@@ -471,6 +597,12 @@ let () =
             test_store_bytes_frontend;
           Alcotest.test_case "sharded store 4-domain hammer" `Quick
             test_sharded_hammer;
+        ] );
+      ( "deque",
+        [
+          QCheck_alcotest.to_alcotest prop_deque_model;
+          Alcotest.test_case "two-domain mutual steal" `Quick
+            test_deque_mutual_steal;
         ] );
       ( "par",
         [
