@@ -716,7 +716,12 @@ let mc_cmd =
     let workers = Mc.Par.effective_workers workers in
     let prof = make_prof ~profile ~prof_summary ~tracks:workers in
     let sr =
-      Mc.Explore.check_safety ~workers ~por:(not no_por) ~prof sc inits
+      try Mc.Explore.check_safety ~workers ~por:(not no_por) ~prof sc inits
+      with Mc.Par.Workers_unavailable reason ->
+        Printf.eprintf
+          "ssmfp_cli: option '--workers': cannot start %d worker domains (%s)\n"
+          workers reason;
+        exit Cmd.Exit.cli_error
     in
     Printf.printf "safety: %d configurations, %d transitions\n"
       sr.Mc.Explore.explored sr.Mc.Explore.transitions;

@@ -64,27 +64,45 @@ let next_hop net q ~d = Routing.Selfstab.next_hop (routing_of net q) ~d
 
 (* --- choice_p(d) ----------------------------------------------------- *)
 
+(* [request_p ∧ nextDestination_p = d], read off the outbox head so that
+   no option is built. *)
+let requests sp ~d =
+  sp.State.request
+  && match sp.State.outbox with (d', _) :: _ -> d' = d | [] -> false
+
 let can_feed g net ~p ~d s =
-  if s = p then
-    let sp = read net p in
-    sp.State.request && State.next_destination sp = Some d
+  if s = p then requests (read net p) ~d
   else
     match buf_e_seen g net ~p s d with
     | Some _ -> next_hop net s ~d = p
     | None -> false
 
-let normalized_queue g net ~p ~d =
-  Choice.normalize g ~p (slot_of net p d).State.queue
+(* [Choice.select ~candidate:(can_feed g net ~p ~d)] over the normalized
+   queue, without building it. Only members of N_p ∪ {p} can feed, and
+   [Choice.normalize] yields exactly those members: the queue's first
+   occurrences, then the missing ones ascending. So the answer is [None]
+   when no member feeds — tested first, since an idle destination is the
+   common case — else the first feeder in queue order, else (every feeder
+   being missing from the queue) the smallest feeder. The helpers take
+   every variable as an argument so that no closure is allocated. *)
+let rec first_feeder g net ~p ~d = function
+  | [] -> -1
+  | q :: rest -> if can_feed g net ~p ~d q then q else first_feeder g net ~p ~d rest
 
 let choice g net ~p ~d =
-  Choice.select ~candidate:(can_feed g net ~p ~d) (normalized_queue g net ~p ~d)
+  let self_feeds = can_feed g net ~p ~d p in
+  let nbr = first_feeder g net ~p ~d (Topology.Graph.neighbors g p) in
+  if (not self_feeds) && nbr < 0 then None
+  else
+    match first_feeder g net ~p ~d (slot_of net p d).State.queue with
+    | -1 -> Some (if self_feeds && (nbr < 0 || p < nbr) then p else nbr)
+    | s -> Some s
 
 (* --- guards ----------------------------------------------------------- *)
 
 let guard_r1 g net ~p ~d =
   let sp = read net p in
-  sp.State.request
-  && State.next_destination sp = Some d
+  requests sp ~d
   && (State.slot sp d).State.buf_r = None
   && choice g net ~p ~d = Some p
 
@@ -210,45 +228,73 @@ let apply_r6 net p =
 
 (* --- enabled actions, in offer order ----------------------------------- *)
 
-let rotated n rr =
-  (* destinations rr, rr+1, ..., n-1, 0, ..., rr-1 *)
-  List.init n (fun i -> (rr + i) mod n)
-
-let ssmfp_rules_for g ~variant net ~p ~d =
-  let add rule guard acc = if guard then { rule; dest = d } :: acc else acc in
-  List.rev
-    ([]
-    |> add R6 (guard_r6 net ~p ~d)
-    |> add R4 (guard_r4 g net ~p ~d)
-    |> add R5 (variant.use_r5 && guard_r5 ~literal:variant.literal_r5 g net ~p ~d)
-    |> add R2 (guard_r2 g net ~p ~d)
-    |> add R3 (guard_r3 g net ~p ~d)
-    |> add R1 (guard_r1 g net ~p ~d))
-
 let rr_of g net p =
   let n = Topology.Graph.n g in
   let rr = (read net p).State.rr mod n in
   if rr < 0 then rr + n else rr
 
+(* The offer order is written once, as a walk that [enabled_rules] runs
+   to the end and [first_enabled] stops at the first enabled action:
+   routing's actions, destination by destination in rotation order, when
+   it has any ([A] has priority); else SSMFP's, destination by destination
+   in rotation order and, within one destination, R6 R4 R5 R2 R3 R1. *)
+type scan = {
+  g : Topology.Graph.t;
+  variant : variant;
+  tie : Routing.Selfstab.tie;
+  net : State.t Sim.Engine.net;
+  read : int -> Routing.Selfstab.state;
+  p : int;
+  first : bool;  (** stop after the first enabled action *)
+}
+
+let holds c ~d = function
+  | Route ->
+      Routing.Selfstab.enabled ~tie:c.tie c.g ~read:c.read ~p:c.p ~d
+  | R6 -> guard_r6 c.net ~p:c.p ~d
+  | R4 -> guard_r4 c.g c.net ~p:c.p ~d
+  | R5 ->
+      c.variant.use_r5
+      && guard_r5 ~literal:c.variant.literal_r5 c.g c.net ~p:c.p ~d
+  | R2 -> guard_r2 c.g c.net ~p:c.p ~d
+  | R3 -> guard_r3 c.g c.net ~p:c.p ~d
+  | R1 -> guard_r1 c.g c.net ~p:c.p ~d
+
+let ssmfp_rules = [ R6; R4; R5; R2; R3; R1 ]
+
+(* Both scans prepend the enabled actions to [acc], so it ends reversed. *)
+let rec scan_rules c ~d acc = function
+  | [] -> acc
+  | rule :: rest ->
+      if holds c ~d rule then
+        let acc = { rule; dest = d } :: acc in
+        if c.first then acc else scan_rules c ~d acc rest
+      else scan_rules c ~d acc rest
+
+(* Destinations rr, rr+1, ..., n-1, 0, ..., rr-1. *)
+let rec scan_dests c ~n ~rr rules i acc =
+  if i = n || (c.first && acc <> []) then acc
+  else
+    scan_dests c ~n ~rr rules (i + 1)
+      (scan_rules c ~d:((rr + i) mod n) acc rules)
+
+let offered g ~variant ~run_routing ~tie net ~p ~first =
+  let c = { g; variant; tie; net; read = routing_of net; p; first } in
+  let n = Topology.Graph.n g in
+  let rr = rr_of g net p in
+  let routing = if run_routing then scan_dests c ~n ~rr [ Route ] 0 [] else [] in
+  List.rev
+    (if routing <> [] then routing else scan_dests c ~n ~rr ssmfp_rules 0 [])
+
 let enabled_rules g ?(variant = faithful) ?(run_routing = true)
     ?(tie = Routing.Selfstab.Smallest_id) net ~p =
-  let n = Topology.Graph.n g in
-  let order = rotated n (rr_of g net p) in
-  let routing_actions =
-    if not run_routing then []
-    else
-      let dests =
-        Routing.Selfstab.enabled_dests ~tie g ~read:(routing_of net) ~p
-      in
-      if dests = [] then []
-      else
-        List.filter_map
-          (fun d -> if List.mem d dests then Some { rule = Route; dest = d } else None)
-          order
-  in
-  if routing_actions <> [] then routing_actions
-  else
-    List.concat_map (fun d -> ssmfp_rules_for g ~variant net ~p ~d) order
+  offered g ~variant ~run_routing ~tie net ~p ~first:false
+
+let first_enabled g ?(variant = faithful) ?(run_routing = true)
+    ?(tie = Routing.Selfstab.Smallest_id) net ~p =
+  match offered g ~variant ~run_routing ~tie net ~p ~first:true with
+  | [] -> None
+  | a :: _ -> Some a
 
 let apply_action g ~variant ~tie ~delta net p { rule; dest = d } =
   let n = Topology.Graph.n g in

@@ -98,7 +98,11 @@ val make :
     effects. *)
 
 val choice : Topology.Graph.t -> State.t Sim.Engine.net -> p:int -> d:int -> int option
-(** Current value of [choice_p(d)] ([None] when no candidate). *)
+(** Current value of [choice_p(d)] ([None] when no candidate): exactly
+    [Choice.select ~candidate:(can_feed g net ~p ~d)] over
+    [Choice.normalize g ~p] of [p]'s queue for [d], computed without
+    building the normalized queue and without allocating when no member
+    of [N_p ∪ {p}] can feed. *)
 
 val can_feed : Topology.Graph.t -> State.t Sim.Engine.net -> p:int -> d:int -> int -> bool
 (** The candidate predicate of [choice_p(d)]. *)
@@ -112,6 +116,17 @@ val enabled_rules :
   p:int ->
   action list
 (** All enabled actions at [p] in offer order (same as the protocol). *)
+
+val first_enabled :
+  Topology.Graph.t ->
+  ?variant:variant ->
+  ?run_routing:bool ->
+  ?tie:Routing.Selfstab.tie ->
+  State.t Sim.Engine.net ->
+  p:int ->
+  action option
+(** The head of {!enabled_rules}, found by the same walk stopped at the
+    first enabled action: what a priority-respecting daemon executes. *)
 
 val message_count : State.t Sim.Engine.net -> int
 (** Number of occupied buffers in the configuration. *)

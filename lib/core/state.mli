@@ -12,7 +12,12 @@
 
     All of it, except [outbox] (owned by the higher layer), is protocol
     state and therefore arbitrarily corruptible in an initial
-    configuration. *)
+    configuration.
+
+    Values are copy-on-write: {!with_slot} and every protocol action
+    build fresh arrays, and nothing writes into [routing] or [slots] in
+    place, so the message-passing port shares them with its published
+    snapshots. *)
 
 type slot = {
   buf_r : Message.t option;  (** [bufR_p(d)], the reception buffer *)

@@ -179,6 +179,8 @@ let successors ctx entry ~emit =
 (* ------------------------------------------------------------------ *)
 (* The traversal                                                        *)
 
+exception Workers_unavailable of string
+
 let effective_workers workers =
   if workers = 0 then max 1 (Domain.recommended_domain_count () - 1)
   else max 1 workers
@@ -394,6 +396,9 @@ let check_safety ?(simultaneity = false) ?(max_configs = 2_000_000)
         in
         match Domain.spawn helper with
         | d -> Some d
+        | exception Failure reason ->
+            fail (Workers_unavailable reason);
+            None
         | exception e ->
             fail e;
             None)

@@ -108,6 +108,11 @@ val effective_workers : int -> int
     uses it to size profiler track counts before calling
     {!check_safety}. *)
 
+exception Workers_unavailable of string
+(** Raised by {!check_safety} when the runtime cannot spawn a worker
+    domain (OCaml caps the live domains of a process, at 128 on 64-bit
+    platforms), with the runtime's reason. *)
+
 val check_safety :
   ?simultaneity:bool ->
   ?max_configs:int ->

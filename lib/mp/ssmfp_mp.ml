@@ -1,18 +1,11 @@
 type public = {
   pub_routing : Routing.Selfstab.state;
-  pub_bufs : (Ssmfp.Message.t option * Ssmfp.Message.t option) array;
+  pub_bufs : Ssmfp.State.slot array;
 }
 
 type payload = Snapshot of int * public
 
-(* Per-neighbor snapshot store: every snapshot with pulse >= ours is kept
-   (at most a couple after pruning), so a barrier can never be starved by
-   a newer snapshot overwriting the one it still needs. *)
-type proc = {
-  core : Ssmfp.State.t;
-  pulse : int;
-  snaps : (int * (int * public) list) list; (* neighbor -> (pulse, pub) list *)
-}
+type proc = { core : Ssmfp.State.t; pulse : int }
 
 type event_hook = pid:int -> pulse:int -> Ssmfp.Protocol.event -> unit
 
@@ -50,73 +43,47 @@ type result = {
   verdict : Harness.Oracle.verdict;
 }
 
+(* Cores are copy-on-write ([State.with_slot], [Selfstab.apply] and every
+   fault injector build fresh arrays), so a snapshot shares them. *)
 let public_of (core : Ssmfp.State.t) =
-  {
-    pub_routing = Array.copy core.Ssmfp.State.routing;
-    pub_bufs =
-      Array.map
-        (fun sl -> (sl.Ssmfp.State.buf_r, sl.Ssmfp.State.buf_e))
-        core.Ssmfp.State.slots;
-  }
+  { pub_routing = core.Ssmfp.State.routing; pub_bufs = core.Ssmfp.State.slots }
 
-(* Reconstruct the State.t a guard would read for neighbor [q] from its
-   published snapshot. Fields p never reads from a neighbor (queue, rr,
-   request, outbox) get placeholders. *)
-let state_of_public q pub =
+(* Stands in for every state a barrier at p never reads: non-neighbors in
+   the guard view, and neighbors p holds no snapshot from. Its arrays are
+   empty, so a read outside p's closed neighborhood fails loudly. *)
+let unread =
   {
-    Ssmfp.State.routing = pub.pub_routing;
-    slots =
-      Array.map
-        (fun (r, e) -> { Ssmfp.State.buf_r = r; buf_e = e; queue = [ q ] })
-        pub.pub_bufs;
+    Ssmfp.State.routing = [||];
+    slots = [||];
     rr = 0;
     request = false;
     outbox = [];
   }
 
-let snaps_for proc q =
-  Option.value ~default:[] (List.assoc_opt q proc.snaps)
+(* The State.t a guard reads for a neighbor, over its published arrays.
+   Fields p never reads from a neighbor (rr, request, outbox) are
+   placeholders. *)
+let mirror pub =
+  { unread with Ssmfp.State.routing = pub.pub_routing; slots = pub.pub_bufs }
 
-let store_snap proc q pulse pub =
-  let kept =
-    (pulse, pub)
-    :: List.filter
-         (fun (k, _) -> k <> pulse && k >= proc.pulse)
-         (snaps_for proc q)
-  in
-  { proc with snaps = (q, kept) :: List.remove_assoc q proc.snaps }
+let no_snapshot = (-1, unread)
 
-let prune proc =
-  {
-    proc with
-    snaps =
-      List.map
-        (fun (q, l) -> (q, List.filter (fun (k, _) -> k >= proc.pulse) l))
-        proc.snaps;
-  }
+(* [mirrors.(p).(slot)] is the newest snapshot p holds from neighbor
+   [nbrs.(p).(slot)], as (pulse, mirror). Only a snapshot at p's own pulse
+   can complete a barrier, and p's pulse never decreases, so one is kept
+   per neighbor and an older arrival never replaces a current one. *)
+let barrier_ready mirrors proc ~self =
+  Array.for_all (fun (k, _) -> k = proc.pulse) mirrors.(self)
 
-let barrier_ready g proc ~self =
-  List.for_all
-    (fun q -> List.mem_assoc proc.pulse (snaps_for proc q))
-    (Topology.Graph.neighbors g self)
-
-let make_handler g oracle max_pulse_ref hook_ref =
+let make_handler g nbrs mirrors oracle max_pulse_ref hook_ref =
   let n = Topology.Graph.n g in
   let proto = Ssmfp.Protocol.make g in
-  (* Same states [State.clean] would build, but sharing one BFS sweep per
-     destination across all processes: [n] separate [init_correct] calls
-     are cubic in [n] and dominated start-up wall-clock at 1k nodes. *)
-  let dummy =
-    let correct = Routing.Selfstab.init_correct_all g in
-    Array.init n (fun p ->
-        {
-          (Ssmfp.State.clean g ~correct_routing:false p) with
-          Ssmfp.State.routing = correct.(p);
-        })
-  in
-  let publish proc =
-    (proc.pulse, Snapshot (proc.pulse, public_of proc.core))
-  in
+  (* The guard view, one per instance (campaigns run instances on
+     parallel domains): p's core and its neighbors' mirrors are written
+     in for one barrier and reset afterwards, O(deg) writes. *)
+  let view = Array.make n unread in
+  let net = Sim.Engine.synthetic ~graph:g ~states:view in
+  let publish proc = Snapshot (proc.pulse, public_of proc.core) in
   let execute_barrier ~self proc =
     (* Raise request_p if the higher layer has pending traffic. *)
     let core =
@@ -127,20 +94,12 @@ let make_handler g oracle max_pulse_ref hook_ref =
       end
       else proc.core
     in
-    let states =
-      Array.init n (fun i ->
-          if i = self then core
-          else if Topology.Graph.is_edge g self i then
-            match List.assoc_opt proc.pulse (snaps_for proc i) with
-            | Some pub -> state_of_public i pub
-            | None -> dummy.(i) (* unreachable: barrier_ready checked *)
-          else dummy.(i))
-    in
-    let net = Sim.Engine.synthetic ~graph:g ~states in
+    view.(self) <- core;
+    Array.iteri (fun slot q -> view.(q) <- snd mirrors.(self).(slot)) nbrs.(self);
     let core =
-      match proto.Sim.Engine.enabled net self with
-      | [] -> core
-      | action :: _ ->
+      match Ssmfp.Protocol.first_enabled g net ~p:self with
+      | None -> core
+      | Some action ->
           let core', events = proto.Sim.Engine.apply net self action in
           List.iter
             (fun ev ->
@@ -154,22 +113,24 @@ let make_handler g oracle max_pulse_ref hook_ref =
             events;
           core'
     in
-    let proc = prune { proc with core; pulse = proc.pulse + 1 } in
+    view.(self) <- unread;
+    Array.iter (fun q -> view.(q) <- unread) nbrs.(self);
+    let proc = { core; pulse = proc.pulse + 1 } in
     if proc.pulse > !max_pulse_ref then max_pulse_ref := proc.pulse;
     proc
   in
-  let handler ~self ~from proc (Snapshot (k, pub)) =
-    let proc = store_snap proc from k pub in
+  let handler ~self ~slot proc (Snapshot (k, pub)) =
+    if k >= proc.pulse then mirrors.(self).(slot) <- (k, mirror pub);
     let sends = ref [] in
     let broadcast proc =
-      let _, msg = publish proc in
+      let msg = publish proc in
       sends :=
         !sends @ List.map (fun q -> (q, msg)) (Topology.Graph.neighbors g self)
     in
     (* Maximum adoption: jump forward to a larger pulse and republish. *)
     let proc =
       if k > proc.pulse then begin
-        let proc = prune { proc with pulse = k } in
+        let proc = { proc with pulse = k } in
         broadcast proc;
         proc
       end
@@ -177,7 +138,7 @@ let make_handler g oracle max_pulse_ref hook_ref =
     in
     (* Complete as many barriers as the stored snapshots allow. *)
     let rec drain proc =
-      if barrier_ready g proc ~self then begin
+      if barrier_ready mirrors proc ~self then begin
         let proc = execute_barrier ~self proc in
         broadcast proc;
         drain proc
@@ -200,11 +161,12 @@ let create ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0)
   let oracle = Harness.Oracle.create () in
   let max_pulse = ref 0 in
   let on_event = ref None in
-  let inner = make_handler graph oracle max_pulse on_event in
   let n = Topology.Graph.n graph in
   let nbrs =
     Array.init n (fun p -> Array.of_list (Topology.Graph.neighbors graph p))
   in
+  let mirrors = Array.map (Array.map (fun _ -> no_snapshot)) nbrs in
+  let inner = make_handler graph nbrs mirrors oracle max_pulse on_event in
   let slot_of self q =
     let ns = nbrs.(self) in
     let rec find i =
@@ -224,7 +186,6 @@ let create ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0)
     {
       core = Harness.Fault.initial_states ~rng:fault_rng spec graph ~workload p;
       pulse = 0;
-      snaps = [];
     }
   in
   let prof_on = Obs.Prof.enabled prof in
@@ -317,7 +278,7 @@ let create ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0)
         let proc, sends =
           List.fold_left
             (fun (proc, acc) pay ->
-              let proc, s = inner ~self ~from proc pay in
+              let proc, s = inner ~self ~slot proc pay in
               (proc, acc @ s))
             (proc, []) accepted
         in
@@ -335,8 +296,9 @@ let create ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0)
     Array.iter Window.reset_receiver win_recv.(self);
     Array.iteri (fun slot _ -> rto_cur.(self).(slot) <- rto) rto_cur.(self);
     Array.iteri (fun slot _ -> sync_rto self slot) win_send.(self);
+    Array.fill mirrors.(self) 0 (Array.length nbrs.(self)) no_snapshot;
     drain_witness := self;
-    { proc with snaps = [] }
+    proc
   in
   let net =
     Network.create ~loss ~duplication ~reorder ~prof ?synchrony ~on_recover

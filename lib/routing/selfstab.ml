@@ -8,9 +8,10 @@ let equal_entry a b = a.dist = b.dist && a.via = b.via
 let pp_entry fmt e = Format.fprintf fmt "{d=%d via=%d}" e.dist e.via
 
 (* The canonical tree for a tie-break: among the neighbors strictly
-   closer to d, the smallest or largest id. *)
-let canonical_via ?(tie = Smallest_id) g ~dist_to_d p =
-  let closer q = dist_to_d.(q) = dist_to_d.(p) - 1 in
+   closer to d, the smallest or largest id. [dist q] is dist(q, d); it is
+   read only for p and its neighbors. *)
+let canonical_via ?(tie = Smallest_id) g ~dist p =
+  let closer q = dist q = dist p - 1 in
   match List.filter closer (Topology.Graph.neighbors g p) with
   | [] -> invalid_arg "Selfstab.canonical_via: disconnected graph"
   | q :: _ as qs -> (
@@ -18,13 +19,22 @@ let canonical_via ?(tie = Smallest_id) g ~dist_to_d p =
       | Smallest_id -> q
       | Largest_id -> List.fold_left max q qs)
 
+(* The graph is undirected, so dist(q, d) is the BFS distance from q: a
+   BFS from p and one from each neighbor give every distance p's table
+   reads. *)
 let init_correct ?(tie = Smallest_id) g p =
   let n = Topology.Graph.n g in
-  let dist_to = Array.init n (fun d -> Topology.Metrics.bfs_distances g d) in
-  let dist_from = Topology.Metrics.bfs_distances g p in
+  let from = Array.make n [||] in
+  List.iter
+    (fun q -> from.(q) <- Topology.Metrics.bfs_distances g q)
+    (p :: Topology.Graph.neighbors g p);
   Array.init n (fun d ->
       if d = p then { dist = 0; via = p }
-      else { dist = dist_from.(d); via = canonical_via ~tie g ~dist_to_d:dist_to.(d) p })
+      else
+        {
+          dist = from.(p).(d);
+          via = canonical_via ~tie g ~dist:(fun q -> from.(q).(d)) p;
+        })
 
 let init_correct_all ?(tie = Smallest_id) g =
   let n = Topology.Graph.n g in
@@ -35,7 +45,7 @@ let init_correct_all ?(tie = Smallest_id) g =
           else
             {
               dist = dist_to.(p).(d);
-              via = canonical_via ~tie g ~dist_to_d:dist_to.(d) p;
+              via = canonical_via ~tie g ~dist:(Array.get dist_to.(d)) p;
             }))
 
 let init_random rng g p =
@@ -52,35 +62,47 @@ let init_worst g p =
   in
   Array.init n (fun _ -> { dist = 0; via = largest_neighbor })
 
-let target ?(tie = Smallest_id) g ~read ~p ~d =
-  if p = d then { dist = 0; via = p }
-  else begin
-    let n = Topology.Graph.n g in
-    (* Neighbors are visited in increasing id order; keeping the first
-       minimum gives the smallest-id tie-break, keeping the last gives the
-       largest-id one. *)
-    let best (bd, bv) q =
+(* The neighbor the rule points at, -1 when p has none. Neighbors are
+   visited in increasing id order, so keeping the first minimum gives the
+   smallest-id tie-break and keeping the last the largest-id one. Only
+   the winner is returned, so the scan allocates nothing; [target_dist]
+   reads its distance again. *)
+let rec best_via ~tie ~read ~d bd bv = function
+  | [] -> bv
+  | q :: rest ->
       let qd = (read q).(d).dist in
       let wins = match tie with Smallest_id -> qd < bd | Largest_id -> qd <= bd in
-      if wins then (qd, q) else (bd, bv)
-    in
-    let bd, bv =
-      List.fold_left best (max_int, -1) (Topology.Graph.neighbors g p)
-    in
-    if bd >= n then { dist = n; via = bv } else { dist = bd + 1; via = bv }
-  end
+      if wins then best_via ~tie ~read ~d qd q rest
+      else best_via ~tie ~read ~d bd bv rest
+
+let target_dist g ~read ~d via =
+  let n = Topology.Graph.n g in
+  let bd = if via < 0 then max_int else (read via).(d).dist in
+  if bd >= n then n else bd + 1
+
+let target_via ~tie g ~read ~p ~d =
+  best_via ~tie ~read ~d max_int (-1) (Topology.Graph.neighbors g p)
+
+let target ?(tie = Smallest_id) g ~read ~p ~d =
+  if p = d then { dist = 0; via = p }
+  else
+    let via = target_via ~tie g ~read ~p ~d in
+    { dist = target_dist g ~read ~d via; via }
+
+(* [not (equal_entry (read p).(d) (target ...))] without building the
+   target: evaluated for every destination at every guard evaluation. *)
+let enabled ?(tie = Smallest_id) g ~read ~p ~d =
+  let e = (read p).(d) in
+  if p = d then e.dist <> 0 || e.via <> p
+  else
+    let via = target_via ~tie g ~read ~p ~d in
+    e.via <> via || e.dist <> target_dist g ~read ~d via
 
 let enabled_dests ?(tie = Smallest_id) g ~read ~p =
-  let table = read p in
   let n = Topology.Graph.n g in
   let rec loop d acc =
     if d < 0 then acc
-    else
-      let acc =
-        if equal_entry table.(d) (target ~tie g ~read ~p ~d) then acc
-        else d :: acc
-      in
-      loop (d - 1) acc
+    else loop (d - 1) (if enabled ~tie g ~read ~p ~d then d :: acc else acc)
   in
   loop (n - 1) []
 

@@ -43,13 +43,14 @@ val pp_entry : Format.formatter -> entry -> unit
 
 val init_correct : ?tie:tie -> Topology.Graph.t -> int -> state
 (** [init_correct g p] is [p]'s stabilized table (the fixpoint for the
-    given tie-break). *)
+    given tie-break), from one BFS per vertex of [N_p ∪ {p}]:
+    [O(deg(p) (n + m))]. *)
 
 val init_correct_all : ?tie:tie -> Topology.Graph.t -> state array
-(** Every processor's {!init_correct} table, sharing one BFS sweep per
-    destination across processors — [O(n(n+m))] where [n] separate
-    {!init_correct} calls cost [O(n^2(n+m))]. Entry-for-entry equal to
-    [Array.init n (init_correct g)]. *)
+(** Every processor's {!init_correct} table, sharing one BFS per vertex
+    across processors: [O(n(n+m))], where [n] separate {!init_correct}
+    calls cost [O((n+m)^2)]. Entry-for-entry equal to
+    [Array.init n (init_correct g)], as the test suite pins. *)
 
 val init_random : Prng.Splitmix.t -> Topology.Graph.t -> int -> state
 (** Arbitrary table within the type domain: [dist] uniform in [0..n],
@@ -66,6 +67,10 @@ val target :
   ?tie:tie -> Topology.Graph.t -> read:(int -> state) -> p:int -> d:int -> entry
 (** The value the rule would write at [(p, d)] in the current
     configuration. *)
+
+val enabled :
+  ?tie:tie -> Topology.Graph.t -> read:(int -> state) -> p:int -> d:int -> bool
+(** The rule is enabled at [(p, d)]: the entry differs from its {!target}. *)
 
 val enabled_dests :
   ?tie:tie -> Topology.Graph.t -> read:(int -> state) -> p:int -> int list

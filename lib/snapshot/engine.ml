@@ -26,6 +26,14 @@
    - {e abandonment}: [initiate] while an epoch is still active abandons
      it (counted), bounding the damage of a partition or a long crash.
 
+   Recording is O(degree) plus the host's [freeze]: the engine stores
+   the captured value itself and a frozen copy of it (for the SSMFP link,
+   two array copies), and hashes both when the cut assembles: hashing a
+   1k-node core takes 100–300 µs, the time of hundreds of synchronizer
+   deliveries, and an abandoned epoch then hashes nothing. The
+   retransmission tick walks only the recorded frontier and the open
+   channels, sending what a full scan would send in the same order.
+
    Caveat, documented rather than solved: a marker overtaking earlier
    application payloads (the [reorder] knob violating FIFO) can close a
    channel before those payloads cross it — exactly the FIFO assumption
@@ -37,6 +45,8 @@ type ('p, 'm) t = {
   neighbors : int array array;
   send : from:int -> into:int -> epoch:int -> unit;
   capture : int -> 'p;
+  freeze_state : 'p -> 'p;
+  freeze_msg : 'm -> 'm;
   encode_state : Codec.t -> 'p -> unit;
   encode_msg : Codec.t -> 'm -> unit;
   clock : unit -> int;
@@ -51,12 +61,16 @@ type ('p, 'm) t = {
   mutable epoch_resent : int;
   mutable idle_ticks : int;
   recorded : bool array;
-  states : 'p option array;
-  state_hash : int array;  (* at-instant piece hash per recorded state *)
-  chan_open : (int * int, 'm list ref * int ref * int ref) Hashtbl.t;
-      (* (from, into) -> (payloads newest first, count, running hash) *)
-  chan_closed : (int * int, 'm list * int) Hashtbl.t;
-      (* (from, into) -> (payloads oldest first, at-instant piece hash) *)
+  states : ('p * 'p) option array;  (* (captured, frozen at capture) *)
+  chan_open : (int * int, ('m * 'm) list ref) Hashtbl.t;
+      (* (from, into) -> (payload, frozen at delivery), newest first *)
+  chan_closed : (int * int, ('m * 'm) list) Hashtbl.t;  (* oldest first *)
+  mutable open_keys : (int * int) list option;
+      (* [chan_open]'s keys in its iteration order, or [None] once a
+         record opened channels; a close leaves a stale key behind *)
+  mutable frontier : int list;
+      (* unrecorded neighbors of recorded processes, with duplicates and
+         since-recorded entries until the next [tick] compacts it *)
   (* lifetime stats *)
   mutable epochs_started : int;
   mutable cuts_completed : int;
@@ -82,7 +96,7 @@ type stats = {
 }
 
 let create ?(prof = Obs.Prof.disabled) ?(resend_patience = 1) ~send ~capture
-    ~encode_state ~encode_msg ~clock graph =
+    ~freeze_state ~freeze_msg ~encode_state ~encode_msg ~clock graph =
   let n = Topology.Graph.n graph in
   {
     n;
@@ -90,6 +104,8 @@ let create ?(prof = Obs.Prof.disabled) ?(resend_patience = 1) ~send ~capture
       Array.init n (fun p -> Array.of_list (Topology.Graph.neighbors graph p));
     send;
     capture;
+    freeze_state;
+    freeze_msg;
     encode_state;
     encode_msg;
     clock;
@@ -104,9 +120,10 @@ let create ?(prof = Obs.Prof.disabled) ?(resend_patience = 1) ~send ~capture
     idle_ticks = 0;
     recorded = Array.make n false;
     states = Array.make n None;
-    state_hash = Array.make n 0;
     chan_open = Hashtbl.create (4 * n);
     chan_closed = Hashtbl.create (4 * n);
+    open_keys = Some [];
+    frontier = [];
     epochs_started = 0;
     cuts_completed = 0;
     abandoned = 0;
@@ -148,48 +165,61 @@ let msg_piece t m =
   t.encode_msg t.scratch m;
   Codec.hash t.scratch
 
-(* A channel piece hash is the running FNV fold of its payloads' piece
-   hashes, finalized by folding in the payload count — order- and
-   length-sensitive, incrementally computable at recording time. *)
-let close_channel t key (msgs, count, running) =
+(* A channel piece hash is the FNV fold of its payloads' piece hashes,
+   finalized by folding in the payload count — order- and
+   length-sensitive. *)
+let channel_piece t msgs =
+  let h =
+    List.fold_left
+      (fun h m -> Codec.combine h (msg_piece t m))
+      Codec.fnv_offset msgs
+  in
+  Codec.combine h (List.length msgs)
+
+let close_channel t key cell =
   Hashtbl.remove t.chan_open key;
-  Hashtbl.replace t.chan_closed key
-    (List.rev !msgs, Codec.combine !running !count)
+  Hashtbl.replace t.chan_closed key (List.rev !cell)
 
 let flood_markers t p =
   Array.iter (fun q -> t.send ~from:p ~into:q ~epoch:t.epoch) t.neighbors.(p)
 
 (* Assemble the finished cut: walk processes then channels in canonical
-   order, folding stored-data piece hashes (re-encoded now) into
-   [fingerprint] and the capture-instant hashes into the shadow. *)
+   order, folding the stored data's piece hashes into [fingerprint] and
+   the frozen copies' into the shadow. A frozen copy reads exactly what
+   the live value held at its capture instant, so the two agree unless
+   something mutated a captured value in place. *)
 let assemble t =
-  let states = Array.init t.n (fun p -> Option.get t.states.(p)) in
+  let captured = Array.init t.n (fun p -> Option.get t.states.(p)) in
+  let states = Array.map fst captured in
   let channels =
-    Hashtbl.fold (fun k (msgs, h) acc -> (k, msgs, h) :: acc) t.chan_closed []
-    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+    Hashtbl.fold (fun k pairs acc -> (k, pairs) :: acc) t.chan_closed []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   let fp = ref (Codec.combine Codec.fnv_offset t.n)
   and shadow = ref (Codec.combine Codec.fnv_offset t.n) in
-  Array.iteri
-    (fun p v ->
+  Array.iter
+    (fun (v, frozen) ->
       fp := Codec.combine !fp (state_piece t v);
-      shadow := Codec.combine !shadow t.state_hash.(p))
-    states;
-  List.iter
-    (fun (((from, into) as _k), msgs, at_instant) ->
-      let h = ref Codec.fnv_offset in
-      List.iter (fun m -> h := Codec.combine !h (msg_piece t m)) msgs;
-      let stored = Codec.combine !h (List.length msgs) in
-      let fold_key x = Codec.combine (Codec.combine x from) into in
-      fp := Codec.combine (fold_key !fp) stored;
-      shadow := Codec.combine (fold_key !shadow) at_instant)
-    channels;
+      shadow := Codec.combine !shadow (state_piece t frozen))
+    captured;
+  let channels =
+    List.map
+      (fun (((from, into) as k), pairs) ->
+        let msgs = List.map fst pairs in
+        let fold_key x = Codec.combine (Codec.combine x from) into in
+        fp := Codec.combine (fold_key !fp) (channel_piece t msgs);
+        shadow :=
+          Codec.combine (fold_key !shadow)
+            (channel_piece t (List.map snd pairs));
+        (k, msgs))
+      channels
+  in
   let cut =
     {
       Cut.epoch = t.epoch;
       initiator = t.initiator;
       states;
-      channels = List.map (fun (k, msgs, _) -> (k, msgs)) channels;
+      channels;
       started_at = t.started_at;
       completed_at = t.clock ();
       markers_resent = t.epoch_resent;
@@ -200,6 +230,9 @@ let assemble t =
   t.completed <- cut :: t.completed;
   t.cuts_completed <- t.cuts_completed + 1;
   t.active <- false;
+  (* drop the frozen copies now rather than at the next initiation *)
+  Array.fill t.states 0 t.n None;
+  Hashtbl.reset t.chan_closed;
   Obs.Prof.add t.ptrack t.c_cuts 1;
   Obs.Prof.observe t.ptrack t.h_latency (max 1 (Cut.latency cut));
   Obs.Prof.record t.ptrack t.sp_epoch ~start:t.epoch_t0
@@ -215,14 +248,14 @@ let record t p ~via =
   t.pending_states <- t.pending_states - 1;
   t.idle_ticks <- 0;
   let v = t.capture p in
-  t.states.(p) <- Some v;
-  t.state_hash.(p) <- state_piece t v;
+  t.states.(p) <- Some (v, t.freeze_state v);
   Array.iter
     (fun q ->
-      if via = Some q then
-        Hashtbl.replace t.chan_closed (q, p) ([], Codec.combine Codec.fnv_offset 0)
-      else Hashtbl.replace t.chan_open (q, p) (ref [], ref 0, ref Codec.fnv_offset))
+      if via = Some q then Hashtbl.replace t.chan_closed (q, p) []
+      else Hashtbl.replace t.chan_open (q, p) (ref []);
+      if not t.recorded.(q) then t.frontier <- q :: t.frontier)
     t.neighbors.(p);
+  t.open_keys <- None;
   flood_markers t p
 
 let clear_epoch t =
@@ -230,6 +263,8 @@ let clear_epoch t =
   Array.fill t.states 0 t.n None;
   Hashtbl.reset t.chan_open;
   Hashtbl.reset t.chan_closed;
+  t.open_keys <- Some [];
+  t.frontier <- [];
   t.pending_states <- t.n;
   t.epoch_resent <- 0;
   t.idle_ticks <- 0
@@ -273,10 +308,7 @@ let handle_marker t ~self ~from ~epoch =
 let tap t ~self ~from m =
   if t.active && t.recorded.(self) then
     match Hashtbl.find_opt t.chan_open (from, self) with
-    | Some (msgs, count, running) ->
-        msgs := m :: !msgs;
-        incr count;
-        running := Codec.combine !running (msg_piece t m)
+    | Some cell -> cell := (m, t.freeze_msg m) :: !cell
     | None -> ()
 
 let tick t =
@@ -287,26 +319,39 @@ let tick t =
       let resent = ref 0 in
       (* Still-open channel (q, p): p waits for q's close marker, which
          was lost (or is stuck behind queued traffic — the duplicate is
-         idempotent). Resend it alone, not q's whole flood. *)
-      Hashtbl.iter
-        (fun (q, p) _cell ->
+         idempotent). Resend it alone, not q's whole flood. Channels go
+         in [chan_open]'s iteration order, cached between the records
+         that add to it. *)
+      let keys =
+        match t.open_keys with
+        | Some keys -> keys
+        | None ->
+            List.rev (Hashtbl.fold (fun k _ acc -> k :: acc) t.chan_open [])
+      in
+      let keys = List.filter (Hashtbl.mem t.chan_open) keys in
+      t.open_keys <- Some keys;
+      List.iter
+        (fun (q, p) ->
           if t.recorded.(q) then begin
             t.send ~from:q ~into:p ~epoch:t.epoch;
             incr resent
           end)
-        t.chan_open;
+        keys;
       (* Unrecorded process p next to a recorded q: the flood frontier
-         stalled on edge (q, p); re-seed it. *)
-      for p = 0 to t.n - 1 do
-        if not t.recorded.(p) then
+         stalled on edge (q, p); re-seed it, p ascending. *)
+      t.frontier <-
+        List.sort_uniq compare
+          (List.filter (fun p -> not t.recorded.(p)) t.frontier);
+      List.iter
+        (fun p ->
           Array.iter
             (fun q ->
               if t.recorded.(q) then begin
                 t.send ~from:q ~into:p ~epoch:t.epoch;
                 incr resent
               end)
-            t.neighbors.(p)
-      done;
+            t.neighbors.(p))
+        t.frontier;
       t.epoch_resent <- t.epoch_resent + !resent;
       t.markers_resent <- t.markers_resent + !resent;
       Obs.Prof.add t.ptrack t.c_resent !resent

@@ -5,9 +5,10 @@
     deliveries, and supplies [send] (post a marker into a channel),
     [capture] (read one process's recordable view), codec walks for
     states and payloads, and a [clock] (any monotone counter — the mp
-    driver uses channel deliveries). {!Ssmfp_link} is the instantiation
-    for the SSMFP synchronizer; the generic engine is also testable
-    directly on a raw [Mp.Network].
+    driver uses channel deliveries), plus [freeze] functions that copy a
+    captured value out of the live system's reach. {!Ssmfp_link} is the
+    instantiation for the SSMFP synchronizer; the generic engine is also
+    testable directly on a raw [Mp.Network].
 
     Faulty-substrate adaptations: markers carry an {e epoch} (stale or
     duplicate markers are idempotently ignored), {!tick} retransmits
@@ -34,16 +35,29 @@ val create :
   ?resend_patience:int ->
   send:(from:int -> into:int -> epoch:int -> unit) ->
   capture:(int -> 'p) ->
+  freeze_state:('p -> 'p) ->
+  freeze_msg:('m -> 'm) ->
   encode_state:(Codec.t -> 'p -> unit) ->
   encode_msg:(Codec.t -> 'm -> unit) ->
   clock:(unit -> int) ->
   Topology.Graph.t ->
   ('p, 'm) t
 (** [resend_patience] (default 1): ticks without state-recording
-    progress before a targeted retransmission. [?prof] registers the ["snap.epoch"]
-    span, ["snap.cuts"] / ["snap.abandoned"] / ["snap.marker_resends"]
-    counters and the ["snap.cut_latency"] histogram on track 0;
-    recording never touches any PRNG. *)
+    progress before a targeted retransmission.
+
+    The cut stores each captured state and recorded payload as given,
+    and its shadow fingerprint hashes [freeze_state] / [freeze_msg] of
+    them, taken at the capture instant: a copy that encodes the same
+    bytes and that no later step of the live system can reach (the
+    identity for immutable values). Both are hashed when the cut
+    assembles, so recording costs a freeze rather than an encoding, and
+    a captured value mutated in place after capture shows as a mismatch
+    between the two fingerprints.
+
+    [?prof] registers the ["snap.epoch"] span, ["snap.cuts"] /
+    ["snap.abandoned"] / ["snap.marker_resends"] counters and the
+    ["snap.cut_latency"] histogram on track 0; recording never touches
+    any PRNG. *)
 
 val initiate : ?initiator:int -> ('p, 'm) t -> unit
 (** Start a new epoch: abandon any active one, record the initiator

@@ -36,10 +36,30 @@ let encode_payload c (Mp.Ssmfp_mp.Snapshot (k, pub)) =
       Codec.add_int c e.Routing.Selfstab.via)
     pub.Mp.Ssmfp_mp.pub_routing;
   Array.iter
-    (fun (r, e) ->
-      Codec.add_msg c r;
-      Codec.add_msg c e)
+    (fun (sl : Ssmfp.State.slot) ->
+      Codec.add_msg c sl.Ssmfp.State.buf_r;
+      Codec.add_msg c sl.Ssmfp.State.buf_e)
     pub.Mp.Ssmfp_mp.pub_bufs
+
+(* Cores and payloads share their routing and slot arrays with the live
+   processes (copy-on-write, see Ssmfp_mp); every element is immutable,
+   so copying the two array spines freezes them. *)
+let freeze_core (c : Ssmfp.State.t) =
+  {
+    c with
+    Ssmfp.State.routing = Array.copy c.Ssmfp.State.routing;
+    slots = Array.copy c.Ssmfp.State.slots;
+  }
+
+let freeze_view v = { v with v_core = freeze_core v.v_core }
+
+let freeze_payload (Mp.Ssmfp_mp.Snapshot (k, pub)) =
+  Mp.Ssmfp_mp.Snapshot
+    ( k,
+      {
+        Mp.Ssmfp_mp.pub_routing = Array.copy pub.Mp.Ssmfp_mp.pub_routing;
+        pub_bufs = Array.copy pub.Mp.Ssmfp_mp.pub_bufs;
+      } )
 
 let attach ?prof ?resend_patience ~seed sys =
   let g = Mp.Ssmfp_mp.graph sys in
@@ -60,6 +80,7 @@ let attach ?prof ?resend_patience ~seed sys =
           v_core = Mp.Ssmfp_mp.core sys p;
           v_ledger = ledgers.(p);
         })
+      ~freeze_state:freeze_view ~freeze_msg:freeze_payload
       ~encode_state:encode_view ~encode_msg:encode_payload
       ~clock:(fun () -> Mp.Ssmfp_mp.channel_deliveries sys)
       g
@@ -69,6 +90,7 @@ let attach ?prof ?resend_patience ~seed sys =
   Mp.Ssmfp_mp.on_deliver sys (fun ~self ~from m -> Engine.tap eng ~self ~from m);
   { sys; eng; ledgers; n }
 
+let tap t ~self ~from m = Engine.tap t.eng ~self ~from m
 let initiate ?initiator t = Engine.initiate ?initiator t.eng
 let tick t = Engine.tick t.eng
 let active t = Engine.active t.eng

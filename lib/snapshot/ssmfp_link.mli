@@ -25,6 +25,10 @@ val attach :
     handler and the delivery tap. Call once per system; before any
     {!initiate} the layer is pure bookkeeping. *)
 
+val tap : t -> self:int -> from:int -> Mp.Ssmfp_mp.payload -> unit
+(** The delivery tap {!attach} installs, for a caller that installs its
+    own tap on the system and still wants channel recording. *)
+
 val initiate : ?initiator:int -> t -> unit
 val tick : t -> unit
 val active : t -> bool

@@ -118,6 +118,73 @@ let prop_color_exists =
       let c = Ssmfp.Color.pick g5 ~delta ~neighbor_buf_r:env ~p:0 in
       c >= 0 && c <= delta && not (List.mem c (List.map snd assignments)))
 
+(* Protocol.choice against its reference, select over the normalized
+   queue. Each member of N_p ∪ {p} feeds p for d with probability 1/2;
+   a neighbor that does not feed may still hold a message routed
+   elsewhere, and p may request a generation for another destination.
+   Queues hold duplicates and out-of-range ids. *)
+let choice_graphs =
+  [
+    g5;
+    Topology.Builders.ring 6;
+    Topology.Builders.path 4;
+    Topology.Builders.torus ~rows:3 ~cols:3;
+    Topology.Builders.paper_figure2;
+  ]
+
+let prop_choice_matches_reference =
+  QCheck.Test.make ~name:"choice = select over the normalized queue"
+    ~count:500
+    QCheck.(
+      triple (int_bound 4) (int_bound 100_000) (list (int_range (-2) 12)))
+    (fun (gi, seed, queue) ->
+      let g = List.nth choice_graphs gi in
+      let n = Topology.Graph.n g in
+      let rng = Prng.Splitmix.of_int seed in
+      let p = Prng.Splitmix.int rng n and d = Prng.Splitmix.int rng n in
+      let states = Test_util.config g [] in
+      let feeders =
+        List.filter
+          (fun _ -> Prng.Splitmix.bool rng)
+          (p :: Topology.Graph.neighbors g p)
+      in
+      List.iter
+        (fun q ->
+          let feeds = List.mem q feeders in
+          if q = p then
+            (* a non-feeding p: request down, or up for another
+               destination, or up with an empty outbox *)
+            let request, outbox =
+              if feeds then (true, [ (d, "m") ])
+              else
+                match Prng.Splitmix.int rng 3 with
+                | 0 -> (false, [ (d, "m") ])
+                | 1 -> (true, [ ((d + 1) mod n, "m") ])
+                | _ -> (true, [])
+            in
+            states.(p) <- { (states.(p)) with Ssmfp.State.request; outbox }
+          else if feeds || Prng.Splitmix.bool rng then begin
+            Test_util.set_buf states q d `E
+              (Some (Ssmfp.Message.fresh_invalid ~at:q ~last:q ~color:0 "m"));
+            let routing = Array.copy states.(q).Ssmfp.State.routing in
+            routing.(d) <-
+              { Routing.Selfstab.dist = 1; via = (if feeds then p else q) };
+            states.(q) <- Ssmfp.State.with_routing states.(q) routing
+          end)
+        (p :: Topology.Graph.neighbors g p);
+      let sl = Ssmfp.State.slot states.(p) d in
+      states.(p) <- Ssmfp.State.with_slot states.(p) d { sl with Ssmfp.State.queue };
+      let net = Test_util.net_of g states in
+      let normalized = Ssmfp.Choice.normalize g ~p queue in
+      let expected =
+        Ssmfp.Choice.select ~candidate:(fun x -> List.mem x feeders) normalized
+      in
+      Ssmfp.Protocol.choice g net ~p ~d = expected
+      && expected
+         = Ssmfp.Choice.select
+             ~candidate:(Ssmfp.Protocol.can_feed g net ~p ~d)
+             normalized)
+
 let () =
   Alcotest.run "choice & color"
     [
@@ -147,5 +214,6 @@ let () =
             prop_normalize_always_permutation;
             prop_serve_preserves_membership;
             prop_color_exists;
+            prop_choice_matches_reference;
           ] );
     ]

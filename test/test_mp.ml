@@ -361,6 +361,56 @@ let test_port_crash_recovery () =
   Alcotest.(check bool) "SP despite the crash" true
     r.Mp.Ssmfp_mp.verdict.Harness.Oracle.ok
 
+(* Snapshots share the cores' arrays instead of copying them, which is
+   sound only while no layer writes into a core or a payload in place.
+   Deep copies taken as values appear — every payload the tap sees, every
+   core at a few checkpoints, every completed cut — must still equal the
+   live values at the end of a run that exercises every layer: adversarial
+   start, channel garbage, lossy channels, a crash burst and the snapshot
+   engine. *)
+let test_port_shared_values_unchanged () =
+  Ssmfp.Message.reset_ghost_counter ();
+  let g = Topology.Builders.ring 5 in
+  let wl =
+    Harness.Workload.uniform_random (Prng.Splitmix.of_int 8) ~n:5
+      ~per_processor:2
+  in
+  let sys =
+    Mp.Ssmfp_mp.create ~spec:Harness.Fault.adversarial ~channel_garbage:20
+      ~loss:0.15 ~duplication:0.05 ~seed:12 g wl
+  in
+  let link = Snapshot.Ssmfp_link.attach ~seed:12 sys in
+  let copy v = Marshal.to_string v [ Marshal.No_sharing ] in
+  (* one check per kept value: its bytes now against its bytes then *)
+  let kept = ref [] in
+  let keep v =
+    let then_ = copy v in
+    kept := (fun () -> copy v = then_) :: !kept
+  in
+  Mp.Ssmfp_mp.on_deliver sys (fun ~self ~from m ->
+      keep m;
+      Snapshot.Ssmfp_link.tap link ~self ~from m);
+  let checkpoint () =
+    Topology.Graph.iter_vertices (fun p -> keep (Mp.Ssmfp_mp.core sys p)) g
+  in
+  for chunk = 1 to 300 do
+    ignore (Mp.Ssmfp_mp.drive ~max_deliveries:64 sys);
+    if chunk mod 20 = 0 then Snapshot.Ssmfp_link.initiate link;
+    if chunk mod 75 = 0 then checkpoint ();
+    if chunk = 100 then
+      List.iter (fun p -> Mp.Ssmfp_mp.crash_process sys p ~down_for:300) [ 1; 3 ];
+    Snapshot.Ssmfp_link.tick link;
+    List.iter keep (Snapshot.Ssmfp_link.take_completed link)
+  done;
+  Alcotest.(check bool) "cuts completed" true
+    ((Snapshot.Ssmfp_link.stats link).Snapshot.Engine.cuts_completed > 0);
+  Alcotest.(check bool) "lossy" true
+    ((Mp.Ssmfp_mp.channel_stats sys).Mp.Ssmfp_mp.lost > 0);
+  let changed = List.length (List.filter (fun same -> not (same ())) !kept) in
+  Alcotest.(check int)
+    (Printf.sprintf "of %d kept values, changed" (List.length !kept))
+    0 changed
+
 let prop_port_sp =
   QCheck.Test.make ~name:"MP port satisfies SP from random corruption"
     ~count:15
@@ -402,6 +452,8 @@ let () =
           Alcotest.test_case "total loss starves" `Quick
             test_port_total_loss_starves;
           Alcotest.test_case "crash recovery" `Quick test_port_crash_recovery;
+          Alcotest.test_case "shared values unchanged" `Quick
+            test_port_shared_values_unchanged;
           Alcotest.test_case "lamport tracing" `Quick test_port_lamport_tracing;
           Alcotest.test_case "causal chain" `Quick test_port_causal_chain;
           Alcotest.test_case "retransmissions counted" `Quick

@@ -177,6 +177,81 @@ let prop_silent_iff_correct =
       (not (Routing.Selfstab.is_silent g read))
       || Routing.Selfstab.is_correct g read)
 
+(* [init_correct] reads BFS distances from p and its neighbors only; the
+   all-processors sweep, one BFS per vertex, is its reference. *)
+let init_correct_agrees g =
+  List.for_all
+    (fun tie ->
+      let all = Routing.Selfstab.init_correct_all ~tie g in
+      List.for_all
+        (fun p ->
+          Array.for_all2 Routing.Selfstab.equal_entry
+            (Routing.Selfstab.init_correct ~tie g p)
+            all.(p))
+        (Topology.Graph.vertices g))
+    Routing.Selfstab.[ Smallest_id; Largest_id ]
+
+let test_init_correct_matches_all () =
+  List.iter
+    (fun (name, g) ->
+      Alcotest.(check bool) name true (init_correct_agrees g))
+    [
+      ("ring:9", Topology.Builders.ring 9);
+      ("torus:4x5", Topology.Builders.torus ~rows:4 ~cols:5);
+      ("star:6", Topology.Builders.star 6);
+      ("fig2", Topology.Builders.paper_figure2);
+    ]
+
+let prop_init_correct_matches_all =
+  QCheck.Test.make ~name:"init_correct = init_correct_all (random graphs)"
+    ~count:100 gen (fun spec -> init_correct_agrees (graph_of spec))
+
+(* [target] and [enabled] scan the neighbors without allocating; the
+   reference is the rule as written: min over N_p of dist_q(d), capped at
+   n, with the first (smallest-id) or last (largest-id) minimum. *)
+let reference_target ~tie g ~read ~p ~d =
+  if p = d then { Routing.Selfstab.dist = 0; via = p }
+  else
+    let n = Topology.Graph.n g in
+    let bd, bv =
+      List.fold_left
+        (fun (bd, bv) q ->
+          let qd = (read q).(d).Routing.Selfstab.dist in
+          let wins =
+            match tie with
+            | Routing.Selfstab.Smallest_id -> qd < bd
+            | Largest_id -> qd <= bd
+          in
+          if wins then (qd, q) else (bd, bv))
+        (max_int, -1) (Topology.Graph.neighbors g p)
+    in
+    { dist = (if bd >= n then n else bd + 1); via = bv }
+
+let prop_target_matches_reference =
+  QCheck.Test.make ~name:"target and enabled match the rule (random tables)"
+    ~count:100 gen (fun spec ->
+      let g = graph_of spec in
+      let _, _, seed = spec in
+      let read =
+        Routing.Table.read
+          (Routing.Table.random_all (Prng.Splitmix.of_int (seed + 3)) g)
+      in
+      let vs = Topology.Graph.vertices g in
+      List.for_all
+        (fun tie ->
+          List.for_all
+            (fun p ->
+              List.for_all
+                (fun d ->
+                  let t = Routing.Selfstab.target ~tie g ~read ~p ~d in
+                  Routing.Selfstab.equal_entry t
+                    (reference_target ~tie g ~read ~p ~d)
+                  && Routing.Selfstab.enabled ~tie g ~read ~p ~d
+                     = not (Routing.Selfstab.equal_entry (read p).(d) t))
+                vs)
+            vs)
+        Routing.Selfstab.[ Smallest_id; Largest_id ])
+
 let prop_routing_under_engine =
   (* Running A inside the engine under a random fair daemon also reaches
      the canonical tables (the composed protocol with no traffic). *)
@@ -214,6 +289,8 @@ let () =
           Alcotest.test_case "largest-id tie break" `Quick test_largest_tie_break;
           Alcotest.test_case "stabilize (largest)" `Quick test_stabilize_largest;
           Alcotest.test_case "init_worst shape" `Quick test_init_worst_shape;
+          Alcotest.test_case "init_correct = init_correct_all" `Quick
+            test_init_correct_matches_all;
         ] );
       ( "table analyses",
         [
@@ -227,5 +304,7 @@ let () =
             prop_stabilizes_from_random;
             prop_silent_iff_correct;
             prop_routing_under_engine;
+            prop_init_correct_matches_all;
+            prop_target_matches_reference;
           ] );
     ]

@@ -346,6 +346,64 @@ let test_traffic_probes () =
   Alcotest.(check int) "one message" 1 (message_count net);
   Alcotest.(check bool) "traffic" true (has_traffic net)
 
+(* ---------------- first_enabled against enabled_rules ---------------- *)
+
+let variants =
+  [
+    faithful;
+    { faithful with use_colors = false };
+    { faithful with use_r5 = false };
+    { faithful with rotate_queue = false };
+    { faithful with literal_r5 = true };
+  ]
+
+let prop_graphs =
+  [
+    Topology.Builders.ring 6;
+    Topology.Builders.path 5;
+    Topology.Builders.torus ~rows:3 ~cols:3;
+    Topology.Builders.star 5;
+    Topology.Builders.paper_figure2;
+  ]
+
+(* Random starts (Fault.random_spec or adversarial), run for 0-40 steps of
+   the faithful protocol so that quiet and mid-run configurations show up
+   too; then at every processor, for every variant, routing on and off and
+   both ties, first_enabled is the head of enabled_rules. *)
+let prop_first_enabled_is_head =
+  QCheck.Test.make ~name:"first_enabled = head of enabled_rules" ~count:150
+    QCheck.(triple (int_bound 4) (int_bound 40) (int_bound 100_000))
+    (fun (gi, steps, seed) ->
+      let g = List.nth prop_graphs gi in
+      let n = Topology.Graph.n g in
+      let rng = Prng.Splitmix.of_int seed in
+      let spec =
+        if Prng.Splitmix.bool rng then Harness.Fault.adversarial
+        else Harness.Fault.random_spec rng
+      in
+      let workload = Harness.Workload.uniform_random rng ~n ~per_processor:2 in
+      let net =
+        (Harness.Runner.run
+           (Harness.Runner.config ~spec ~seed ~max_steps:steps g workload))
+          .Harness.Runner.final_net
+      in
+      List.for_all
+        (fun (variant, run_routing, tie) ->
+          List.for_all
+            (fun p ->
+              first_enabled g ~variant ~run_routing ~tie net ~p
+              = List.nth_opt (enabled_rules g ~variant ~run_routing ~tie net ~p) 0)
+            (Topology.Graph.vertices g))
+        (List.concat_map
+           (fun variant ->
+             List.concat_map
+               (fun run_routing ->
+                 List.map
+                   (fun tie -> (variant, run_routing, tie))
+                   Routing.Selfstab.[ Smallest_id; Largest_id ])
+               [ true; false ])
+           variants))
+
 let () =
   Alcotest.run "rules"
     [
@@ -400,4 +458,6 @@ let () =
           Alcotest.test_case "rule names" `Quick test_rule_names;
           Alcotest.test_case "traffic probes" `Quick test_traffic_probes;
         ] );
+      ( "properties",
+        [ QCheck_alcotest.to_alcotest prop_first_enabled_is_head ] );
     ]

@@ -78,6 +78,7 @@ let attach_raw net rng_seed g =
       ~send:(fun ~from ~into ~epoch ->
         Mp.Network.send_marker net rng ~from ~into ~epoch)
       ~capture:(fun p -> Mp.Network.state net p)
+      ~freeze_state:Fun.id ~freeze_msg:Fun.id
       ~encode_state:(fun c s -> Snapshot.Codec.add_int c s)
       ~encode_msg:(fun c m -> Snapshot.Codec.add_int c m)
       ~clock:(fun () -> Mp.Network.deliveries net)
@@ -306,6 +307,44 @@ let test_differential_corrupted () =
     (Harness.Oracle.invalid_delivered_total live)
     (Harness.Oracle.invalid_delivered_total replayed)
 
+(* The shadow fingerprint hashes copies frozen at each capture instant,
+   so a write into a captured core's array after capture (the
+   copy-on-write contract broken) shows as a stored/shadow mismatch,
+   while the same run without the write stays shadow-ok. *)
+let test_shadow_catches_write () =
+  let run ~write =
+    Ssmfp.Message.reset_ghost_counter ();
+    let g = Topology.Builders.ring 4 in
+    let wl =
+      Harness.Workload.uniform_random (Prng.Splitmix.of_int 3) ~n:4
+        ~per_processor:1
+    in
+    let sys = Mp.Ssmfp_mp.create ~seed:5 g wl in
+    let link = Snapshot.Ssmfp_link.attach ~seed:5 sys in
+    Snapshot.Ssmfp_link.initiate ~initiator:0 link;
+    if write then begin
+      let routing = (Mp.Ssmfp_mp.core sys 0).Ssmfp.State.routing in
+      let e = routing.(1) in
+      routing.(1) <-
+        { e with Routing.Selfstab.dist = e.Routing.Selfstab.dist + 7 }
+    end;
+    let guard = ref 1_000 in
+    while Snapshot.Ssmfp_link.active link && !guard > 0 do
+      decr guard;
+      ignore
+        (Mp.Ssmfp_mp.drive ~max_deliveries:16
+           ~stop:(fun _ -> not (Snapshot.Ssmfp_link.active link))
+           sys);
+      Snapshot.Ssmfp_link.tick link
+    done;
+    match Snapshot.Ssmfp_link.take_completed link with
+    | [ c ] -> Snapshot.Cut.shadow_ok c
+    | l -> Alcotest.failf "expected 1 cut, got %d" (List.length l)
+  in
+  Alcotest.(check bool) "untouched: shadow ok" true (run ~write:false);
+  Alcotest.(check bool) "written after capture: mismatch" false
+    (run ~write:true)
+
 (* ---------------- cut-oracle vs omniscient over the chaos grid ------ *)
 
 let test_verdict_agreement_grid () =
@@ -482,6 +521,8 @@ let () =
           Alcotest.test_case "flaky" `Quick test_differential_flaky;
           Alcotest.test_case "corrupted start" `Quick
             test_differential_corrupted;
+          Alcotest.test_case "shadow catches write" `Quick
+            test_shadow_catches_write;
         ] );
       ( "verdicts",
         [
