@@ -597,17 +597,9 @@ let watch_cmd =
           | _ -> None)
         events
     in
-    let raise_requests t =
-      Topology.Graph.iter_vertices
-        (fun p ->
-          let st = Sim.Engine.state t p in
-          if (not st.Ssmfp.State.request) && st.Ssmfp.State.outbox <> [] then
-            Sim.Engine.set_state t p { st with Ssmfp.State.request = true })
-        graph
-    in
     (try
        for i = 1 to steps do
-         raise_requests t;
+         Ssmfp.Protocol.raise_requests t;
          match Sim.Engine.step t daemon with
          | None ->
              print_endline "(terminal configuration reached)";

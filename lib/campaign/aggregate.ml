@@ -308,19 +308,41 @@ let write path doc =
       output_string oc (to_string doc);
       output_char oc '\n')
 
+(* What --from and --baseline read: a totals object, and per scenario a
+   string id and a known status. A file missing any of them would load
+   as a campaign with nothing failed. *)
+let validate doc =
+  let rec check i = function
+    | [] -> Ok doc
+    | sc :: rest -> (
+        match Option.bind (member "id" sc) string_value with
+        | None -> Error (Printf.sprintf "scenarios[%d] has no string \"id\"" i)
+        | Some id -> (
+            match Option.bind (member "status" sc) string_value with
+            | Some ("ok" | "violated" | "crashed") -> check (i + 1) rest
+            | _ ->
+                Error
+                  (Printf.sprintf
+                     "scenario %S has no \"status\" of ok, violated or crashed"
+                     id)))
+  in
+  match (member "totals" doc, Option.bind (member "scenarios" doc) to_list) with
+  | Some (Obj _), Some scenarios -> check 0 scenarios
+  | Some (Obj _), None -> Error "no \"scenarios\" list"
+  | _ -> Error "no \"totals\" object"
+
 let of_file path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error msg
-  | contents -> (
-      match of_string contents with
-      | Error e -> Error (Printf.sprintf "%s: %s" path e)
-      | Ok doc -> (
-          match Option.bind (member "schema" doc) string_value with
-          | Some s when s = schema -> Ok doc
-          | Some s ->
-              Error
-                (Printf.sprintf "%s: schema %S, expected %S" path s schema)
-          | None -> Error (Printf.sprintf "%s: not a campaign artifact (no schema field)" path)))
+  | contents ->
+      Result.map_error (Printf.sprintf "%s: %s" path)
+        (match of_string contents with
+        | Error e -> Error e
+        | Ok doc -> (
+            match Option.bind (member "schema" doc) string_value with
+            | Some s when s = schema -> validate doc
+            | Some s -> Error (Printf.sprintf "schema %S, expected %S" s schema)
+            | None -> Error "not a campaign artifact (no schema field)"))
 
 let scenarios_of doc =
   match Option.bind (member "scenarios" doc) to_list with

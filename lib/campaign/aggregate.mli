@@ -41,8 +41,11 @@ val write : string -> Obs.Json.t -> unit
     @raise Sys_error on I/O failure. *)
 
 val of_file : string -> (Obs.Json.t, string) result
-(** Load and validate an artifact: parse with [Obs.Json.of_string] and
-    check the ["schema"] field. *)
+(** Load and validate an artifact: parse with [Obs.Json.of_string],
+    check the ["schema"] field, and require a ["totals"] object and a
+    ["scenarios"] list whose entries each carry a string ["id"] and a
+    ["status"] of ["ok"], ["violated"] or ["crashed"]. The error names
+    the file and the missing field. *)
 
 val scenario_ids : Obs.Json.t -> (string list, string) result
 (** Every scenario id, in artifact order. *)

@@ -157,12 +157,6 @@ let summary_of_mp (o : Chaos.Mp_run.outcome) =
     snapshot = o.Chaos.Mp_run.snapshot;
   }
 
-let graph_meta (sc : Spec.scenario) =
-  let g = sc.Spec.topology.Spec.graph in
-  ( Topology.Graph.n g,
-    Topology.Graph.max_degree g,
-    try Topology.Metrics.diameter g with _ -> 0 )
-
 (* channel_garbage mirrors the corruption axis on the mp side: forged
    messages sitting in flight at start, scaled like the planted state
    corruption (Prop. 4's budget is per destination, hence the 2n). *)
@@ -193,7 +187,9 @@ let run_scenario (sc : Spec.scenario) =
 
 let run_one sc =
   let t0 = Unix.gettimeofday () in
-  let n, delta, diameter = graph_meta sc in
+  let n, delta, diameter =
+    Chaos.Recovery.graph_meta sc.Spec.topology.Spec.graph
+  in
   let status =
     (* Fresh, deterministic ghost ids per scenario, whatever the worker
        ran before — the artifact must not depend on scheduling. *)
@@ -218,46 +214,20 @@ let run_one sc =
     seconds = Unix.gettimeofday () -. t0;
   }
 
-let run ?workers ?prof ?metrics scenarios =
-  (* Each scenario task fills a private registry on whatever domain ran
-     it; the commutative Metrics merge folds them all into the caller's
-     registry after the join, so the combined snapshot is independent of
-     worker count and steal order. *)
-  let want_metrics = metrics <> None in
-  let tagged =
-    run_list ?prof ?workers
-      (List.map
-         (fun sc () ->
-           let o = run_one sc in
-           let m =
-             if not want_metrics then None
-             else begin
-               let m = Obs.Metrics.create () in
-               (match o.status with
-               | Done s when s.verdict_ok -> Obs.Metrics.incr m "campaign.ok"
-               | Done _ -> Obs.Metrics.incr m "campaign.failed"
-               | Crashed _ -> Obs.Metrics.incr m "campaign.crashed");
-               Obs.Metrics.observe m "campaign.scenario_seconds" o.seconds;
-               Some m
-             end
-           in
-           (o, m))
-         scenarios)
+let run ?workers ?prof scenarios =
+  let results =
+    run_list ?prof ?workers (List.map (fun sc () -> run_one sc) scenarios)
   in
-  (match metrics with
-  | None -> ()
-  | Some into ->
-      List.iter
-        (function Ok (_, Some m) -> Obs.Metrics.merge_into ~into m | _ -> ())
-        tagged);
   List.map2
     (fun sc result ->
       match result with
-      | Ok (o, _) -> o
+      | Ok o -> o
       | Error msg ->
           (* run_one already catches runner exceptions; this branch
              only fires if scenario metadata itself blew up. *)
-          let n, delta, diameter = try graph_meta sc with _ -> (0, 0, 0) in
+          let n, delta, diameter =
+            Chaos.Recovery.graph_meta sc.Spec.topology.Spec.graph
+          in
           {
             scenario = sc;
             n;
@@ -266,4 +236,4 @@ let run ?workers ?prof ?metrics scenarios =
             status = Crashed { crash_msg = msg; crash_backtrace = "" };
             seconds = 0.;
           })
-    scenarios tagged
+    scenarios results

@@ -98,16 +98,6 @@ val run_one : Spec.scenario -> outcome
     corruption axis (pristine 0, random 10, adversarial [2n]). *)
 
 val run :
-  ?workers:int ->
-  ?prof:Obs.Prof.t ->
-  ?metrics:Obs.Metrics.t ->
-  Spec.scenario list ->
-  outcome list
+  ?workers:int -> ?prof:Obs.Prof.t -> Spec.scenario list -> outcome list
 (** Execute every scenario, in input order in the result. [?prof] is
-    threaded to {!run_list}. With [?metrics], each scenario fills a
-    private registry on whatever domain ran it ([campaign.ok] /
-    [campaign.failed] / [campaign.crashed] counters and a
-    [campaign.scenario_seconds] histogram) and the commutative
-    {!Obs.Metrics.merge_into} folds them into the given registry after
-    the join — the combined snapshot is independent of worker count and
-    steal order. *)
+    threaded to {!run_list}. *)

@@ -75,7 +75,7 @@ let run ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0) ?(seed = 1)
       ~duplication:knobs.Schedule.duplication ~reorder:knobs.Schedule.reorder
       ~seed ~prof ?window ?synchrony graph workload
   in
-  let n = Topology.Graph.n graph in
+  let n, delta, diameter = Recovery.graph_meta graph in
   (* Phase spans on track 0: one per drive segment between bursts, one
      for the post-burst drain, one for the final-snapshot completion —
      the chaos run's wall-clock skeleton. Each phase also attributes its
@@ -102,15 +102,10 @@ let run ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0) ?(seed = 1)
   (* Post-burst probe wave: fresh requests pushed into cores right after
      the last burst, so the recovery oracle's SP clause has traffic. *)
   let submit_aftermath () =
-    if n > 1 then
-      for i = 1 to aftermath do
-        let src = Prng.Splitmix.int chaos_rng n in
-        let dest = (src + 1 + Prng.Splitmix.int chaos_rng (n - 1)) mod n in
-        Mp.Ssmfp_mp.set_core t src
-          (Ssmfp.State.push_outbox (Mp.Ssmfp_mp.core t src) ~dest
-             (Printf.sprintf "aftermath-%d" i));
-        incr aftermath_submitted
-      done
+    aftermath_submitted :=
+      Recovery.aftermath_wave chaos_rng ~n aftermath (fun src ~dest info ->
+          Mp.Ssmfp_mp.set_core t src
+            (Ssmfp.State.push_outbox (Mp.Ssmfp_mp.core t src) ~dest info))
   in
   (* In-band snapshot layer: attached (and initiated every
      [snapshot_every] deliveries) only when asked for; a snapshot-off
@@ -264,8 +259,6 @@ let run ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0) ?(seed = 1)
   in
   let fired = List.rev !fired in
   let burst_rounds = List.map fst fired in
-  let delta = Topology.Graph.max_degree graph in
-  let diameter = try Topology.Metrics.diameter graph with _ -> 0 in
   let final_round = Mp.Ssmfp_mp.max_pulse t in
   let quiescent = mp_outcome = `All_done in
   let report =

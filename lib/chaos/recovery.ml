@@ -196,3 +196,17 @@ let verdict ~(schedule : Schedule.t) ~(verdict : Harness.Oracle.verdict)
    vacuous, small enough not to reshape the workload. *)
 let aftermath_for (schedule : Schedule.t) =
   if schedule.Schedule.bursts = [] then 0 else 4
+
+let aftermath_wave rng ~n count push =
+  if n <= 1 then 0
+  else begin
+    for i = 1 to count do
+      let src = Prng.Splitmix.int rng n in
+      let dest = (src + 1 + Prng.Splitmix.int rng (n - 1)) mod n in
+      push src ~dest (Printf.sprintf "aftermath-%d" i)
+    done;
+    count
+  end
+
+let graph_meta g =
+  (Topology.Graph.n g, Topology.Graph.max_degree g, Topology.Metrics.diameter g)

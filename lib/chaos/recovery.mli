@@ -78,3 +78,18 @@ val verdict :
 val aftermath_for : Schedule.t -> int
 (** Size of the post-burst probe wave a scenario submits: [0] when the
     schedule has no bursts, else [4]. *)
+
+val aftermath_wave :
+  Prng.Splitmix.t ->
+  n:int ->
+  int ->
+  (int -> dest:int -> Ssmfp.Message.info -> unit) ->
+  int
+(** [aftermath_wave rng ~n k push] draws the post-burst probe wave, the
+    same draws for both models: [k] fresh requests, each from a random
+    source to a random other process, pushed as [push src ~dest
+    "aftermath-i"]. Returns how many it submitted: [k], or [0] on a
+    single-process network. *)
+
+val graph_meta : Topology.Graph.t -> int * int * int
+(** [(n, Δ, D)], the graph parameters {!analyze} takes. *)

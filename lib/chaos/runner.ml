@@ -7,14 +7,9 @@ type outcome = {
   schedule : Schedule.t;
 }
 
-let graph_meta g =
-  ( Topology.Graph.n g,
-    Topology.Graph.max_degree g,
-    try Topology.Metrics.diameter g with _ -> 0 )
-
 let analyze_run schedule fired ~aftermath_submitted (run : Harness.Runner.result)
     g =
-  let n, delta, diameter = graph_meta g in
+  let n, delta, diameter = Recovery.graph_meta g in
   let report =
     Recovery.analyze ~oracle:run.Harness.Runner.oracle
       ~burst_rounds:(List.map fst fired) ~n ~delta ~diameter
@@ -72,16 +67,13 @@ let run ?obs ?(aftermath = 0) ?(prof = Obs.Prof.disabled) ~schedule
        "delivered once-and-only-once after faults stop" clause is never
        vacuously true. *)
     let submit_aftermath engine =
-      let n = Topology.Graph.n cfg.Harness.Runner.graph in
-      if n > 1 then
-        for i = 1 to aftermath do
-          let src = Prng.Splitmix.int chaos_rng n in
-          let dest = (src + 1 + Prng.Splitmix.int chaos_rng (n - 1)) mod n in
-          let st = Sim.Engine.state engine src in
-          Sim.Engine.set_state engine src
-            (Ssmfp.State.push_outbox st ~dest (Printf.sprintf "aftermath-%d" i));
-          incr aftermath_submitted
-        done
+      aftermath_submitted :=
+        Recovery.aftermath_wave chaos_rng
+          ~n:(Topology.Graph.n cfg.Harness.Runner.graph)
+          aftermath
+          (fun src ~dest info ->
+            Sim.Engine.set_state engine src
+              (Ssmfp.State.push_outbox (Sim.Engine.state engine src) ~dest info))
     in
     let inject engine =
       let rec fire () =

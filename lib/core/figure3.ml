@@ -54,11 +54,6 @@ let init p =
 
 type engine = (State.t, Protocol.action, Protocol.event) Sim.Engine.t
 
-let raise_request (t : engine) p =
-  let st = Sim.Engine.state t p in
-  if (not st.State.request) && st.State.outbox <> [] then
-    Sim.Engine.set_state t p { st with State.request = true }
-
 let repair_tables (t : engine) =
   Topology.Graph.iter_vertices
     (fun p ->
@@ -89,7 +84,7 @@ let script : ((engine -> unit) option * (int * string) list) list =
   [
     (None, [ (c, "R1") ]); (* (1) c emits m, color 0 *)
     (None, [ (c, "R2") ]); (* (2) m to bufE_c, recolored 1 *)
-    ( Some (fun t -> raise_request t c),
+    ( Some Protocol.raise_requests,
       [ (a, "R3"); (c, "R1") ] );
     (* (3) m copied to bufR_a; c emits its second message *)
     (None, [ (c, "R4") ]); (* towards (4): bufE_c erased *)

@@ -331,6 +331,15 @@ let make ?(variant = faithful) ?(run_routing = true)
     action_label = (fun a -> rule_name a.rule);
   }
 
+let raise_requests ?on_raise t =
+  for p = 0 to Topology.Graph.n (Sim.Engine.graph t) - 1 do
+    let st = Sim.Engine.state t p in
+    if State.wants_request st then begin
+      Sim.Engine.set_state t p { st with State.request = true };
+      match on_raise with Some f -> f p | None -> ()
+    end
+  done
+
 let message_count (net : State.t Sim.Engine.net) =
   Array.fold_left
     (fun acc sp -> acc + List.length (State.occupied_buffers sp))

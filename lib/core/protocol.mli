@@ -128,6 +128,12 @@ val first_enabled :
 (** The head of {!enabled_rules}, found by the same walk stopped at the
     first enabled action: what a priority-respecting daemon executes. *)
 
+val raise_requests :
+  ?on_raise:(int -> unit) -> (State.t, 'a, 'e) Sim.Engine.t -> unit
+(** The higher layer's move before a daemon step: at every processor
+    where {!State.wants_request} holds, in pid order, set [request_p]
+    and call [on_raise p]. *)
+
 val message_count : State.t Sim.Engine.net -> int
 (** Number of occupied buffers in the configuration. *)
 

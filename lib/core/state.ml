@@ -49,6 +49,7 @@ let pop_outbox t =
   match t.outbox with [] -> t | _ :: rest -> { t with outbox = rest }
 
 let push_outbox t ~dest info = { t with outbox = t.outbox @ [ (dest, info) ] }
+let wants_request t = (not t.request) && t.outbox <> []
 
 let has_occupied t =
   let n = Array.length t.slots in

@@ -63,6 +63,11 @@ val pop_outbox : t -> t
 val push_outbox : t -> dest:int -> Message.info -> t
 (** Append a send request (higher layer). *)
 
+val wants_request : t -> bool
+(** The higher layer's rule for raising [request_p]: the outbox holds a
+    message and [request_p] is down. R1 lowers it again when it
+    generates the head message. *)
+
 val has_occupied : t -> bool
 (** [occupied_buffers t <> []] without building the list — the hot
     drain check at large [n]. *)

@@ -912,17 +912,9 @@ let e12_choice_fairness () =
           | _ -> ())
         events
     in
-    let raise_requests t =
-      Topology.Graph.iter_vertices
-        (fun p ->
-          let st = Sim.Engine.state t p in
-          if (not st.Ssmfp.State.request) && st.Ssmfp.State.outbox <> [] then
-            Sim.Engine.set_state t p { st with Ssmfp.State.request = true })
-        g
-    in
     let status =
-      Sim.Engine.run ~max_steps:500_000 ~before_step:raise_requests ~on_events
-        t daemon
+      Sim.Engine.run ~max_steps:500_000
+        ~before_step:Ssmfp.Protocol.raise_requests ~on_events t daemon
     in
     ck.expect (status = `Terminal) "E12 %s: did not drain" name;
     let s = Harness.Stats.summarize !recorded in

@@ -128,17 +128,11 @@ let run ?obs cfg =
   let oracle = Oracle.create () in
   let daemon = make_daemon cfg.daemon daemon_rng in
   let routing_settled = ref 0 in
-  let raise_requests t =
-    Topology.Graph.iter_vertices
-      (fun p ->
-        let st = Sim.Engine.state t p in
-        if (not st.Ssmfp.State.request) && st.Ssmfp.State.outbox <> [] then begin
-          Sim.Engine.set_state t p { st with Ssmfp.State.request = true };
-          Oracle.observe_request_raised oracle
-            ~round:(Sim.Engine.stats t).Sim.Engine.rounds ~pid:p
-        end)
-      cfg.graph
+  let on_raise p =
+    Oracle.observe_request_raised oracle
+      ~round:(Sim.Engine.stats engine).Sim.Engine.rounds ~pid:p
   in
+  let raise_requests = Ssmfp.Protocol.raise_requests ~on_raise in
   let submitted = ref (Workload.total cfg.workload) in
   let respond pid (m : Ssmfp.Message.t) =
     match cfg.responder with

@@ -63,6 +63,20 @@ let add_string t s =
   add_int t (String.length s);
   String.iter (fun c -> add_byte t (Char.code c)) s
 
+let add_bool t b = add_byte t (if b then 1 else 0)
+
+(* Fold an int into a running hash, one little-endian byte at a time,
+   FNV-style. A snapshot cut's fingerprint is this fold over its piece
+   hashes in canonical order, so a cut assembled from stored data and
+   one assembled from at-instant reads agree exactly when every piece
+   agrees. *)
+let combine h v =
+  let h = ref h in
+  for i = 0 to 7 do
+    h := (!h lxor ((v lsr (i * 8)) land 0xff)) * fnv_prime
+  done;
+  !h
+
 let add_msg t (m : Ssmfp.Message.t option) =
   match m with
   | None -> add_byte t 0
@@ -72,28 +86,31 @@ let add_msg t (m : Ssmfp.Message.t option) =
       add_int t m.Ssmfp.Message.last;
       add_int t m.Ssmfp.Message.color
 
+let add_core t (st : Ssmfp.State.t) =
+  add_bool t st.Ssmfp.State.request;
+  Array.iter
+    (fun (e : Routing.Selfstab.entry) ->
+      add_int t e.Routing.Selfstab.dist;
+      add_int t e.Routing.Selfstab.via)
+    st.Ssmfp.State.routing;
+  add_int t (List.length st.Ssmfp.State.outbox);
+  Array.iter
+    (fun (sl : Ssmfp.State.slot) ->
+      add_msg t sl.Ssmfp.State.buf_r;
+      add_msg t sl.Ssmfp.State.buf_e;
+      add_int t (List.length sl.Ssmfp.State.queue);
+      List.iter (fun q -> add_int t q) sl.Ssmfp.State.queue)
+    st.Ssmfp.State.slots
+
 (* Every field is either a tagged byte or length-prefixed, and the state
    and slot counts are fixed by the network, so the encoding decodes
-   unambiguously: distinct canonical configurations get distinct keys. *)
+   unambiguously: distinct canonical configurations get distinct keys.
+   A [for] loop, not [Array.iter (add_core t)]: no closure per key. *)
 let encode t states ~delivered =
   reset t;
-  Array.iter
-    (fun (st : Ssmfp.State.t) ->
-      add_byte t (if st.Ssmfp.State.request then 1 else 0);
-      Array.iter
-        (fun (e : Routing.Selfstab.entry) ->
-          add_int t e.Routing.Selfstab.dist;
-          add_int t e.Routing.Selfstab.via)
-        st.Ssmfp.State.routing;
-      add_int t (List.length st.Ssmfp.State.outbox);
-      Array.iter
-        (fun (sl : Ssmfp.State.slot) ->
-          add_msg t sl.Ssmfp.State.buf_r;
-          add_msg t sl.Ssmfp.State.buf_e;
-          add_int t (List.length sl.Ssmfp.State.queue);
-          List.iter (fun q -> add_int t q) sl.Ssmfp.State.queue)
-        st.Ssmfp.State.slots)
-    states;
+  for p = 0 to Array.length states - 1 do
+    add_core t states.(p)
+  done;
   add_int t (min delivered 2)
 
 (* ------------------------------------------------------------------ *)

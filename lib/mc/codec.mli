@@ -1,16 +1,19 @@
-(** Compact binary canonical keys for model-checker configurations.
+(** The canonical encoding of SSMFP configurations: model-checker keys
+    and snapshot-cut fingerprints come from this one writer.
 
-    A value of type {!t} is a reusable scratch encoder: the explorer
+    A value of type {!t} is a reusable scratch encoder. The explorer
     ({!Par}) resets it and lets the model write a (configuration,
-    monitor) key with the [add_*] primitives. {!encode} is SSMFP's
-    writer: it serializes the canonical abstraction (ghost identities and
-    the [rr] cursor absent, message occurrences reduced to the visible
-    (info, last, color) triple plus validity, the delivery counter
-    clamped at 2) into a growable [Bytes] buffer with varint fields,
-    maintaining a 64-bit FNV-1a hash incrementally as bytes are
-    written. Between two {!encode} calls nothing is allocated once the
-    buffer has grown to the size of the largest configuration, so keying
-    a successor costs only the serialization walk.
+    monitor) key with the [add_*] primitives; the snapshot layer resets
+    it per captured piece (one process view, one channel) and folds the
+    piece hashes into a cut fingerprint with {!combine}. {!encode} is
+    SSMFP's key: it serializes the canonical abstraction (ghost
+    identities and the [rr] cursor absent, message occurrences reduced
+    to the visible (info, last, color) triple plus validity, the
+    delivery counter clamped at 2) into a growable [Bytes] buffer with
+    varint fields, maintaining a 64-bit FNV-1a hash incrementally as
+    bytes are written. Between two {!encode} calls nothing is allocated
+    once the buffer has grown to the size of the largest configuration,
+    so keying a successor costs only the serialization walk.
 
     Every field is a tagged byte or length-prefixed, and the state and
     slot counts are fixed by the network, so the encoding is injective:
@@ -57,6 +60,26 @@ val add_int : t -> int -> unit
 val add_string : t -> string -> unit
 (** Append a length-prefixed string (how the PIF model writes its
     canonical phase strings). *)
+
+val add_bool : t -> bool -> unit
+(** Append one byte, 1 or 0. *)
+
+val add_msg : t -> Ssmfp.Message.t option -> unit
+(** Tag 0 = empty, 1 = invalid, 2 = valid; then the visible triplet.
+    Ghost ids are deliberately excluded. *)
+
+val add_core : t -> Ssmfp.State.t -> unit
+(** One SSMFP state: request flag, routing entries, outbox length, per
+    slot the two buffers and the fairness queue. {!encode} writes one
+    per processor. *)
+
+val fnv_offset : int
+(** The FNV-1a offset basis: the hash of no bytes, and the seed of a
+    {!combine} fold. *)
+
+val combine : int -> int -> int
+(** [combine h v] folds the 8 little-endian bytes of [v] into the
+    running FNV-1a hash [h]. *)
 
 val string_key : Ssmfp.State.t array -> delivered:int -> string
 (** A human-readable rendering of the same canonical abstraction —

@@ -159,9 +159,6 @@ let lost states delivered =
        states
   && not (Array.exists holds_valid states)
 
-let request_possible (st : Ssmfp.State.t) =
-  (not st.Ssmfp.State.request) && st.Ssmfp.State.outbox <> []
-
 (* ------------------------------------------------------------------ *)
 (* Partial-order reduction: the ample-processor choice.
 
@@ -285,7 +282,7 @@ let conflict graph states p a q b =
 let ample_pid graph states tbl =
   let eligible p =
     tbl.(p) <> []
-    && (not (request_possible states.(p)))
+    && (not (Ssmfp.State.wants_request states.(p)))
     && local_progress_only tbl.(p)
     && (not (holds_valid states.(p)))
     && List.for_all
@@ -315,7 +312,7 @@ let raise_requests states =
   List.filter_map
     (fun p ->
       let st = states.(p) in
-      if request_possible st then begin
+      if Ssmfp.State.wants_request st then begin
         let states' = Array.copy states in
         states'.(p) <- { st with Ssmfp.State.request = true };
         Some (states', [ p ])
@@ -379,14 +376,6 @@ let check_liveness ?(step_bound = 20_000) scenario initials =
     let t = Sim.Engine.make ~graph:g ~protocol:proto init in
     let daemon = Sim.Daemon.round_robin () in
     let delivered = ref 0 in
-    let raise_requests t =
-      Topology.Graph.iter_vertices
-        (fun p ->
-          let st = Sim.Engine.state t p in
-          if (not st.Ssmfp.State.request) && st.Ssmfp.State.outbox <> [] then
-            Sim.Engine.set_state t p { st with Ssmfp.State.request = true })
-        g
-    in
     let on_events ~step:_ events =
       List.iter
         (fun (_, ev) ->
@@ -397,7 +386,8 @@ let check_liveness ?(step_bound = 20_000) scenario initials =
         events
     in
     let status =
-      Sim.Engine.run ~max_steps:step_bound ~before_step:raise_requests
+      Sim.Engine.run ~max_steps:step_bound
+        ~before_step:Ssmfp.Protocol.raise_requests
         ~on_events t daemon
     in
     let steps = (Sim.Engine.stats t).Sim.Engine.steps in

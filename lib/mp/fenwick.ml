@@ -17,7 +17,6 @@ let create n =
   if n < 0 then invalid_arg "Fenwick.create";
   { n; flags = Array.make n false; fen = Array.make (n + 1) 0; count = 0 }
 
-let size t = t.n
 let count t = t.count
 let mem t i = t.flags.(i)
 

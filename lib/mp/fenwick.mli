@@ -9,7 +9,6 @@ type t
 val create : int -> t
 (** [create n] — [n] flags, all clear. *)
 
-val size : t -> int
 val count : t -> int
 (** Number of set flags. *)
 

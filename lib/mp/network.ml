@@ -239,8 +239,6 @@ let create ?(loss = 0.) ?(duplication = 0.) ?(reorder = 0.)
     markers_dropped = 0;
   }
 
-let now t = t.now
-
 (* Are the unreliability knobs live? Under partial synchrony they are
    suppressed (without consuming draws) once the clock passes GST. *)
 let unreliable t =

@@ -102,10 +102,6 @@ val reordered : ('s, 'm) t -> int
 val dropped_while_down : ('s, 'm) t -> int
 (** Messages that arrived at a crashed process and evaporated. *)
 
-val now : ('s, 'm) t -> int
-(** Acted scheduler steps so far — the clock the timer wheels, crash
-    spans and the partial-synchrony GST are measured in. *)
-
 (** {2 Timers} — wheel-driven per-process timers for retransmission
     layers. They fire deterministically at their armed deadline, consume
     no scheduler draws, cost O(expired) per step, and survive crashes (a

@@ -87,8 +87,7 @@ let make_handler g nbrs mirrors oracle max_pulse_ref hook_ref =
   let execute_barrier ~self proc =
     (* Raise request_p if the higher layer has pending traffic. *)
     let core =
-      if (not proc.core.Ssmfp.State.request) && proc.core.Ssmfp.State.outbox <> []
-      then begin
+      if Ssmfp.State.wants_request proc.core then begin
         Harness.Oracle.observe_request_raised oracle ~round:proc.pulse ~pid:self;
         { proc.core with Ssmfp.State.request = true }
       end
@@ -410,7 +409,6 @@ let set_core t p core =
   Network.set_state t.net p { proc with core }
 
 let crash_process t p ~down_for = Network.crash t.net p ~down_for
-let is_down t p = Network.is_down t.net p
 let pulse_of t p = (Network.state t.net p).pulse
 let window (t : t) = t.window
 
@@ -436,11 +434,6 @@ let on_deliver t f =
 
 let send_marker t rng ~from ~into ~epoch =
   Network.send_marker t.net rng ~from ~into ~epoch
-
-let channel_contents t ~from ~into =
-  List.filter_map
-    (function Window.Data { body; _ } -> Some body | Window.Ack _ -> None)
-    (Network.channel_contents t.net ~from ~into)
 
 type marker_stats = { m_sent : int; m_delivered : int; m_dropped : int }
 

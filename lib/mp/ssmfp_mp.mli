@@ -168,8 +168,6 @@ val crash_process : t -> int -> down_for:int -> unit
 
 val channel_stats : t -> channel_stats
 
-val is_down : t -> int -> bool
-
 val pulse_of : t -> int -> int
 (** Process [p]'s own pulse counter (as opposed to the global
     {!max_pulse}). *)
@@ -209,10 +207,6 @@ val send_marker :
 (** {!Network.send_marker} on the underlying network: the marker takes
     the same unreliable link as the snapshots, with fault draws from the
     caller's PRNG stream. *)
-
-val channel_contents : t -> from:int -> into:int -> payload list
-(** In-flight snapshots on one directed channel, head first (markers
-    elided) — the omniscient channel view for differential tests. *)
 
 type marker_stats = { m_sent : int; m_delivered : int; m_dropped : int }
 

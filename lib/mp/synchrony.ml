@@ -21,11 +21,3 @@ let delta t = t.delta
 let gst t = t.gst
 
 let to_string t = Printf.sprintf "%d/%d" t.delta t.gst
-
-let of_string s =
-  match String.split_on_char '/' (String.trim s) with
-  | [ d; g ] -> (
-      match (int_of_string_opt d, int_of_string_opt g) with
-      | Some delta, Some gst when delta >= 1 && gst >= 0 -> Ok { delta; gst }
-      | _ -> Error (Printf.sprintf "bad synchrony %S (expected DELTA/GST)" s))
-  | _ -> Error (Printf.sprintf "bad synchrony %S (expected DELTA/GST)" s)

@@ -16,6 +16,5 @@ val delta : t -> int
 val gst : t -> int
 
 val to_string : t -> string
-(** ["DELTA/GST"], the CLI/schedule token form. *)
-
-val of_string : string -> (t, string) result
+(** ["DELTA/GST"], for diagnostics (schedules spell the setting
+    [ps=<delta>:<gst>]). *)

@@ -28,9 +28,9 @@ val observe : t -> string -> float -> unit
 
 (** {2 Merging} — combine per-domain registries into one.
 
-    [Campaign.Pool] gives each worker domain its own registry (a
-    registry is not thread-safe) and merges them after the join. The
-    merge is commutative and associative: counters add, gauges keep
+    A registry is not thread-safe, so parallel work fills one registry
+    per domain and merges them after the join. The merge is commutative
+    and associative: counters add, gauges keep
     the maximum (last-write-wins is meaningless across domains), and
     histograms pool their samples — {!summarize_samples} sorts before
     folding, so even the float mean is merge-order independent. *)

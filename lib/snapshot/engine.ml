@@ -47,10 +47,10 @@ type ('p, 'm) t = {
   capture : int -> 'p;
   freeze_state : 'p -> 'p;
   freeze_msg : 'm -> 'm;
-  encode_state : Codec.t -> 'p -> unit;
-  encode_msg : Codec.t -> 'm -> unit;
+  encode_state : Mc.Codec.t -> 'p -> unit;
+  encode_msg : Mc.Codec.t -> 'm -> unit;
   clock : unit -> int;
-  scratch : Codec.t;
+  scratch : Mc.Codec.t;
   resend_patience : int;
   (* current epoch *)
   mutable epoch : int;
@@ -109,7 +109,7 @@ let create ?(prof = Obs.Prof.disabled) ?(resend_patience = 1) ~send ~capture
     encode_state;
     encode_msg;
     clock;
-    scratch = Codec.create ();
+    scratch = Mc.Codec.create ();
     resend_patience = max 1 resend_patience;
     epoch = 0;
     active = false;
@@ -156,14 +156,14 @@ let take_completed t =
   cuts
 
 let state_piece t v =
-  Codec.reset t.scratch;
+  Mc.Codec.reset t.scratch;
   t.encode_state t.scratch v;
-  Codec.hash t.scratch
+  Mc.Codec.hash t.scratch
 
 let msg_piece t m =
-  Codec.reset t.scratch;
+  Mc.Codec.reset t.scratch;
   t.encode_msg t.scratch m;
-  Codec.hash t.scratch
+  Mc.Codec.hash t.scratch
 
 (* A channel piece hash is the FNV fold of its payloads' piece hashes,
    finalized by folding in the payload count — order- and
@@ -171,10 +171,10 @@ let msg_piece t m =
 let channel_piece t msgs =
   let h =
     List.fold_left
-      (fun h m -> Codec.combine h (msg_piece t m))
-      Codec.fnv_offset msgs
+      (fun h m -> Mc.Codec.combine h (msg_piece t m))
+      Mc.Codec.fnv_offset msgs
   in
-  Codec.combine h (List.length msgs)
+  Mc.Codec.combine h (List.length msgs)
 
 let close_channel t key cell =
   Hashtbl.remove t.chan_open key;
@@ -195,21 +195,21 @@ let assemble t =
     Hashtbl.fold (fun k pairs acc -> (k, pairs) :: acc) t.chan_closed []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
-  let fp = ref (Codec.combine Codec.fnv_offset t.n)
-  and shadow = ref (Codec.combine Codec.fnv_offset t.n) in
+  let fp = ref (Mc.Codec.combine Mc.Codec.fnv_offset t.n)
+  and shadow = ref (Mc.Codec.combine Mc.Codec.fnv_offset t.n) in
   Array.iter
     (fun (v, frozen) ->
-      fp := Codec.combine !fp (state_piece t v);
-      shadow := Codec.combine !shadow (state_piece t frozen))
+      fp := Mc.Codec.combine !fp (state_piece t v);
+      shadow := Mc.Codec.combine !shadow (state_piece t frozen))
     captured;
   let channels =
     List.map
       (fun (((from, into) as k), pairs) ->
         let msgs = List.map fst pairs in
-        let fold_key x = Codec.combine (Codec.combine x from) into in
-        fp := Codec.combine (fold_key !fp) (channel_piece t msgs);
+        let fold_key x = Mc.Codec.combine (Mc.Codec.combine x from) into in
+        fp := Mc.Codec.combine (fold_key !fp) (channel_piece t msgs);
         shadow :=
-          Codec.combine (fold_key !shadow)
+          Mc.Codec.combine (fold_key !shadow)
             (channel_piece t (List.map snd pairs));
         (k, msgs))
       channels

@@ -37,8 +37,8 @@ val create :
   capture:(int -> 'p) ->
   freeze_state:('p -> 'p) ->
   freeze_msg:('m -> 'm) ->
-  encode_state:(Codec.t -> 'p -> unit) ->
-  encode_msg:(Codec.t -> 'm -> unit) ->
+  encode_state:(Mc.Codec.t -> 'p -> unit) ->
+  encode_msg:(Mc.Codec.t -> 'm -> unit) ->
   clock:(unit -> int) ->
   Topology.Graph.t ->
   ('p, 'm) t

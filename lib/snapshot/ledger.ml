@@ -54,18 +54,18 @@ let delivered t = List.rev t.delivered
 let invalid t = List.rev t.invalid
 
 let encode c t =
-  Codec.add_int c t.n_generated;
+  Mc.Codec.add_int c t.n_generated;
   List.iter
     (fun (gid, dest, pulse) ->
-      Codec.add_int c gid;
-      Codec.add_int c dest;
-      Codec.add_int c pulse)
+      Mc.Codec.add_int c gid;
+      Mc.Codec.add_int c dest;
+      Mc.Codec.add_int c pulse)
     t.generated;
-  Codec.add_int c t.n_delivered;
+  Mc.Codec.add_int c t.n_delivered;
   List.iter
     (fun (gid, pulse) ->
-      Codec.add_int c gid;
-      Codec.add_int c pulse)
+      Mc.Codec.add_int c gid;
+      Mc.Codec.add_int c pulse)
     t.delivered;
-  Codec.add_int c t.n_invalid;
-  List.iter (fun pulse -> Codec.add_int c pulse) t.invalid
+  Mc.Codec.add_int c t.n_invalid;
+  List.iter (fun pulse -> Mc.Codec.add_int c pulse) t.invalid

@@ -29,6 +29,6 @@ val generated : t -> (int * int * int) list
 val delivered : t -> (int * int) list
 val invalid : t -> int list
 
-val encode : Codec.t -> t -> unit
+val encode : Mc.Codec.t -> t -> unit
 (** Stable encoding (counts then entries) — part of a view's piece
     hash, so a cut's fingerprint pins its ledgers too. *)

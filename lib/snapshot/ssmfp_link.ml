@@ -24,21 +24,21 @@ type t = {
 }
 
 let encode_view c v =
-  Codec.add_int c v.v_pulse;
-  Codec.add_core c v.v_core;
+  Mc.Codec.add_int c v.v_pulse;
+  Mc.Codec.add_core c v.v_core;
   Ledger.encode c v.v_ledger
 
 let encode_payload c (Mp.Ssmfp_mp.Snapshot (k, pub)) =
-  Codec.add_int c k;
+  Mc.Codec.add_int c k;
   Array.iter
     (fun (e : Routing.Selfstab.entry) ->
-      Codec.add_int c e.Routing.Selfstab.dist;
-      Codec.add_int c e.Routing.Selfstab.via)
+      Mc.Codec.add_int c e.Routing.Selfstab.dist;
+      Mc.Codec.add_int c e.Routing.Selfstab.via)
     pub.Mp.Ssmfp_mp.pub_routing;
   Array.iter
     (fun (sl : Ssmfp.State.slot) ->
-      Codec.add_msg c sl.Ssmfp.State.buf_r;
-      Codec.add_msg c sl.Ssmfp.State.buf_e)
+      Mc.Codec.add_msg c sl.Ssmfp.State.buf_r;
+      Mc.Codec.add_msg c sl.Ssmfp.State.buf_e)
     pub.Mp.Ssmfp_mp.pub_bufs
 
 (* Cores and payloads share their routing and slot arrays with the live
@@ -105,12 +105,12 @@ let marker_stats t = Mp.Ssmfp_mp.marker_stats t.sys
    keep advancing), so a final cut's core fingerprint must equal the
    live one read from the engine internals. *)
 let cores_fingerprint_of list_n states_core =
-  let c = Codec.create () in
-  let fp = ref (Codec.combine Codec.fnv_offset list_n) in
+  let c = Mc.Codec.create () in
+  let fp = ref (Mc.Codec.combine Mc.Codec.fnv_offset list_n) in
   for p = 0 to list_n - 1 do
-    Codec.reset c;
-    Codec.add_core c (states_core p);
-    fp := Codec.combine !fp (Codec.hash c)
+    Mc.Codec.reset c;
+    Mc.Codec.add_core c (states_core p);
+    fp := Mc.Codec.combine !fp (Mc.Codec.hash c)
   done;
   !fp
 

@@ -246,6 +246,67 @@ let test_of_file_rejects_foreign_json () =
       Alcotest.(check bool) "foreign schema rejected" true
         (Result.is_error (Aggregate.of_file path)))
 
+(* Malformed artifacts must fail to load, naming the file and the field;
+   loaded, each would read as a campaign with nothing failed. *)
+let load_via_file contents =
+  let path = Filename.temp_file "campaign" ".json" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+      (Filename.basename path, Aggregate.of_file path))
+
+let expect_rejected ~field (name, result) =
+  match result with
+  | Ok _ -> Alcotest.fail ("malformed artifact loaded; expected an error on " ^ field)
+  | Error e ->
+      Alcotest.(check bool) ("names the file: " ^ e) true (Test_util.contains e name);
+      Alcotest.(check bool) ("names " ^ field ^ ": " ^ e) true
+        (Test_util.contains e field)
+
+let drop_field doc ~index ~field =
+  let open Obs.Json in
+  match doc with
+  | Obj fields ->
+      Obj
+        (List.map
+           (fun (k, v) ->
+             match (k, v) with
+             | "scenarios", List l ->
+                 ( k,
+                   List
+                     (List.mapi
+                        (fun i sc ->
+                          match sc with
+                          | Obj f when i = index ->
+                              Obj (List.filter (fun (k', _) -> k' <> field) f)
+                          | _ -> sc)
+                        l) )
+             | _ -> (k, v))
+           fields)
+  | _ -> doc
+
+let test_of_file_requires_totals () =
+  expect_rejected ~field:"totals"
+    (load_via_file "{\"schema\":\"ssmfp.campaign/3\",\"scenarios\":5}")
+
+let test_of_file_requires_scenario_id () =
+  let doc = Aggregate.to_json (smoke_outcomes ~workers:2) in
+  let id = first_id doc in
+  let violated =
+    doctor_scenario doc ~id ~field:"status" ~value:(Obs.Json.String "violated")
+  in
+  expect_rejected ~field:"\"id\""
+    (load_via_file (Obs.Json.to_string (drop_field violated ~index:0 ~field:"id")))
+
+let test_of_file_requires_known_status () =
+  let doc = Aggregate.to_json (smoke_outcomes ~workers:2) in
+  let id = first_id doc in
+  expect_rejected ~field:"\"status\""
+    (load_via_file
+       (Obs.Json.to_string
+          (doctor_scenario doc ~id ~field:"status" ~value:(Obs.Json.Int 1))))
+
 let () =
   Alcotest.run "campaign"
     [
@@ -271,6 +332,12 @@ let () =
           Alcotest.test_case "artifact round trip" `Quick test_artifact_round_trip;
           Alcotest.test_case "foreign schema rejected" `Quick
             test_of_file_rejects_foreign_json;
+          Alcotest.test_case "missing totals rejected" `Quick
+            test_of_file_requires_totals;
+          Alcotest.test_case "missing scenario id rejected" `Quick
+            test_of_file_requires_scenario_id;
+          Alcotest.test_case "unknown status rejected" `Quick
+            test_of_file_requires_known_status;
         ] );
       ( "baseline",
         [

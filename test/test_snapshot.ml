@@ -13,36 +13,36 @@ let sched_exn s =
 
 let test_codec_deterministic () =
   let enc () =
-    let c = Snapshot.Codec.create () in
-    Snapshot.Codec.add_int c 0;
-    Snapshot.Codec.add_int c 127;
-    Snapshot.Codec.add_int c 128;
-    Snapshot.Codec.add_int c 300_000;
-    Snapshot.Codec.add_string c "hello";
-    Snapshot.Codec.add_bool c true;
-    (Snapshot.Codec.hash c, Snapshot.Codec.key c)
+    let c = Mc.Codec.create () in
+    Mc.Codec.add_int c 0;
+    Mc.Codec.add_int c 127;
+    Mc.Codec.add_int c 128;
+    Mc.Codec.add_int c 300_000;
+    Mc.Codec.add_string c "hello";
+    Mc.Codec.add_bool c true;
+    (Mc.Codec.hash c, Mc.Codec.key c)
   in
   let h1, k1 = enc () and h2, k2 = enc () in
   Alcotest.(check bool) "hash deterministic" true (h1 = h2);
   Alcotest.(check string) "bytes deterministic" k1 k2;
   (* LEB128: 127 is one byte, 128 is two *)
-  let c = Snapshot.Codec.create () in
-  Snapshot.Codec.add_int c 127;
-  Alcotest.(check int) "127 one byte" 1 (Snapshot.Codec.length c);
-  Snapshot.Codec.reset c;
-  Snapshot.Codec.add_int c 128;
-  Alcotest.(check int) "128 two bytes" 2 (Snapshot.Codec.length c)
+  let c = Mc.Codec.create () in
+  Mc.Codec.add_int c 127;
+  Alcotest.(check int) "127 one byte" 1 (Mc.Codec.length c);
+  Mc.Codec.reset c;
+  Mc.Codec.add_int c 128;
+  Alcotest.(check int) "128 two bytes" 2 (Mc.Codec.length c)
 
 let test_codec_sensitive () =
   let h xs =
-    let c = Snapshot.Codec.create () in
-    List.iter (Snapshot.Codec.add_int c) xs;
-    Snapshot.Codec.hash c
+    let c = Mc.Codec.create () in
+    List.iter (Mc.Codec.add_int c) xs;
+    Mc.Codec.hash c
   in
   Alcotest.(check bool) "order matters" false (h [ 1; 2 ] = h [ 2; 1 ]);
   Alcotest.(check bool) "content matters" false (h [ 1 ] = h [ 2 ]);
-  let comb = Snapshot.Codec.combine in
-  let o = Snapshot.Codec.fnv_offset in
+  let comb = Mc.Codec.combine in
+  let o = Mc.Codec.fnv_offset in
   Alcotest.(check bool) "combine order matters" false
     (comb (comb o 1) 2 = comb (comb o 2) 1);
   Alcotest.(check bool) "combine injective-ish" false (comb o 1 = comb o 2)
@@ -51,9 +51,9 @@ let test_codec_core_walk () =
   let g = Topology.Builders.ring 4 in
   let st = Ssmfp.State.clean g 0 in
   let h s =
-    let c = Snapshot.Codec.create () in
-    Snapshot.Codec.add_core c s;
-    Snapshot.Codec.hash c
+    let c = Mc.Codec.create () in
+    Mc.Codec.add_core c s;
+    Mc.Codec.hash c
   in
   Alcotest.(check bool) "clean state stable" true (h st = h st);
   let st' = Ssmfp.State.push_outbox st ~dest:2 "x" in
@@ -79,8 +79,8 @@ let attach_raw net rng_seed g =
         Mp.Network.send_marker net rng ~from ~into ~epoch)
       ~capture:(fun p -> Mp.Network.state net p)
       ~freeze_state:Fun.id ~freeze_msg:Fun.id
-      ~encode_state:(fun c s -> Snapshot.Codec.add_int c s)
-      ~encode_msg:(fun c m -> Snapshot.Codec.add_int c m)
+      ~encode_state:(fun c s -> Mc.Codec.add_int c s)
+      ~encode_msg:(fun c m -> Mc.Codec.add_int c m)
       ~clock:(fun () -> Mp.Network.deliveries net)
       g
   in
@@ -428,6 +428,37 @@ let test_marker_storm_determinism () =
   Alcotest.(check int) "identical pulse horizon" o1.Chaos.Mp_run.max_pulse
     o2.Chaos.Mp_run.max_pulse
 
+(* The CI mp chaos smoke (`chaos --model mp --topology ring:6 --schedule
+   8:rb:2@lossy --snapshot-every 500`, CLI defaults: adversarial start, 2
+   messages per process, aftermath 4, seed 1) against fingerprints
+   recorded from an earlier build. Determinism within one build cannot
+   catch a drift in the cut codec; this pin does. *)
+let test_fingerprints_pinned () =
+  Ssmfp.Message.reset_ghost_counter ();
+  let g = Topology.Builders.ring 6 in
+  let wl =
+    Harness.Workload.uniform_random (Prng.Splitmix.of_int (1 + 7919)) ~n:6
+      ~per_processor:2
+  in
+  let fps = ref [] in
+  let o =
+    Chaos.Mp_run.run ~spec:Harness.Fault.adversarial ~seed:1 ~aftermath:4
+      ~snapshot_every:500
+      ~on_cut:(fun c -> fps := Snapshot.Ssmfp_link.fingerprint_hex c :: !fps)
+      ~schedule:(sched_exn "8:rb:2@lossy") g wl
+  in
+  Alcotest.(check int) "channel deliveries" 6896
+    o.Chaos.Mp_run.channel_deliveries;
+  Alcotest.(check (list string)) "cut fingerprints"
+    [
+      "6d81ebc869539069"; "14ebec472d35f1a4"; "15f57db6d8e442c2";
+      "24bd4f02be46e48f"; "12aa848654cc0d8c"; "66a4778bedaf57f4";
+      "6359d3eacfaee121"; "74e14c12ef1d952c"; "1d17e25c1e9b2778";
+      "1c65a8ac5d139dd2"; "7f5a88bfdf1b1a79"; "1a471d513708130f";
+      "0e50c58768d78c2b"; "6c4c400023b36e7a";
+    ]
+    (List.rev !fps)
+
 let test_snapshot_off_is_identical () =
   (* Attaching the layer without ever initiating must not perturb the
      run: same deliveries, same verdict, same oracle counts. *)
@@ -535,6 +566,8 @@ let () =
         [
           Alcotest.test_case "marker storm" `Quick
             test_marker_storm_determinism;
+          Alcotest.test_case "fingerprints pinned" `Quick
+            test_fingerprints_pinned;
           Alcotest.test_case "snapshot-off identical" `Quick
             test_snapshot_off_is_identical;
         ] );
