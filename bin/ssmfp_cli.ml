@@ -143,50 +143,6 @@ let prof_summary_arg =
            time, counters, histogram digests and the wall-clock \
            attribution figure.")
 
-(* Shared by chaos/snapshot: the mp sliding-window size and channel
-   timing model. The flags override the schedule's own @win=/@ps=
-   modifiers. *)
-let window_arg =
-  Arg.(
-    value
-    & opt (some positive) None
-    & info [ "window" ] ~docv:"K"
-        ~doc:
-          "Mp model only: sliding-window size $(docv) of the \
-           retransmission layer (sequence numbers, cumulative acks, \
-           selective retransmit, wheel-driven RTO timers); default 8. \
-           Overrides the schedule's @win= modifier.")
-
-let delta_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "delta" ] ~docv:"STEPS"
-        ~doc:
-          "Mp model only: run the channels under partial synchrony with \
-           known message-delay bound $(docv) — after --gst, faults stop \
-           and every channel head is delivered within $(docv) + C \
-           steps. Overrides the schedule's @ps= modifier.")
-
-let gst_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "gst" ] ~docv:"STEP"
-        ~doc:
-          "Global stabilization time for --delta (default 0 = channels \
-           synchronous from the start). Before $(docv) the schedule's \
-           loss/duplication/reorder knobs apply unchanged.")
-
-let synchrony_of_flags ~delta ~gst =
-  match (delta, gst) with
-  | None, None -> Ok None
-  | Some d, g -> (
-      match Mp.Synchrony.make ~delta:d ~gst:(Option.value ~default:0 g) with
-      | sy -> Ok (Some sy)
-      | exception Invalid_argument m -> Error m)
-  | None, Some _ -> Error "--gst requires --delta"
-
 (* ---------------- shared plumbing ---------------- *)
 
 (* Artifact paths come from the command line: one that cannot be created
@@ -290,22 +246,16 @@ let print_channel (ch : Mp.Ssmfp_mp.channel_stats) =
     ch.Mp.Ssmfp_mp.delivered ch.Mp.Ssmfp_mp.lost ch.Mp.Ssmfp_mp.duplicated
     ch.Mp.Ssmfp_mp.reordered ch.Mp.Ssmfp_mp.dropped_while_down
 
-(* chaos and snapshot open alike: resolve --delta/--gst, print the run
-   header, then hand over the synchrony model and the uniform workload. *)
-let with_chaos_header ~cmd ~delta ~gst ~seed ~messages (name, graph) schedule
-    spec_name run =
-  match synchrony_of_flags ~delta ~gst with
-  | Error m ->
-      Printf.eprintf "ssmfp_cli %s: %s\n" cmd m;
-      2
-  | Ok synchrony ->
-      artifact_errors @@ fun () ->
-      print_topology name graph;
-      Printf.printf "schedule    : %s\n" (Chaos.Schedule.to_string schedule);
-      Printf.printf "corruption  : %s\n" spec_name;
-      run synchrony
-        (Harness.Workload.uniform_random (workload_rng seed)
-           ~n:(Topology.Graph.n graph) ~per_processor:messages)
+(* chaos and snapshot open alike: print the run header, then hand over
+   the uniform workload. *)
+let with_chaos_header ~seed ~messages (name, graph) schedule spec_name run =
+  artifact_errors @@ fun () ->
+  print_topology name graph;
+  Printf.printf "schedule    : %s\n" (Chaos.Schedule.to_string schedule);
+  Printf.printf "corruption  : %s\n" spec_name;
+  run
+    (Harness.Workload.uniform_random (workload_rng seed)
+       ~n:(Topology.Graph.n graph) ~per_processor:messages)
 
 (* --dest must name a processor of the chosen topology. *)
 let check_dest graph dest =
@@ -414,7 +364,7 @@ let run_cmd =
       match workload_kind with
       | `Uniform -> Harness.Workload.uniform_random rng ~n ~per_processor:messages
       | `All_to_one ->
-          Harness.Workload.all_to_one ~n ~dest:0 ~per_processor:messages ()
+          Harness.Workload.all_to_one ~n ~dest:0 ~per_processor:messages
       | `One_to_all -> Harness.Workload.one_to_all ~n ~src:0 ~rounds:messages
       | `Permutation ->
           Harness.Workload.permutation rng ~n ~per_processor:messages
@@ -783,7 +733,7 @@ let chaos_cmd =
     Arg.(
       value & opt non_negative 0
       & info [ "channel-garbage" ] ~docv:"K"
-          ~doc:"Forged messages pre-loaded into the mp channels.")
+          ~doc:"Mp model only: forged messages pre-loaded into the channels.")
   in
   let snapshot_every =
     Arg.(
@@ -817,12 +767,38 @@ let chaos_cmd =
       (if r.Chaos.Recovery.ok then "recovery oracle satisfied"
        else "VIOLATED — " ^ String.concat "; " r.Chaos.Recovery.violations)
   in
+  (* A flag meant for the other model is a usage error, not a no-op. *)
+  let check_model_flags model ~journal_file ~snapshot_every ~cut_journal
+      ~channel_garbage =
+    let cut_journal_needs = "--model mp and --snapshot-every" in
+    let misplaced =
+      match model with
+      | `Mp ->
+          if journal_file <> None then Some ("--journal", "--model state")
+          else if cut_journal <> None && snapshot_every = 0 then
+            Some ("--cut-journal", cut_journal_needs)
+          else None
+      | `State ->
+          if snapshot_every > 0 then Some ("--snapshot-every", "--model mp")
+          else if cut_journal <> None then
+            Some ("--cut-journal", cut_journal_needs)
+          else if channel_garbage > 0 then
+            Some ("--channel-garbage", "--model mp")
+          else None
+    in
+    Option.iter
+      (fun (flag, needs) ->
+        Printf.eprintf "ssmfp_cli: option '%s': needs %s\n" flag needs;
+        exit Cmd.Exit.cli_error)
+      misplaced
+  in
   let run (name, graph) schedule model (spec_name, spec) daemon seed messages
       aftermath channel_garbage max_steps json_file journal_file snapshot_every
-      cut_journal window delta gst profile prof_summary =
-    with_chaos_header ~cmd:"chaos" ~delta ~gst ~seed ~messages (name, graph)
-      schedule spec_name
-    @@ fun synchrony workload ->
+      cut_journal profile prof_summary =
+    check_model_flags model ~journal_file ~snapshot_every ~cut_journal
+      ~channel_garbage;
+    with_chaos_header ~seed ~messages (name, graph) schedule spec_name
+    @@ fun workload ->
     let prof = make_prof ~profile ~prof_summary ~tracks:1 in
     let print_faults ~at fired ~aftermath_submitted =
       Printf.printf "faults      : %s\n"
@@ -897,22 +873,15 @@ let chaos_cmd =
           []
     | `Mp ->
         let o, cut_j =
-          with_cut_journal
-            (if snapshot_every > 0 then cut_journal else None)
-            (fun on_cut ->
+          with_cut_journal cut_journal (fun on_cut ->
               Chaos.Mp_run.run ~spec ~channel_garbage ~seed
                 ~max_deliveries:max_steps ~aftermath ~snapshot_every ?on_cut
-                ~prof ?window ?synchrony ~schedule graph workload)
+                ~prof ~schedule graph workload)
         in
         Printf.printf "model       : mp (α-synchronizer port)\n";
-        let eff_sync =
-          match synchrony with
-          | Some _ -> synchrony
-          | None -> schedule.Chaos.Schedule.synchrony
-        in
         Printf.printf "retransmit  : sliding window (w=%d)%s\n"
           o.Chaos.Mp_run.window
-          (match eff_sync with
+          (match schedule.Chaos.Schedule.synchrony with
           | None -> ""
           | Some sy ->
               Printf.sprintf ", partial synchrony Δ=%d GST=%d"
@@ -992,7 +961,7 @@ let chaos_cmd =
             "With --snapshot-every: stream one snapshot_cut JSONL line \
              per completed cut (epoch, initiator, fingerprint, clock) to \
              $(docv) as cuts are harvested."
-      $ window_arg $ delta_arg $ gst_arg $ profile_arg $ prof_summary_arg)
+      $ profile_arg $ prof_summary_arg)
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -1009,10 +978,9 @@ let chaos_cmd =
    completes, and end on the cut-vs-omniscient verdict comparison. *)
 let snapshot_cmd =
   let run (name, graph) schedule (spec_name, spec) seed every messages
-      max_steps json_file cut_journal window delta gst =
-    with_chaos_header ~cmd:"snapshot" ~delta ~gst ~seed ~messages (name, graph)
-      schedule spec_name
-    @@ fun synchrony workload ->
+      max_steps json_file cut_journal =
+    with_chaos_header ~seed ~messages (name, graph) schedule spec_name
+    @@ fun workload ->
     Printf.printf "snapshots   : every %d channel deliveries\n" every;
     let cuts_seen = ref [] in
     let o, cut_j =
@@ -1031,8 +999,7 @@ let snapshot_cmd =
           in
           Chaos.Mp_run.run ~spec ~seed ~max_deliveries:max_steps
             ~aftermath:(Chaos.Recovery.aftermath_for schedule)
-            ~snapshot_every:every ~on_cut ?window ?synchrony ~schedule graph
-            workload)
+            ~snapshot_every:every ~on_cut ~schedule graph workload)
     in
     print_mp_outcome o ~suffix:"";
     print_channel o.Chaos.Mp_run.channel;
@@ -1128,8 +1095,7 @@ let snapshot_cmd =
       $ cut_journal_arg
           ~doc:
             "Stream one snapshot_cut JSONL line per completed cut to \
-             $(docv) as cuts are harvested."
-      $ window_arg $ delta_arg $ gst_arg)
+             $(docv) as cuts are harvested.")
   in
   Cmd.v
     (Cmd.info "snapshot"
@@ -1148,7 +1114,8 @@ let contains_substring hay needle =
   let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
   go 0
 
-(* A conv for comma-separated axis values, one parser per axis. *)
+(* A conv for comma-separated axis values, one parser per axis. Two
+   values that print alike would expand to scenarios sharing an id. *)
 let axis_conv ~what parse print =
   let parser s =
     let items =
@@ -1162,6 +1129,8 @@ let axis_conv ~what parse print =
         | [] -> Ok (List.rev acc)
         | x :: rest -> (
             match parse x with
+            | Ok v when List.exists (fun u -> print u = print v) acc ->
+                Error (`Msg (Printf.sprintf "repeated %s %S" what (print v)))
             | Ok v -> go (v :: acc) rest
             | Error e -> Error (`Msg e))
       in

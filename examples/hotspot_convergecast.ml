@@ -13,7 +13,7 @@
 let run_variant name variant =
   let graph = Topology.Builders.star 8 in
   let n = Topology.Graph.n graph in
-  let workload = Harness.Workload.all_to_one ~n ~dest:0 ~per_processor:8 () in
+  let workload = Harness.Workload.all_to_one ~n ~dest:0 ~per_processor:8 in
   let cfg =
     Harness.Runner.config ~variant ~daemon:Harness.Runner.Synchronous ~seed:3
       graph workload
@@ -48,7 +48,7 @@ let () =
   in
   (* Against the fault-free baseline on the same workload. *)
   let graph = Topology.Builders.star 8 in
-  let workload = Harness.Workload.all_to_one ~n:8 ~dest:0 ~per_processor:8 () in
+  let workload = Harness.Workload.all_to_one ~n:8 ~dest:0 ~per_processor:8 in
   let b = Harness.Runner.run_baseline graph workload in
   Printf.printf "%-12s delivered %d in %d rounds (no fault tolerance)\n"
     "baseline" (List.length b.Baseline.Forwarding.delivered)

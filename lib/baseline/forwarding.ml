@@ -107,7 +107,7 @@ let is_quiescent t =
   Array.for_all (fun row -> Array.for_all (( = ) None) row) t.bufs
   && Array.for_all Queue.is_empty t.outbox
 
-let run_to_quiescence ?(max_rounds = 1_000_000) t =
+let run_to_quiescence t =
   let rec loop budget =
     if is_quiescent t then `Quiescent
     else if budget = 0 then `Max_rounds
@@ -116,7 +116,7 @@ let run_to_quiescence ?(max_rounds = 1_000_000) t =
       loop (budget - 1)
     end
   in
-  loop max_rounds
+  loop 1_000_000
 
 let stats (t : t) =
   { rounds = t.rounds; moves = t.moves; delivered = List.rev t.delivered }

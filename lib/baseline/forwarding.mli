@@ -51,8 +51,8 @@ val step : t -> int
 val is_quiescent : t -> bool
 (** No buffered message and no pending outbox entry. *)
 
-val run_to_quiescence : ?max_rounds:int -> t -> [ `Quiescent | `Max_rounds ]
-(** Iterate {!step} (default bound 1_000_000 rounds). *)
+val run_to_quiescence : t -> [ `Quiescent | `Max_rounds ]
+(** Iterate {!step}, at most 1_000_000 rounds. *)
 
 val stats : t -> stats
 

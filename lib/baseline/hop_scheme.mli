@@ -55,6 +55,7 @@ val step : t -> int
 
 val is_quiescent : t -> bool
 
-val run_to_quiescence : ?max_rounds:int -> t -> [ `Quiescent | `Max_rounds ]
+val run_to_quiescence : t -> [ `Quiescent | `Max_rounds ]
+(** Iterate {!step}, at most 1_000_000 rounds. *)
 
 val stats : t -> stats

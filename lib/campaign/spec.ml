@@ -140,7 +140,14 @@ let seeds_of_string s =
   match List.fold_left item (Ok []) (String.split_on_char ',' s) with
   | Error _ as e -> e
   | Ok [] -> Error "empty seed list"
-  | Ok l -> Ok (List.rev l)
+  | Ok l -> (
+      let rec repeated = function
+        | a :: (b :: _ as rest) -> if a = b then Some a else repeated rest
+        | _ -> None
+      in
+      match repeated (List.sort compare l) with
+      | Some v -> Error (Printf.sprintf "repeated seed %d" v)
+      | None -> Ok (List.rev l))
 
 type grid = {
   topologies : topology list;
@@ -301,7 +308,7 @@ let materialize_workload sc =
   let wl_rng = Prng.Splitmix.of_int (sc.seed + 7919) in
   match sc.workload with
   | Uniform k -> Harness.Workload.uniform_random wl_rng ~n ~per_processor:k
-  | All_to_one k -> Harness.Workload.all_to_one ~n ~dest:0 ~per_processor:k ()
+  | All_to_one k -> Harness.Workload.all_to_one ~n ~dest:0 ~per_processor:k
   | One_to_all k -> Harness.Workload.one_to_all ~n ~src:0 ~rounds:k
   | Permutation k -> Harness.Workload.permutation wl_rng ~n ~per_processor:k
   | Neighbors k -> Harness.Workload.neighbors_only graph ~per_processor:k

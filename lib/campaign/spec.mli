@@ -66,7 +66,7 @@ val chaos_exn : string -> Chaos.Schedule.t
 
 val seeds_of_string : string -> (int list, string) result
 (** Comma-separated seeds and inclusive ranges: ["1,2,5"], ["1..8"],
-    ["1..3,7"]. *)
+    ["1..3,7"]. A seed listed twice (["1..3,2"]) is an error. *)
 
 type grid = {
   topologies : topology list;

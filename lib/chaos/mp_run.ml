@@ -58,22 +58,13 @@ let tick_chunk = 128
 
 let run ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0) ?(seed = 1)
     ?(max_deliveries = 2_000_000) ?(aftermath = 0) ?(snapshot_every = 0)
-    ?on_cut ?(prof = Obs.Prof.disabled) ?window ?synchrony ~schedule graph
-    workload =
+    ?on_cut ?(prof = Obs.Prof.disabled) ~schedule graph workload =
   let knobs = Schedule.knobs schedule in
-  (* Explicit arguments override the schedule's own channel modifiers
-     (the CLI flags ride here; campaign scenarios encode them in the
-     schedule string). *)
-  let window =
-    match window with Some _ -> window | None -> schedule.Schedule.window
-  in
-  let synchrony =
-    match synchrony with Some _ -> synchrony | None -> schedule.Schedule.synchrony
-  in
   let t =
     Mp.Ssmfp_mp.create ~spec ~channel_garbage ~loss:knobs.Schedule.loss
       ~duplication:knobs.Schedule.duplication ~reorder:knobs.Schedule.reorder
-      ~seed ~prof ?window ?synchrony graph workload
+      ~seed ~prof ?window:schedule.Schedule.window
+      ?synchrony:schedule.Schedule.synchrony graph workload
   in
   let n, delta, diameter = Recovery.graph_meta graph in
   (* Phase spans on track 0: one per drive segment between bursts, one

@@ -70,17 +70,13 @@ val run :
   ?snapshot_every:int ->
   ?on_cut:(Snapshot.Ssmfp_link.cut -> unit) ->
   ?prof:Obs.Prof.t ->
-  ?window:int ->
-  ?synchrony:Mp.Synchrony.t ->
   schedule:Schedule.t ->
   Topology.Graph.t ->
   Harness.Workload.t ->
   outcome
-(** [?window] and [?synchrony] select the sliding-window size and the
-    channel timing model ({!Mp.Ssmfp_mp.create}); they default to the
-    schedule's own [@win=]/[@ps=] modifiers (an explicit argument
-    overrides the schedule — the CLI flags ride here), and without
-    either to the port's defaults.
+(** The schedule's [@win=] and [@ps=] modifiers select the
+    sliding-window size and the channel timing model
+    ({!Mp.Ssmfp_mp.create}); without them the port's defaults apply.
 
     [max_deliveries] (default 2_000_000) is a per-segment budget: each
     burst segment and the final drain get the full budget, so a run is

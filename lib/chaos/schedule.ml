@@ -123,8 +123,12 @@ let parse_extra acc tok =
   | "flaky" -> Ok (Flaky, window, synchrony)
   | _ when String.length tok > 4 && String.sub tok 0 4 = "win=" -> (
       match int_of_string_opt (String.sub tok 4 (String.length tok - 4)) with
-      | Some w when w >= 1 -> Ok (channel, Some w, synchrony)
-      | _ -> Error (Printf.sprintf "bad window %S (expected win=<k>)" tok))
+      | Some w when w >= 1 && w <= Mp.Window.max_size ->
+          Ok (channel, Some w, synchrony)
+      | _ ->
+          Error
+            (Printf.sprintf "bad window %S (expected win=<k>, 1 <= k <= %d)"
+               tok Mp.Window.max_size))
   | _ when String.length tok > 3 && String.sub tok 0 3 = "ps=" -> (
       let body = String.sub tok 3 (String.length tok - 3) in
       match String.split_on_char ':' body with

@@ -27,11 +27,11 @@
 
     ['@']-separated modifiers after the burst list: a channel preset
     ([reliable] / [lossy] / [flaky]), [win=<k>] (the mp port's
-    sliding-window size [k >= 1]; absent = the port's default,
-    {!Mp.Ssmfp_mp.create}) and [ps=<delta>:<gst>] (partial-synchrony
-    channels, {!Mp.Synchrony}), in any order. [to_string] omits absent
-    modifiers, so every schedule string (and the campaign scenario ids
-    built from them) round-trips unchanged.
+    sliding-window size, [1 <= k <= ]{!Mp.Window.max_size}; absent =
+    the port's default, {!Mp.Ssmfp_mp.create}) and [ps=<delta>:<gst>]
+    (partial-synchrony channels, {!Mp.Synchrony}), in any order.
+    [to_string] omits absent modifiers, so every schedule string (and
+    the campaign scenario ids built from them) round-trips unchanged.
 
     [of_string] accepts domains in any order with duplicates and
     normalizes to the canonical [rbqfc] order, so

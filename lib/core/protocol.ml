@@ -30,19 +30,6 @@ let rule_name = function
   | R5 -> "R5"
   | R6 -> "R6"
 
-let pp_event fmt = function
-  | Generated (m, d) -> Format.fprintf fmt "generated %a for %d" Message.pp m d
-  | Delivered m -> Format.fprintf fmt "delivered %a" Message.pp m
-  | Internal_forward (m, d) ->
-      Format.fprintf fmt "internal %a for %d" Message.pp m d
-  | Copied (m, s, d) ->
-      Format.fprintf fmt "copied %a from %d for %d" Message.pp m s d
-  | Erased_after_forward (m, d) ->
-      Format.fprintf fmt "erasedE %a for %d" Message.pp m d
-  | Erased_duplicate (m, d) ->
-      Format.fprintf fmt "erasedR %a for %d" Message.pp m d
-  | Routing_update d -> Format.fprintf fmt "routing update for %d" d
-
 (* --- reading the configuration ------------------------------------- *)
 
 let read (net : State.t Sim.Engine.net) q = net.states.(q)

@@ -79,8 +79,6 @@ val faithful : variant
 val rule_name : rule -> string
 (** ["RA"], ["R1"] .. ["R6"]. *)
 
-val pp_event : Format.formatter -> event -> unit
-
 val make :
   ?variant:variant ->
   ?run_routing:bool ->

@@ -39,9 +39,6 @@ let with_slot t d s =
 let with_routing t routing = { t with routing }
 let with_rr t rr = { t with rr }
 
-let next_destination t =
-  match t.outbox with [] -> None | (d, _) :: _ -> Some d
-
 let next_message t =
   match t.outbox with [] -> None | (_, info) :: _ -> Some info
 

@@ -51,9 +51,6 @@ val with_slot : t -> int -> slot -> t
 val with_routing : t -> Routing.Selfstab.state -> t
 val with_rr : t -> int -> t
 
-val next_destination : t -> int option
-(** [nextDestination_p]: destination of the head of [outbox]. *)
-
 val next_message : t -> Message.info option
 (** [nextMessage_p]: info of the head of [outbox]. *)
 

@@ -642,7 +642,7 @@ let e8_ablations () =
   (* Queue rotation: convergecast contention on a star. *)
   let rotation_case variant_name variant =
     let g = Topology.Builders.star 6 in
-    let wl = Harness.Workload.all_to_one ~n:6 ~dest:0 ~per_processor:10 () in
+    let wl = Harness.Workload.all_to_one ~n:6 ~dest:0 ~per_processor:10 in
     let cfg =
       Harness.Runner.config ~variant ~daemon:Harness.Runner.Synchronous
         ~seed:121 g wl
@@ -859,7 +859,7 @@ let e12_choice_fairness () =
     let delta = Topology.Graph.max_degree g in
     let rng = rng_of (seed + 8000) in
     let wl =
-      Harness.Workload.all_to_one ~n ~dest:0 ~per_processor:6 ()
+      Harness.Workload.all_to_one ~n ~dest:0 ~per_processor:6
     in
     ignore rng;
     let proto = Ssmfp.Protocol.make g in

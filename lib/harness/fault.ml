@@ -93,7 +93,7 @@ let initial_states ?rng spec g ~workload p =
     outbox = workload.(p);
   }
 
-let fill_component ?(payload = "inv") g ~dest states =
+let fill_component g ~dest states =
   let delta = Topology.Graph.max_degree g in
   let planted = ref 0 in
   Array.iteri
@@ -106,7 +106,7 @@ let fill_component ?(payload = "inv") g ~dest states =
         Some
           (Ssmfp.Message.fresh_invalid ~at:p ~last
              ~color:((!planted - 1) mod (delta + 1))
-             (Printf.sprintf "%s%d" payload !planted))
+             (Printf.sprintf "inv%d" !planted))
       in
       let sl = Ssmfp.State.slot st dest in
       states.(p) <-

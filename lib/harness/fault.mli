@@ -60,8 +60,7 @@ val initial_states :
     deterministic), outbox from [workload]. Call once per processor with
     the same [rng] to build a configuration. *)
 
-val fill_component :
-  ?payload:string -> Topology.Graph.t -> dest:int -> Ssmfp.State.t array -> int
+val fill_component : Topology.Graph.t -> dest:int -> Ssmfp.State.t array -> int
 (** Overwrite *every* buffer of destination [dest]'s component with
     distinct invalid messages (all [2n] of them — the worst case of
     Proposition 4); [last] fields point to a neighbour chosen

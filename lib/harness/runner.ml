@@ -57,7 +57,7 @@ type config = {
 let config ?(spec = Fault.pristine) ?(daemon = Distributed_random)
     ?(variant = Ssmfp.Protocol.faithful) ?(run_routing = true) ?(seed = 1)
     ?(max_steps = 2_000_000) ?(mode = Sim.Engine.Incremental) ?prepare
-    ?responder ?inject graph workload =
+    ?responder graph workload =
   {
     graph;
     spec;
@@ -70,7 +70,7 @@ let config ?(spec = Fault.pristine) ?(daemon = Distributed_random)
     mode;
     prepare;
     responder;
-    inject;
+    inject = None;
   }
 
 type result = {

@@ -65,13 +65,12 @@ val config :
   ?mode:Sim.Engine.mode ->
   ?prepare:(Ssmfp.State.t array -> unit) ->
   ?responder:(int -> Ssmfp.Message.info -> (int * Ssmfp.Message.info) list) ->
-  ?inject:(engine -> unit) ->
   Topology.Graph.t ->
   Workload.t ->
   config
 (** Defaults: pristine spec, [Distributed_random] daemon, faithful
     variant, routing on, seed 1, 2_000_000 steps, incremental guard
-    evaluation. *)
+    evaluation, no injector (set [inject] by record update). *)
 
 type result = {
   outcome : [ `Quiescent | `Max_steps ];

@@ -24,11 +24,10 @@ let uniform_random ?(distinct_payloads = true) rng ~n ~per_processor =
           in
           (dest, payload ~distinct:distinct_payloads ~src ~i)))
 
-let all_to_one ?payload ~n ~dest ~per_processor () =
-  let info = Option.value ~default:"hot" payload in
+let all_to_one ~n ~dest ~per_processor =
   Array.init n (fun src ->
       if src = dest then []
-      else List.init per_processor (fun _ -> (dest, info)))
+      else List.init per_processor (fun _ -> (dest, "hot")))
 
 let one_to_all ~n ~src ~rounds =
   let t = empty ~n in

@@ -28,8 +28,7 @@ val uniform_random :
 (** Every processor sends [per_processor] messages to uniformly random
     other processors. *)
 
-val all_to_one :
-  ?payload:string -> n:int -> dest:int -> per_processor:int -> unit -> t
+val all_to_one : n:int -> dest:int -> per_processor:int -> t
 (** Convergecast: everyone (except [dest]) floods one destination — the
     hotspot pattern that maximizes [choice] contention. *)
 

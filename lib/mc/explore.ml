@@ -367,7 +367,9 @@ type liveness_report = {
   failures : string list;
 }
 
-let check_liveness ?(step_bound = 20_000) scenario initials =
+let step_bound = 20_000
+
+let check_liveness scenario initials =
   let g = scenario.graph in
   let proto = Ssmfp.Protocol.make ~run_routing:false g in
   let max_steps_seen = ref 0 and failures = ref [] in

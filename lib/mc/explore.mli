@@ -129,6 +129,6 @@ type liveness_report = {
   failures : string list;  (** one line per failing initial configuration *)
 }
 
-val check_liveness : ?step_bound:int -> scenario -> Ssmfp.State.t array list -> liveness_report
+val check_liveness : scenario -> Ssmfp.State.t array list -> liveness_report
 (** Run each initial configuration to quiescence under the round-robin
     daemon (bound 20_000 steps each) and verify exactly-once delivery. *)

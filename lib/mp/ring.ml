@@ -79,14 +79,6 @@ let clear t =
   t.head <- 0;
   t.len <- 0
 
-let iter f t =
-  if t.len > 0 then begin
-    let mask = Array.length t.buf - 1 in
-    for k = 0 to t.len - 1 do
-      f t.buf.((t.head + k) land mask)
-    done
-  end
-
 let to_list t =
   if t.len = 0 then []
   else begin

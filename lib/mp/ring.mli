@@ -37,9 +37,6 @@ val insert : 'a t -> int -> 'a -> unit
 val clear : 'a t -> unit
 (** Empty the ring, keeping its storage. *)
 
-val iter : ('a -> unit) -> 'a t -> unit
-(** Front to back. *)
-
 val to_list : 'a t -> 'a list
 (** Front first. *)
 

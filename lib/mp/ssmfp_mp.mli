@@ -116,7 +116,8 @@ val create :
     is [max (8 * rto) (16 * C)], staggered per process across a whole
     period. Channel garbage is planted as Data frames with random
     epochs and sequence numbers, attacking the window state machines
-    too. @raise Invalid_argument if [window < 1].
+    too. @raise Invalid_argument unless
+    [1 <= window <= ]{!Window.max_size}.
 
     [?synchrony] threads the partial-synchrony config to
     {!Network.create}: before GST all knobs apply; after GST faults stop

@@ -36,8 +36,15 @@ type 'a receiver = {
   mutable rbuf : 'a option array; (* out-of-order slots [seq mod w] *)
 }
 
+let max_size = 1024
+
+let check_size who w =
+  if w < 1 || w > max_size then
+    invalid_arg
+      (Printf.sprintf "Window.%s: window must be in 1..%d" who max_size)
+
 let sender ?(epoch = 0) w =
-  if w < 1 then invalid_arg "Window.sender: window must be >= 1";
+  check_size "sender" w;
   {
     w;
     s_epoch = epoch;
@@ -49,7 +56,7 @@ let sender ?(epoch = 0) w =
   }
 
 let receiver ?(epoch = 0) w =
-  if w < 1 then invalid_arg "Window.receiver: window must be >= 1";
+  check_size "receiver" w;
   { rw = w; r_epoch = epoch; expected = 0; rbuf = Array.make w None }
 
 let sender_epoch s = s.s_epoch

@@ -28,8 +28,13 @@ type 'a frame =
 type 'a sender
 type 'a receiver
 
+val max_size : int
+(** 1024, 128 times the port's default window: each sender and receiver
+    preallocates [w] slots. *)
+
 val sender : ?epoch:int -> int -> 'a sender
-(** [sender w] — window size [w >= 1]. *)
+(** [sender w] — window size [1 <= w <= max_size], else
+    [Invalid_argument]. *)
 
 val receiver : ?epoch:int -> int -> 'a receiver
 

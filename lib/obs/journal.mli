@@ -6,7 +6,7 @@
     envelopes (Propositions 5–7). The journal is the machine-readable
     record of one trajectory: feed it from [Sim.Engine.run ~on_events]
     (the runner wires this when given an {!Sink.t}), then dump it, grep
-    it, diff it, or replay it through {!Hoptrace}.
+    it, diff it, or read it back with {!load_jsonl}.
 
     JSONL schema (one object per line, fields in this order):
     {v

@@ -64,29 +64,6 @@ let summarize_samples samples n =
     }
   end
 
-(* Commutative merge: counters add, gauges keep the max (last-write-wins
-   has no meaning across domains), histograms pool their samples.
-   summarize_samples sorts before folding, so the merged summary —
-   including the float mean — is independent of merge order. *)
-let merge_into ~into src =
-  Hashtbl.iter (fun name r -> incr ~by:!r into name) src.counters;
-  Hashtbl.iter
-    (fun name r ->
-      match Hashtbl.find_opt into.gauges name with
-      | Some r' -> if !r > !r' then r' := !r
-      | None -> Hashtbl.replace into.gauges name (ref !r))
-    src.gauges;
-  Hashtbl.iter
-    (fun name h ->
-      match Hashtbl.find_opt into.histograms name with
-      | Some h' ->
-          h'.samples <- List.rev_append h.samples h'.samples;
-          h'.n <- h'.n + h.n
-      | None ->
-          Hashtbl.replace into.histograms name
-            { samples = h.samples; n = h.n })
-    src.histograms
-
 type snapshot = {
   counters : (string * int) list;
   gauges : (string * float) list;
@@ -95,11 +72,6 @@ type snapshot = {
 
 let sorted_bindings tbl f =
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, f v) :: acc) tbl [])
-
-let merge_all regs =
-  let into = create () in
-  List.iter (fun r -> merge_into ~into r) regs;
-  into
 
 let snapshot (t : t) : snapshot =
   {

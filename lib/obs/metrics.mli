@@ -26,21 +26,6 @@ val set_gauge : t -> string -> float -> unit
 val observe : t -> string -> float -> unit
 (** Append a sample to a histogram. *)
 
-(** {2 Merging} — combine per-domain registries into one.
-
-    A registry is not thread-safe, so parallel work fills one registry
-    per domain and merges them after the join. The merge is commutative
-    and associative: counters add, gauges keep
-    the maximum (last-write-wins is meaningless across domains), and
-    histograms pool their samples — {!summarize_samples} sorts before
-    folding, so even the float mean is merge-order independent. *)
-
-val merge_into : into:t -> t -> unit
-(** Fold [src]'s instruments into [into]. [src] is left untouched. *)
-
-val merge_all : t list -> t
-(** Fresh registry holding the merge of all inputs. *)
-
 (** {2 Snapshots} *)
 
 type summary = {

@@ -5,8 +5,6 @@ type state = entry array
 
 let equal_entry a b = a.dist = b.dist && a.via = b.via
 
-let pp_entry fmt e = Format.fprintf fmt "{d=%d via=%d}" e.dist e.via
-
 (* The canonical tree for a tie-break: among the neighbors strictly
    closer to d, the smallest or largest id. [dist q] is dist(q, d); it is
    read only for p and its neighbors. *)

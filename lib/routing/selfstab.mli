@@ -39,8 +39,6 @@ type state = entry array
 
 val equal_entry : entry -> entry -> bool
 
-val pp_entry : Format.formatter -> entry -> unit
-
 val init_correct : ?tie:tie -> Topology.Graph.t -> int -> state
 (** [init_correct g p] is [p]'s stabilized table (the fixpoint for the
     given tie-break), from one BFS per vertex of [N_p ∪ {p}]:

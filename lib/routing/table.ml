@@ -64,18 +64,3 @@ let corrupted_fraction g t =
     done
   done;
   float_of_int !bad /. float_of_int (n * n)
-
-let pp g fmt t =
-  let n = Topology.Graph.n g in
-  Format.fprintf fmt "@[<v>";
-  for p = 0 to n - 1 do
-    Format.fprintf fmt "p%d:" p;
-    for d = 0 to n - 1 do
-      if d <> p then
-        Format.fprintf fmt " d%d->%d(%d)" d
-          (Selfstab.next_hop t.(p) ~d)
-          t.(p).(d).Selfstab.dist
-    done;
-    Format.fprintf fmt "@,"
-  done;
-  Format.fprintf fmt "@]"

@@ -33,5 +33,3 @@ val routing_loops : Topology.Graph.t -> t -> (int * int) list
 
 val corrupted_fraction : Topology.Graph.t -> t -> float
 (** Fraction of [(p, d)] entries differing from the canonical fixpoint. *)
-
-val pp : Topology.Graph.t -> Format.formatter -> t -> unit

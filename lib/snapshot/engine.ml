@@ -12,17 +12,12 @@
    - {e epochs}: every marker carries the epoch; markers from other
      epochs (stale retransmissions, or floods of an abandoned epoch)
      are ignored, making duplicate and reordered markers idempotent;
-   - {e retransmission}: the driver calls [tick] periodically; after
-     [resend_patience] ticks with no state-recording progress, markers
-     are retransmitted (through the same lossy link) — but only where
-     the epoch is actually stuck: one marker per still-open channel
-     (whose original close marker was lost or evaporated at a crashed
-     process) and one per recorded→unrecorded edge (re-seeding a flood
-     frontier a lost marker severed). Channel closes deliberately do
-     not reset the patience counter: at scale, closes trickle in for a
-     long time, and counting them as progress starves the lost-marker
-     channels of their retransmissions. Records may reset it at most
-     [n] times, so retransmission is never starved forever;
+   - {e retransmission}: the driver calls [tick] periodically, and each
+     tick of an active epoch retransmits markers (through the same lossy
+     link) — but only where the epoch is actually stuck: one marker per
+     still-open channel (whose original close marker was lost or
+     evaporated at a crashed process) and one per recorded→unrecorded
+     edge (re-seeding a flood frontier a lost marker severed);
    - {e abandonment}: [initiate] while an epoch is still active abandons
      it (counted), bounding the damage of a partition or a long crash.
 
@@ -51,7 +46,6 @@ type ('p, 'm) t = {
   encode_msg : Mc.Codec.t -> 'm -> unit;
   clock : unit -> int;
   scratch : Mc.Codec.t;
-  resend_patience : int;
   (* current epoch *)
   mutable epoch : int;
   mutable active : bool;
@@ -59,7 +53,6 @@ type ('p, 'm) t = {
   mutable started_at : int;
   mutable pending_states : int;
   mutable epoch_resent : int;
-  mutable idle_ticks : int;
   recorded : bool array;
   states : ('p * 'p) option array;  (* (captured, frozen at capture) *)
   chan_open : (int * int, ('m * 'm) list ref) Hashtbl.t;
@@ -95,8 +88,8 @@ type stats = {
   markers_resent : int;
 }
 
-let create ?(prof = Obs.Prof.disabled) ?(resend_patience = 1) ~send ~capture
-    ~freeze_state ~freeze_msg ~encode_state ~encode_msg ~clock graph =
+let create ?(prof = Obs.Prof.disabled) ~send ~capture ~freeze_state ~freeze_msg
+    ~encode_state ~encode_msg ~clock graph =
   let n = Topology.Graph.n graph in
   {
     n;
@@ -110,14 +103,12 @@ let create ?(prof = Obs.Prof.disabled) ?(resend_patience = 1) ~send ~capture
     encode_msg;
     clock;
     scratch = Mc.Codec.create ();
-    resend_patience = max 1 resend_patience;
     epoch = 0;
     active = false;
     initiator = 0;
     started_at = 0;
     pending_states = 0;
     epoch_resent = 0;
-    idle_ticks = 0;
     recorded = Array.make n false;
     states = Array.make n None;
     chan_open = Hashtbl.create (4 * n);
@@ -246,7 +237,6 @@ let check_done t =
 let record t p ~via =
   t.recorded.(p) <- true;
   t.pending_states <- t.pending_states - 1;
-  t.idle_ticks <- 0;
   let v = t.capture p in
   t.states.(p) <- Some (v, t.freeze_state v);
   Array.iter
@@ -266,8 +256,7 @@ let clear_epoch t =
   t.open_keys <- Some [];
   t.frontier <- [];
   t.pending_states <- t.n;
-  t.epoch_resent <- 0;
-  t.idle_ticks <- 0
+  t.epoch_resent <- 0
 
 let initiate ?initiator t =
   if t.active then begin
@@ -313,47 +302,43 @@ let tap t ~self ~from m =
 
 let tick t =
   if t.active then begin
-    t.idle_ticks <- t.idle_ticks + 1;
-    if t.idle_ticks >= t.resend_patience then begin
-      t.idle_ticks <- 0;
-      let resent = ref 0 in
-      (* Still-open channel (q, p): p waits for q's close marker, which
-         was lost (or is stuck behind queued traffic — the duplicate is
-         idempotent). Resend it alone, not q's whole flood. Channels go
-         in [chan_open]'s iteration order, cached between the records
-         that add to it. *)
-      let keys =
-        match t.open_keys with
-        | Some keys -> keys
-        | None ->
-            List.rev (Hashtbl.fold (fun k _ acc -> k :: acc) t.chan_open [])
-      in
-      let keys = List.filter (Hashtbl.mem t.chan_open) keys in
-      t.open_keys <- Some keys;
-      List.iter
-        (fun (q, p) ->
-          if t.recorded.(q) then begin
-            t.send ~from:q ~into:p ~epoch:t.epoch;
-            incr resent
-          end)
-        keys;
-      (* Unrecorded process p next to a recorded q: the flood frontier
-         stalled on edge (q, p); re-seed it, p ascending. *)
-      t.frontier <-
-        List.sort_uniq compare
-          (List.filter (fun p -> not t.recorded.(p)) t.frontier);
-      List.iter
-        (fun p ->
-          Array.iter
-            (fun q ->
-              if t.recorded.(q) then begin
-                t.send ~from:q ~into:p ~epoch:t.epoch;
-                incr resent
-              end)
-            t.neighbors.(p))
-        t.frontier;
-      t.epoch_resent <- t.epoch_resent + !resent;
-      t.markers_resent <- t.markers_resent + !resent;
-      Obs.Prof.add t.ptrack t.c_resent !resent
-    end
+    let resent = ref 0 in
+    (* Still-open channel (q, p): p waits for q's close marker, which
+       was lost (or is stuck behind queued traffic — the duplicate is
+       idempotent). Resend it alone, not q's whole flood. Channels go
+       in [chan_open]'s iteration order, cached between the records
+       that add to it. *)
+    let keys =
+      match t.open_keys with
+      | Some keys -> keys
+      | None ->
+          List.rev (Hashtbl.fold (fun k _ acc -> k :: acc) t.chan_open [])
+    in
+    let keys = List.filter (Hashtbl.mem t.chan_open) keys in
+    t.open_keys <- Some keys;
+    List.iter
+      (fun (q, p) ->
+        if t.recorded.(q) then begin
+          t.send ~from:q ~into:p ~epoch:t.epoch;
+          incr resent
+        end)
+      keys;
+    (* Unrecorded process p next to a recorded q: the flood frontier
+       stalled on edge (q, p); re-seed it, p ascending. *)
+    t.frontier <-
+      List.sort_uniq compare
+        (List.filter (fun p -> not t.recorded.(p)) t.frontier);
+    List.iter
+      (fun p ->
+        Array.iter
+          (fun q ->
+            if t.recorded.(q) then begin
+              t.send ~from:q ~into:p ~epoch:t.epoch;
+              incr resent
+            end)
+          t.neighbors.(p))
+      t.frontier;
+    t.epoch_resent <- t.epoch_resent + !resent;
+    t.markers_resent <- t.markers_resent + !resent;
+    Obs.Prof.add t.ptrack t.c_resent !resent
   end

@@ -11,15 +11,14 @@
     testable directly on a raw [Mp.Network].
 
     Faulty-substrate adaptations: markers carry an {e epoch} (stale or
-    duplicate markers are idempotently ignored), {!tick} retransmits
-    markers after [resend_patience] ticks without state-recording
-    progress — targeted at where the epoch is stuck (one marker per
-    still-open channel plus one per recorded→unrecorded edge, not a
-    full re-flood), recovering marker loss and crash evaporation at a
-    cost proportional to the damage — and {!initiate} abandons any
-    still-active epoch. FIFO violations by the
-    [reorder] knob can still yield inconsistent cuts — measured by the
-    cut oracle, not assumed away. *)
+    duplicate markers are idempotently ignored), each {!tick} of an
+    active epoch retransmits markers — targeted at where the epoch is
+    stuck (one marker per still-open channel plus one per
+    recorded→unrecorded edge, not a full re-flood), recovering marker
+    loss and crash evaporation at a cost proportional to the damage —
+    and {!initiate} abandons any still-active epoch. FIFO violations by
+    the [reorder] knob can still yield inconsistent cuts — measured by
+    the cut oracle, not assumed away. *)
 
 type ('p, 'm) t
 
@@ -32,7 +31,6 @@ type stats = {
 
 val create :
   ?prof:Obs.Prof.t ->
-  ?resend_patience:int ->
   send:(from:int -> into:int -> epoch:int -> unit) ->
   capture:(int -> 'p) ->
   freeze_state:('p -> 'p) ->
@@ -42,10 +40,7 @@ val create :
   clock:(unit -> int) ->
   Topology.Graph.t ->
   ('p, 'm) t
-(** [resend_patience] (default 1): ticks without state-recording
-    progress before a targeted retransmission.
-
-    The cut stores each captured state and recorded payload as given,
+(** The cut stores each captured state and recorded payload as given,
     and its shadow fingerprint hashes [freeze_state] / [freeze_msg] of
     them, taken at the capture instant: a copy that encodes the same
     bytes and that no later step of the live system can reach (the

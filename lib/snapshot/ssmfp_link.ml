@@ -61,7 +61,7 @@ let freeze_payload (Mp.Ssmfp_mp.Snapshot (k, pub)) =
         pub_bufs = Array.copy pub.Mp.Ssmfp_mp.pub_bufs;
       } )
 
-let attach ?prof ?resend_patience ~seed sys =
+let attach ?prof ~seed sys =
   let g = Mp.Ssmfp_mp.graph sys in
   let n = Topology.Graph.n g in
   let ledgers = Array.make n Ledger.empty in
@@ -71,7 +71,7 @@ let attach ?prof ?resend_patience ~seed sys =
      collides with the scheduler's or the workload's derivations. *)
   let rng = Prng.Splitmix.of_int ((seed * 0x9e3779b9) + 0x5ead) in
   let eng =
-    Engine.create ?prof ?resend_patience
+    Engine.create ?prof
       ~send:(fun ~from ~into ~epoch ->
         Mp.Ssmfp_mp.send_marker sys rng ~from ~into ~epoch)
       ~capture:(fun p ->

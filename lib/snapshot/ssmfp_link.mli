@@ -19,8 +19,7 @@ type cut = (view, Mp.Ssmfp_mp.payload) Cut.t
 
 type t
 
-val attach :
-  ?prof:Obs.Prof.t -> ?resend_patience:int -> seed:int -> Mp.Ssmfp_mp.t -> t
+val attach : ?prof:Obs.Prof.t -> seed:int -> Mp.Ssmfp_mp.t -> t
 (** Install the event hook (feeding per-process ledgers), the marker
     handler and the delivery tap. Call once per system; before any
     {!initiate} the layer is pure bookkeeping. *)

@@ -63,11 +63,7 @@ let iter_vertices f g =
 
 let vertices g = List.init g.n (fun i -> i)
 
-let equal a b = a.n = b.n && a.edges = b.edges
-
 let pp fmt g =
   Format.fprintf fmt "graph(n=%d, m=%d, edges=[%s])" g.n (edge_count g)
     (String.concat "; "
        (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) g.edges))
-
-let to_string g = Format.asprintf "%a" pp g

@@ -48,10 +48,5 @@ val iter_vertices : (int -> unit) -> t -> unit
 val vertices : t -> int list
 (** [0; 1; ...; n-1]. *)
 
-val equal : t -> t -> bool
-(** Structural equality (same vertex count and edge set). *)
-
 val pp : Format.formatter -> t -> unit
 (** Prints ["graph(n=..., m=...)"] with the edge list. *)
-
-val to_string : t -> string

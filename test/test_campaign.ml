@@ -18,7 +18,9 @@ let test_seeds_of_string () =
     "plain list" [ 4; 9 ]
     (ok_or_fail (Spec.seeds_of_string "4,9"));
   Alcotest.(check bool) "garbage rejected" true
-    (Result.is_error (Spec.seeds_of_string "1..x"))
+    (Result.is_error (Spec.seeds_of_string "1..x"));
+  Alcotest.(check bool) "repeated seed rejected" true
+    (Result.is_error (Spec.seeds_of_string "1..3,2"))
 
 let test_topology_of_string () =
   let t = ok_or_fail (Spec.topology_of_string "ring:6") in

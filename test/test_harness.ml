@@ -140,7 +140,7 @@ let test_workload_uniform () =
     wl
 
 let test_workload_all_to_one () =
-  let wl = Harness.Workload.all_to_one ~n:4 ~dest:1 ~per_processor:2 () in
+  let wl = Harness.Workload.all_to_one ~n:4 ~dest:1 ~per_processor:2 in
   Alcotest.(check int) "total" 6 (Harness.Workload.total wl);
   Alcotest.(check (list (pair int string))) "dest silent" [] wl.(1)
 

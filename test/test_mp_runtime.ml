@@ -779,13 +779,16 @@ let test_window_port_partial_synchrony () =
   Alcotest.(check bool) "SP" true r.Mp.Ssmfp_mp.verdict.Harness.Oracle.ok
 
 let test_window_zero_rejected () =
-  Alcotest.(check bool) "window 0 raises" true
-    (try
-       ignore
-         (Mp.Ssmfp_mp.create ~window:0 (Topology.Builders.ring 3)
-            (Harness.Workload.empty ~n:3));
-       false
-     with Invalid_argument _ -> true)
+  List.iter
+    (fun window ->
+      Alcotest.(check bool) (Printf.sprintf "window %d raises" window) true
+        (try
+           ignore
+             (Mp.Ssmfp_mp.create ~window (Topology.Builders.ring 3)
+                (Harness.Workload.empty ~n:3));
+           false
+         with Invalid_argument _ -> true))
+    [ 0; Mp.Window.max_size + 1 ]
 
 (* [@win=8] spells out the default, so this replays the chaos-crash pin. *)
 let test_window_chaos_crash () =
@@ -883,7 +886,10 @@ let test_schedule_modifier_errors () =
       match Chaos.Schedule.of_string s with
       | Ok _ -> Alcotest.failf "%s should not parse" s
       | Error _ -> ())
-    [ "none@win=0"; "none@win=x"; "none@ps=8"; "none@ps=0:5"; "none@bogus" ]
+    [
+      "none@win=0"; "none@win=x"; "none@win=100000000"; "none@ps=8";
+      "none@ps=0:5"; "none@bogus";
+    ]
 
 (* ---------------- suite ---------------- *)
 

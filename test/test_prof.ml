@@ -1,7 +1,6 @@
 (* Tests for the profiling subsystem (DESIGN.md §10): Obs.Prof recording
    semantics under a fake clock, Obs.Traceview export + nesting
-   validator, Obs.Metrics merge commutativity, and the streaming
-   journal's crash durability. *)
+   validator, and the streaming journal's crash durability. *)
 
 (* A hand-cranked clock: [tick n] advances time by [n] nanoseconds.
    Prof reads it once at [create] for the epoch, so starting at 0 makes
@@ -269,57 +268,6 @@ let test_validator_structure () =
            [ ("name", Obs.Json.String "thread_name"); ("ph", Obs.Json.String "M") ];
        ])
 
-(* ---------------- Metrics merging ---------------- *)
-
-let snapshot_string r = Obs.Json.to_string (Obs.Metrics.snapshot_to_json (Obs.Metrics.snapshot r))
-
-let mk_registry entries =
-  let r = Obs.Metrics.create () in
-  List.iter
-    (fun e ->
-      match e with
-      | `C (name, by) -> Obs.Metrics.incr ~by r name
-      | `G (name, v) -> Obs.Metrics.set_gauge r name v
-      | `H (name, v) -> Obs.Metrics.observe r name v)
-    entries;
-  r
-
-let reg_a () =
-  mk_registry
-    [ `C ("moves", 3); `G ("load", 1.5); `H ("lat", 5.); `H ("lat", 9.) ]
-
-let reg_b () =
-  mk_registry
-    [ `C ("moves", 4); `C ("only_b", 1); `G ("load", 2.5); `H ("lat", 1.) ]
-
-let test_merge_commutative () =
-  let ab = Obs.Metrics.merge_all [ reg_a (); reg_b () ] in
-  let ba = Obs.Metrics.merge_all [ reg_b (); reg_a () ] in
-  Alcotest.(check string) "merge order invisible in the snapshot"
-    (snapshot_string ab) (snapshot_string ba);
-  let s = Obs.Metrics.snapshot ab in
-  Alcotest.(check int) "counters add" 7 (Obs.Metrics.counter_value s "moves");
-  Alcotest.(check int) "lone counter survives" 1
-    (Obs.Metrics.counter_value s "only_b");
-  Alcotest.(check (option (float 1e-9))) "gauges keep the max" (Some 2.5)
-    (Obs.Metrics.gauge_value s "load");
-  match Obs.Metrics.histogram_summary s "lat" with
-  | None -> Alcotest.fail "merged histogram missing"
-  | Some h ->
-      Alcotest.(check int) "samples pooled" 3 h.Obs.Metrics.count;
-      Alcotest.(check (float 1e-9)) "pooled mean" 5. h.Obs.Metrics.mean;
-      Alcotest.(check (float 1e-9)) "pooled max" 9. h.Obs.Metrics.max
-
-let test_merge_associative_and_pure () =
-  let a = reg_a () and b = reg_b () in
-  let before = snapshot_string a in
-  let c = mk_registry [ `C ("moves", 10); `H ("lat", 100.) ] in
-  let l = Obs.Metrics.merge_all [ Obs.Metrics.merge_all [ a; b ]; c ] in
-  let r = Obs.Metrics.merge_all [ a; Obs.Metrics.merge_all [ b; c ] ] in
-  Alcotest.(check string) "associative" (snapshot_string l) (snapshot_string r);
-  Alcotest.(check string) "merge leaves sources untouched" before
-    (snapshot_string a)
-
 (* ---------------- streaming journal durability ---------------- *)
 
 let test_journal_partial_on_raise () =
@@ -442,12 +390,6 @@ let () =
           Alcotest.test_case "file roundtrip" `Quick test_traceview_roundtrip_file;
           Alcotest.test_case "validator nesting" `Quick test_validator_nesting;
           Alcotest.test_case "validator structure" `Quick test_validator_structure;
-        ] );
-      ( "metrics merge",
-        [
-          Alcotest.test_case "commutative" `Quick test_merge_commutative;
-          Alcotest.test_case "associative and pure" `Quick
-            test_merge_associative_and_pure;
         ] );
       ( "journal stream",
         [
