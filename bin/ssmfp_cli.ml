@@ -923,6 +923,8 @@ let chaos_cmd =
                Obs.Json.Int o.Chaos.Mp_run.window_retransmits );
              ("deliveries", Obs.Json.Int o.Chaos.Mp_run.channel_deliveries);
              ("max_pulse", Obs.Json.Int o.Chaos.Mp_run.max_pulse);
+             ("barriers", Obs.Json.Int o.Chaos.Mp_run.barriers);
+             ("adoptions", Obs.Json.Int o.Chaos.Mp_run.adoptions);
            ]
           @
           match o.Chaos.Mp_run.snapshot with

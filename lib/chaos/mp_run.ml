@@ -31,6 +31,8 @@ type outcome = {
   channel : Mp.Ssmfp_mp.channel_stats;
   window : int;
   window_retransmits : int;
+  barriers : int;
+  adoptions : int;
   schedule : Schedule.t;
   snapshot : snapshot_outcome option;
 }
@@ -300,6 +302,7 @@ let run ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0) ?(seed = 1)
         })
       snap
   in
+  let sync = Mp.Ssmfp_mp.sync_stats t in
   {
     mp_outcome;
     channel_deliveries = Mp.Ssmfp_mp.channel_deliveries t;
@@ -314,6 +317,8 @@ let run ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0) ?(seed = 1)
     channel = Mp.Ssmfp_mp.channel_stats t;
     window = Mp.Ssmfp_mp.window t;
     window_retransmits = Mp.Ssmfp_mp.window_retransmits t;
+    barriers = sync.Mp.Ssmfp_mp.barriers;
+    adoptions = sync.Mp.Ssmfp_mp.adoptions;
     schedule;
     snapshot;
   }

@@ -3,7 +3,10 @@
     schedule's channel preset wired into the network's
     loss/duplication/reorder knobs.
 
-    Burst rounds are synchronizer pulses here. A burst's state domains
+    Burst rounds are synchronizer pulses here; without adoptions pulse
+    [k] is round [k + 1] of the synchronous state model, so a burst
+    time means the same round in both models, up to the one-pulse skew
+    between neighbors. A burst's state domains
     corrupt the victims' SSMFP cores through [Ssmfp_mp.set_core]; its
     [Crash] domain takes the victims down for a fixed span of scheduler
     steps (they lose mirrors and timers on recovery).
@@ -57,6 +60,10 @@ type outcome = {
   window : int;  (** effective window size the run used *)
   window_retransmits : int;
       (** window-layer RTO/nak/resync retransmissions *)
+  barriers : int;  (** synchronizer barriers ({!Mp.Ssmfp_mp.sync_stats}) *)
+  adoptions : int;
+      (** pulse adoptions; none without channel garbage, crash bursts
+          included, in every run measured *)
   schedule : Schedule.t;
   snapshot : snapshot_outcome option;  (** [Some] iff [snapshot_every > 0] *)
 }

@@ -673,7 +673,7 @@ let e9_message_passing () =
       ~headers:
         [
           "topology"; "corruption"; "garbage"; "outcome"; "deliveries";
-          "pulses"; "SP ok";
+          "pulses"; "barriers"; "adoptions"; "SP ok";
         ]
   in
   let case ?(loss = 0.) name g spec_name spec garbage seed =
@@ -685,6 +685,7 @@ let e9_message_passing () =
       Mp.Ssmfp_mp.create ~spec ~channel_garbage:garbage ~loss ~seed g wl
     in
     let r = Mp.Ssmfp_mp.run t in
+    let sync = Mp.Ssmfp_mp.sync_stats t in
     ck.expect
       (r.Mp.Ssmfp_mp.outcome = `All_done
       && r.Mp.Ssmfp_mp.verdict.Harness.Oracle.ok)
@@ -701,6 +702,8 @@ let e9_message_passing () =
         | `Max_deliveries -> "BUDGET");
         string_of_int r.Mp.Ssmfp_mp.channel_deliveries;
         string_of_int r.Mp.Ssmfp_mp.max_pulse;
+        string_of_int sync.Mp.Ssmfp_mp.barriers;
+        string_of_int sync.Mp.Ssmfp_mp.adoptions;
         (if r.Mp.Ssmfp_mp.verdict.Harness.Oracle.ok then "yes" else "NO");
       ]
   in

@@ -3,11 +3,24 @@ type public = {
   pub_bufs : Ssmfp.State.slot array;
 }
 
-type payload = Snapshot of int * public
+type payload = Snapshot of int * public * public option
 
-type proc = { core : Ssmfp.State.t; pulse : int }
+(* [prev] is the public state p's last barrier read, the state its
+   neighbors need for pulse [pulse - 1]; [None] when p reached [pulse]
+   by adoption or has not left its starting pulse. *)
+type proc = { core : Ssmfp.State.t; pulse : int; prev : public option }
 
 type event_hook = pid:int -> pulse:int -> Ssmfp.Protocol.event -> unit
+
+type sync_stats = { barriers : int; adoptions : int; max_jump : int }
+
+(* The synchronizer's accounting; only the handler writes it. *)
+type sync = {
+  mutable s_max_pulse : int;
+  mutable s_barriers : int;
+  mutable s_adoptions : int;
+  mutable s_max_jump : int;
+}
 
 type t = {
   graph : Topology.Graph.t;
@@ -16,7 +29,7 @@ type t = {
   rng : Prng.Splitmix.t;
   oracle : Harness.Oracle.t;
   expected_valid : int;
-  max_pulse : int ref;
+  sync : sync;
   on_event : event_hook option ref;
   drain_witness : int ref; (* last process seen busy by [all_drained] *)
   window : int;
@@ -48,6 +61,8 @@ type result = {
 let public_of (core : Ssmfp.State.t) =
   { pub_routing = core.Ssmfp.State.routing; pub_bufs = core.Ssmfp.State.slots }
 
+let publish proc = Snapshot (proc.pulse, public_of proc.core, proc.prev)
+
 (* Stands in for every state a barrier at p never reads: non-neighbors in
    the guard view, and neighbors p holds no snapshot from. Its arrays are
    empty, so a read outside p's closed neighborhood fails loudly. *)
@@ -68,22 +83,39 @@ let mirror pub =
 
 let no_snapshot = (-1, unread)
 
-(* [mirrors.(p).(slot)] is the newest snapshot p holds from neighbor
-   [nbrs.(p).(slot)], as (pulse, mirror). Only a snapshot at p's own pulse
-   can complete a barrier, and p's pulse never decreases, so one is kept
-   per neighbor and an older arrival never replaces a current one. *)
-let barrier_ready mirrors proc ~self =
-  Array.for_all (fun (k, _) -> k = proc.pulse) mirrors.(self)
+(* [mirrors.(p)] holds, at index [slot], what p knows of neighbor
+   [nbrs.(p).(slot)] as (pulse, mirror) pairs: [now] for p's own pulse
+   c, [ahead] for c + 1. A neighbor is never more than one pulse ahead
+   unless it adopted, so these are the only two states a barrier at p
+   can still use; a pair whose pulse is not the one its place stands
+   for is empty. A barrier or an adoption promotes [ahead] into [now]. *)
+type mirrors = {
+  now : (int * Ssmfp.State.t) array;
+  ahead : (int * Ssmfp.State.t) array;
+}
 
-let make_handler g nbrs mirrors oracle max_pulse_ref hook_ref =
+let no_mirrors nbrs =
+  let none () = Array.map (fun _ -> no_snapshot) nbrs in
+  { now = none (); ahead = none () }
+
+let promote m =
+  Array.blit m.ahead 0 m.now 0 (Array.length m.now);
+  Array.fill m.ahead 0 (Array.length m.ahead) no_snapshot
+
+let barrier_ready m proc = Array.for_all (fun (k, _) -> k = proc.pulse) m.now
+
+let make_handler g nbrs mirrors oracle sync prof hook_ref =
   let n = Topology.Graph.n g in
   let proto = Ssmfp.Protocol.make g in
+  let prof_on = Obs.Prof.enabled prof in
+  let ptr = Obs.Prof.track prof 0 in
+  let c_barriers = Obs.Prof.counter prof "mp.barriers" in
+  let c_adoptions = Obs.Prof.counter prof "mp.adoptions" in
   (* The guard view, one per instance (campaigns run instances on
      parallel domains): p's core and its neighbors' mirrors are written
      in for one barrier and reset afterwards, O(deg) writes. *)
   let view = Array.make n unread in
   let net = Sim.Engine.synthetic ~graph:g ~states:view in
-  let publish proc = Snapshot (proc.pulse, public_of proc.core) in
   let execute_barrier ~self proc =
     (* Raise request_p if the higher layer has pending traffic. *)
     let core =
@@ -94,8 +126,10 @@ let make_handler g nbrs mirrors oracle max_pulse_ref hook_ref =
       else proc.core
     in
     view.(self) <- core;
-    Array.iteri (fun slot q -> view.(q) <- snd mirrors.(self).(slot)) nbrs.(self);
-    let core =
+    Array.iteri
+      (fun slot q -> view.(q) <- snd mirrors.(self).now.(slot))
+      nbrs.(self);
+    let core' =
       match Ssmfp.Protocol.first_enabled g net ~p:self with
       | None -> core
       | Some action ->
@@ -114,30 +148,55 @@ let make_handler g nbrs mirrors oracle max_pulse_ref hook_ref =
     in
     view.(self) <- unread;
     Array.iter (fun q -> view.(q) <- unread) nbrs.(self);
-    let proc = { core; pulse = proc.pulse + 1 } in
-    if proc.pulse > !max_pulse_ref then max_pulse_ref := proc.pulse;
+    promote mirrors.(self);
+    sync.s_barriers <- sync.s_barriers + 1;
+    if prof_on then Obs.Prof.add ptr c_barriers 1;
+    let proc =
+      { core = core'; pulse = proc.pulse + 1; prev = Some (public_of core) }
+    in
+    if proc.pulse > sync.s_max_pulse then sync.s_max_pulse <- proc.pulse;
     proc
   in
-  let handler ~self ~slot proc (Snapshot (k, pub)) =
-    if k >= proc.pulse then mirrors.(self).(slot) <- (k, mirror pub);
+  (* Jump to pulse [k], skipping p's barriers up to it: only when p can
+     no longer obtain some neighbor's state at its own pulse. *)
+  let adopt ~self proc k =
+    promote mirrors.(self);
+    sync.s_adoptions <- sync.s_adoptions + 1;
+    sync.s_max_jump <- max sync.s_max_jump (k - proc.pulse);
+    if prof_on then Obs.Prof.add ptr c_adoptions 1;
+    { proc with pulse = k; prev = None }
+  in
+  let handler ~self ~slot proc (Snapshot (k, pub, prev)) =
+    let m = mirrors.(self) in
     let sends = ref [] in
     let broadcast proc =
       let msg = publish proc in
       sends :=
         !sends @ List.map (fun q -> (q, msg)) (Topology.Graph.neighbors g self)
     in
-    (* Maximum adoption: jump forward to a larger pulse and republish. *)
+    (* A gap of 2 or more, or a one-pulse lead with no way left to learn
+       the neighbor's state at p's pulse, is a real gap: adopt. *)
     let proc =
-      if k > proc.pulse then begin
-        let proc = { proc with pulse = k } in
+      let c = proc.pulse in
+      if
+        k > c + 1 || (k = c + 1 && Option.is_none prev && fst m.now.(slot) <> c)
+      then begin
+        let proc = adopt ~self proc k in
         broadcast proc;
         proc
       end
       else proc
     in
+    let c = proc.pulse in
+    if k = c then m.now.(slot) <- (k, mirror pub)
+    else if k = c + 1 then begin
+      m.ahead.(slot) <- (k, mirror pub);
+      (* The state the sender's own barrier read is its pulse-c state. *)
+      match prev with Some pr -> m.now.(slot) <- (c, mirror pr) | None -> ()
+    end;
     (* Complete as many barriers as the stored snapshots allow. *)
     let rec drain proc =
-      if barrier_ready mirrors proc ~self then begin
+      if barrier_ready m proc then begin
         let proc = execute_barrier ~self proc in
         broadcast proc;
         drain proc
@@ -158,14 +217,16 @@ let create ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0)
   let sched_rng = Prng.Splitmix.split master in
   let garbage_rng = Prng.Splitmix.split master in
   let oracle = Harness.Oracle.create () in
-  let max_pulse = ref 0 in
   let on_event = ref None in
   let n = Topology.Graph.n graph in
   let nbrs =
     Array.init n (fun p -> Array.of_list (Topology.Graph.neighbors graph p))
   in
-  let mirrors = Array.map (Array.map (fun _ -> no_snapshot)) nbrs in
-  let inner = make_handler graph nbrs mirrors oracle max_pulse on_event in
+  let mirrors = Array.map no_mirrors nbrs in
+  let sync =
+    { s_max_pulse = 0; s_barriers = 0; s_adoptions = 0; s_max_jump = 0 }
+  in
+  let inner = make_handler graph nbrs mirrors oracle sync prof on_event in
   let slot_of self q =
     let ns = nbrs.(self) in
     let rec find i =
@@ -185,6 +246,7 @@ let create ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0)
     {
       core = Harness.Fault.initial_states ~rng:fault_rng spec graph ~workload p;
       pulse = 0;
+      prev = None;
     }
   in
   let prof_on = Obs.Prof.enabled prof in
@@ -244,8 +306,9 @@ let create ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0)
      Snapshots are full-state, so the backlog is conflated to the
      newest payload: a congested channel then carries the peer's
      *current* state with bounded lag instead of an ever-growing
-     queue of stale pulses (which starves the receiver's barriers
-     and livelocks the synchronizer at scale). *)
+     queue of stale pulses, which starves the receiver's barriers.
+     A conflated snapshot a neighbor still needs rides along in the
+     next one as its [prev]. *)
   let win_push self q pay =
     let slot = slot_of self q in
     let before = Window.retransmits win_send.(self).(slot) in
@@ -295,7 +358,7 @@ let create ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0)
     Array.iter Window.reset_receiver win_recv.(self);
     Array.iteri (fun slot _ -> rto_cur.(self).(slot) <- rto) rto_cur.(self);
     Array.iteri (fun slot _ -> sync_rto self slot) win_send.(self);
-    Array.fill mirrors.(self) 0 (Array.length nbrs.(self)) no_snapshot;
+    mirrors.(self) <- no_mirrors nbrs.(self);
     drain_witness := self;
     proc
   in
@@ -314,7 +377,7 @@ let create ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0)
     (fun ~self ~key proc ->
       if key = refresh_key self then begin
         Network.arm_timer net ~self ~key ~after:refresh_every;
-        let pay = Snapshot (proc.pulse, public_of proc.core) in
+        let pay = publish proc in
         let out = ref [] in
         Array.iteri
           (fun slot q ->
@@ -339,7 +402,7 @@ let create ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0)
   Topology.Graph.iter_vertices
     (fun p ->
       let proc = Network.state net p in
-      let pay = Snapshot (proc.pulse, public_of proc.core) in
+      let pay = publish proc in
       Array.iteri
         (fun slot q ->
           List.iter
@@ -371,7 +434,7 @@ let create ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0)
         from
     in
     let pulse = Prng.Splitmix.int garbage_rng 50 in
-    let pay = Snapshot (pulse, public_of garbage_core) in
+    let pay = Snapshot (pulse, public_of garbage_core, None) in
     let msg =
       Window.Data
         {
@@ -388,7 +451,7 @@ let create ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0)
     rng = sched_rng;
     oracle;
     expected_valid = Harness.Workload.total workload;
-    max_pulse;
+    sync;
     on_event;
     drain_witness;
     window;
@@ -400,7 +463,15 @@ let create ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0)
 let graph (t : t) = t.graph
 let oracle (t : t) = t.oracle
 let expected_valid (t : t) = t.expected_valid
-let max_pulse (t : t) = !(t.max_pulse)
+let max_pulse (t : t) = t.sync.s_max_pulse
+
+let sync_stats (t : t) =
+  {
+    barriers = t.sync.s_barriers;
+    adoptions = t.sync.s_adoptions;
+    max_jump = t.sync.s_max_jump;
+  }
+
 let channel_deliveries (t : t) = Network.deliveries t.net
 let core (t : t) p = (Network.state t.net p).core
 
@@ -507,7 +578,7 @@ let run ?(max_deliveries = 2_000_000) t =
   {
     outcome;
     channel_deliveries = Network.deliveries t.net;
-    max_pulse = !(t.max_pulse);
+    max_pulse = t.sync.s_max_pulse;
     oracle = t.oracle;
     verdict;
   }

@@ -7,27 +7,32 @@
 
     - every process keeps its SSMFP + routing state (reused verbatim from
       {!Ssmfp.State}) plus *mirrors* of its neighbors' readable variables
-      (buffers and routing entries);
+      (buffers and routing entries): for each neighbor, its state at the
+      process's own pulse [c] and at [c + 1];
     - execution proceeds in pulses: a process entering pulse [k] publishes
       a snapshot of its readable state to its neighbors, and once it holds
       a pulse-[k] snapshot from every neighbor it evaluates its guards
       against that consistent pulse-[k] view, executes its
-      highest-priority enabled action, and enters pulse [k + 1];
-    - pulses self-stabilize by maximum adoption (a process receiving a
-      snapshot with a larger pulse jumps to it and republishes), the
-      standard asynchronous-unison repair, so arbitrary initial pulses,
-      mirrors and even garbage snapshots sitting in channels are
-      tolerated.
+      highest-priority enabled action, and enters pulse [k + 1]; the
+      next-pulse mirrors then take the place of the current ones;
+    - a snapshot also carries the state its sender's last barrier read
+      (its pulse-[k - 1] state), so a neighbor one pulse behind gets the
+      state it waits for even when the window layer conflated the
+      older snapshot away ({!Window.send_latest});
+    - pulses self-stabilize by adoption, but only on a real gap: a
+      process jumps to a received pulse when it is at least two ahead of
+      its own, or one ahead with neither a mirror nor the carried state
+      giving the sender's state at the receiver's pulse. Arbitrary
+      initial pulses, mirrors and garbage snapshots sitting in channels
+      are tolerated this way.
 
-    A barrier is one synchronous-daemon move of the state model, but the
-    pulses are not its rounds: a process adopts any larger pulse,
-    including a neighbor's ordinary one-pulse lead, and so skips its own
-    barrier for the pulses it jumps. Adoption jumps were measured at
-    53–72% of all pulse advances (pristine ring:32, adversarial tori),
-    and draining an adversarial torus takes 3.8–4.2 times the
-    synchronous state model's rounds. Two-state snapshots, which would
-    make pulses equal rounds, are the ROADMAP's open item "Pulses are
-    rounds".
+    Without garbage no process is ever more than one pulse ahead of a
+    neighbor, so no adoption happens and every pulse advance is a
+    barrier: pulse [k] at process [p] executes exactly the move the
+    synchronous daemon makes at [p] in round [k + 1] of the state model
+    started from the same configuration, over reliable, lossy or flaky
+    channels alike (the test suite's lockstep differential checks this
+    event by event). {!sync_stats} counts barriers and adoptions.
 
     Evaluating a barrier allocates O(deg) words: p's core and its
     neighbors' mirrors are written into one guard view per instance, and
@@ -57,7 +62,12 @@ type public = {
     test suite pins that every delivered payload and every core keeps its
     contents for the rest of the run. *)
 
-type payload = Snapshot of int * public  (** (pulse, readable state) *)
+type payload = Snapshot of int * public * public option
+(** [(k, state, prev)]: the sender's pulse, its readable state at [k],
+    and the readable state its barrier at pulse [k - 1] read — [None]
+    when it reached [k] by adoption, at its starting pulse, and in
+    planted channel garbage. [prev] shares the arrays of a core the
+    sender already published, so carrying it costs O(1). *)
 
 type t
 
@@ -134,8 +144,9 @@ val create :
     [?prof] threads through to {!Network.create} (Lamport stamps, hop
     log, latency and queue-depth histograms) and additionally counts
     every refresh republish and window retransmission in
-    ["mp.retransmissions"]. Profiling consumes no PRNG draws: the run is
-    identical with it on or off. *)
+    ["mp.retransmissions"], and the {!sync_stats} barriers and
+    adoptions in ["mp.barriers"] and ["mp.adoptions"]. Profiling
+    consumes no PRNG draws: the run is identical with it on or off. *)
 
 val run : ?max_deliveries:int -> t -> result
 (** Deliver channel messages under the fair random scheduler until every
@@ -152,7 +163,20 @@ val oracle : t -> Harness.Oracle.t
 val expected_valid : t -> int
 
 val max_pulse : t -> int
-(** Highest pulse reached so far (the mp-model round counter). *)
+(** Highest pulse reached so far (the mp-model round counter). Without
+    adoptions, pulse [k] is round [k + 1] of the synchronous state
+    model. *)
+
+type sync_stats = {
+  barriers : int;  (** barriers executed, over all processes *)
+  adoptions : int;  (** pulse jumps that skipped the adopter's barrier *)
+  max_jump : int;  (** largest pulse gap closed by one adoption, 0 if none *)
+}
+
+val sync_stats : t -> sync_stats
+(** The synchronizer's own accounting since {!create}. A run without
+    channel garbage never adopts; each adoption marks a gap no barrier
+    could close. *)
 
 val channel_deliveries : t -> int
 

@@ -28,8 +28,7 @@ let encode_view c v =
   Mc.Codec.add_core c v.v_core;
   Ledger.encode c v.v_ledger
 
-let encode_payload c (Mp.Ssmfp_mp.Snapshot (k, pub)) =
-  Mc.Codec.add_int c k;
+let encode_public c (pub : Mp.Ssmfp_mp.public) =
   Array.iter
     (fun (e : Routing.Selfstab.entry) ->
       Mc.Codec.add_int c e.Routing.Selfstab.dist;
@@ -40,6 +39,13 @@ let encode_payload c (Mp.Ssmfp_mp.Snapshot (k, pub)) =
       Mc.Codec.add_msg c sl.Ssmfp.State.buf_r;
       Mc.Codec.add_msg c sl.Ssmfp.State.buf_e)
     pub.Mp.Ssmfp_mp.pub_bufs
+
+(* Every field a receiver may read, the carried previous state included. *)
+let encode_payload c (Mp.Ssmfp_mp.Snapshot (k, pub, prev)) =
+  Mc.Codec.add_int c k;
+  encode_public c pub;
+  Mc.Codec.add_bool c (Option.is_some prev);
+  Option.iter (encode_public c) prev
 
 (* Cores and payloads share their routing and slot arrays with the live
    processes (copy-on-write, see Ssmfp_mp); every element is immutable,
@@ -53,13 +59,14 @@ let freeze_core (c : Ssmfp.State.t) =
 
 let freeze_view v = { v with v_core = freeze_core v.v_core }
 
-let freeze_payload (Mp.Ssmfp_mp.Snapshot (k, pub)) =
-  Mp.Ssmfp_mp.Snapshot
-    ( k,
-      {
-        Mp.Ssmfp_mp.pub_routing = Array.copy pub.Mp.Ssmfp_mp.pub_routing;
-        pub_bufs = Array.copy pub.Mp.Ssmfp_mp.pub_bufs;
-      } )
+let freeze_public (pub : Mp.Ssmfp_mp.public) =
+  {
+    Mp.Ssmfp_mp.pub_routing = Array.copy pub.Mp.Ssmfp_mp.pub_routing;
+    pub_bufs = Array.copy pub.Mp.Ssmfp_mp.pub_bufs;
+  }
+
+let freeze_payload (Mp.Ssmfp_mp.Snapshot (k, pub, prev)) =
+  Mp.Ssmfp_mp.Snapshot (k, freeze_public pub, Option.map freeze_public prev)
 
 let attach ?prof ~seed sys =
   let g = Mp.Ssmfp_mp.graph sys in

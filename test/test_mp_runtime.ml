@@ -1,11 +1,12 @@
 (* Tests for the production-scale mp runtime internals: the Fenwick
    channel scheduler, the per-channel ring buffers, the hierarchical
    timer wheel, the sliding-window retransmission layer and its
-   partial-synchrony timing model — plus the two contracts that hold
+   partial-synchrony timing model — plus the three contracts that hold
    the runtime together: (a) [Mp.Network] is byte-identical to the
-   frozen [Mp.Network_legacy] for the same seed, and (b) the
-   synchronizer port replays pinned sliding-window trajectories
-   exactly (golden pins). *)
+   frozen [Mp.Network_legacy] for the same seed, (b) the synchronizer
+   port replays pinned sliding-window trajectories exactly (golden
+   pins), and (c) its pulses are the synchronous state model's rounds,
+   event for event (lockstep differential). *)
 
 (* ---------------- Fenwick scheduler ---------------- *)
 
@@ -637,36 +638,36 @@ let pin ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0) ?(loss = 0.)
 
 let test_pin_ring5_pristine () =
   ignore
-    (pin ~seed:31 ~per_processor:2 ~deliveries:736 ~max_pulse:34
-       ~fp:"215e2d887fa5671c74ddcdb20dc7978b" "ring5-pristine"
+    (pin ~seed:31 ~per_processor:2 ~deliveries:441 ~max_pulse:21
+       ~fp:"ffbefc06b2078a9016b653bc62000020" "ring5-pristine"
        (Topology.Builders.ring 5))
 
 let test_pin_ring6_adversarial () =
   ignore
     (pin ~spec:Harness.Fault.adversarial ~seed:44 ~per_processor:2
-       ~deliveries:5600 ~max_pulse:203 ~fp:"279d3eeca896aece80632a4395552a50"
+       ~deliveries:3207 ~max_pulse:119 ~fp:"96f3d900c4f6a5d2a32021d95eb288df"
        "ring6-adversarial" (Topology.Builders.ring 6))
 
 let test_pin_path4_garbage () =
   ignore
     (pin ~spec:Harness.Fault.adversarial ~channel_garbage:6 ~seed:9
-       ~per_processor:1 ~deliveries:2587 ~max_pulse:202
-       ~fp:"4180f1d0ee9155d5802b9fc3847146e5" "path4-garbage"
+       ~per_processor:1 ~deliveries:991 ~max_pulse:77
+       ~fp:"f2692c8dbda778861f12b6af7ee614ba" "path4-garbage"
        (Topology.Builders.path 4))
 
 let test_pin_ring6_lossy () =
   ignore
     (pin ~loss:0.15 ~duplication:0.05 ~reorder:0.10 ~seed:7 ~per_processor:2
-       ~deliveries:960 ~max_pulse:37 ~lost:160 ~dup:57 ~reord:54
-       ~fp:"d9716c0f91e1fb2ae0a86c309f30c404" "ring6-lossy"
+       ~deliveries:660 ~max_pulse:27 ~lost:109 ~dup:26 ~reord:30
+       ~fp:"07e27f90f7815e59fcb04e990e7be3d6" "ring6-lossy"
        (Topology.Builders.ring 6))
 
 let test_pin_fig2_flaky () =
   let t =
     pin ~spec:Harness.Fault.adversarial ~loss:0.30 ~duplication:0.10
       ~reorder:0.20 ~channel_garbage:4 ~seed:12 ~per_processor:1
-      ~deliveries:6707 ~max_pulse:384 ~lost:2784 ~dup:877 ~reord:447
-      ~fp:"cc8e35b3e3ee07f75edbf4588ec226c5" "fig2-flaky"
+      ~deliveries:1822 ~max_pulse:65 ~lost:702 ~dup:219 ~reord:88
+      ~fp:"c5975421e21d5127e4220fd5847b4cb4" "fig2-flaky"
       Topology.Builders.paper_figure2
   in
   Alcotest.(check bool) "fig2-flaky: window layer retransmitted" true
@@ -714,21 +715,21 @@ let chaos_pin ~schedule ~seed ?(aftermath = 0) ?(channel_garbage = 0)
   | _ -> Alcotest.fail (label ^ ": snapshot outcome presence mismatch")
 
 let test_pin_chaos_zerofault () =
-  chaos_pin ~schedule:"none" ~seed:21 ~per_processor:2 ~deliveries:6078
-    ~max_pulse:221 ~fired:[] "chaos-zerofault" (Topology.Builders.ring 6)
+  chaos_pin ~schedule:"none" ~seed:21 ~per_processor:2 ~deliveries:3007
+    ~max_pulse:112 ~fired:[] "chaos-zerofault" (Topology.Builders.ring 6)
 
 (* Crash bursts on lossy windowed channels: [chaos_pin] also requires
    the recovery verdict. *)
 let test_pin_chaos_crash () =
   chaos_pin ~schedule:"4:rc:2@lossy" ~seed:23 ~aftermath:2 ~channel_garbage:3
-    ~per_processor:2 ~deliveries:8823 ~max_pulse:329
-    ~fired:[ (4, 2) ] ~lost:1544 ~dup:493 ~reord:415 ~down:13 "chaos-crash"
+    ~per_processor:2 ~deliveries:3725 ~max_pulse:132
+    ~fired:[ (4, 2) ] ~lost:655 ~dup:207 ~reord:134 ~down:9 "chaos-crash"
     (Topology.Builders.ring 6)
 
 let test_pin_chaos_snapshot () =
   chaos_pin ~schedule:"3:rb:1" ~seed:25 ~aftermath:1 ~snapshot_every:400
-    ~per_processor:2 ~deliveries:2975 ~max_pulse:133 ~fired:[ (3, 1) ]
-    ~snap:(8, 8) "chaos-snapshot" (Topology.Builders.ring 5)
+    ~per_processor:2 ~deliveries:1942 ~max_pulse:89 ~fired:[ (3, 1) ]
+    ~snap:(5, 5) "chaos-snapshot" (Topology.Builders.ring 5)
 
 (* ---------------- window-mode end-to-end ---------------- *)
 
@@ -764,10 +765,10 @@ let test_window_port_flaky () =
   Alcotest.(check bool) "SP" true r.Mp.Ssmfp_mp.verdict.Harness.Oracle.ok;
   Alcotest.(check bool) "window layer retransmitted" true
     (Mp.Ssmfp_mp.window_retransmits t > 0);
-  Alcotest.(check int) "deliveries match the fig2-flaky pin" 6707
+  Alcotest.(check int) "deliveries match the fig2-flaky pin" 1822
     r.Mp.Ssmfp_mp.channel_deliveries;
   Alcotest.(check string) "digest matches the fig2-flaky pin"
-    "cc8e35b3e3ee07f75edbf4588ec226c5" (fingerprint t g)
+    "c5975421e21d5127e4220fd5847b4cb4" (fingerprint t g)
 
 let test_window_port_partial_synchrony () =
   let _, r =
@@ -807,7 +808,7 @@ let test_window_chaos_crash () =
   in
   Alcotest.(check bool) "recovery verdict under window layer" true
     o.Chaos.Mp_run.report.Chaos.Recovery.ok;
-  Alcotest.(check int) "deliveries match the chaos-crash pin" 8823
+  Alcotest.(check int) "deliveries match the chaos-crash pin" 3725
     o.Chaos.Mp_run.channel_deliveries
 
 let test_window_chaos_snapshot () =
@@ -832,6 +833,164 @@ let test_window_chaos_snapshot () =
       Alcotest.(check int) "all cuts consistent" s.Chaos.Mp_run.cuts
         s.Chaos.Mp_run.consistent;
       Alcotest.(check bool) "cut verdict agrees" true s.Chaos.Mp_run.cut_agrees
+
+(* ---------------- pulses are rounds ---------------- *)
+
+(* Lockstep differential against the state model: the port and
+   [Harness.Runner] under the synchronous daemon start from the same
+   configuration (same spec, seed and workload). Without channel garbage
+   the port never adopts, so every pulse advance is a barrier and pulse
+   k at p must execute exactly the move round k + 1 of the state model
+   executes at p, whatever the channels lose, duplicate or reorder. *)
+
+let journal_line (e : Obs.Journal.entry) =
+  Obs.Json.to_string (Obs.Journal.entry_to_json { e with step = 0 })
+
+(* Ghost ids come from one global counter, so messages generated in a
+   different order get different ids. A process generates at most one
+   message per round: rename each port ghost to the state-model ghost
+   generated at the same (pid, round); planted ghosts keep their ids. *)
+let rename_ghosts ~state port =
+  let born = Hashtbl.create 64 in
+  List.iter
+    (fun (e : Obs.Journal.entry) ->
+      match (e.kind, e.gid) with
+      | Obs.Journal.Generated, Some g -> Hashtbl.replace born (e.pid, e.round) g
+      | _ -> ())
+    state;
+  let renamed = Hashtbl.create 64 in
+  List.iter
+    (fun (e : Obs.Journal.entry) ->
+      if e.kind = Obs.Journal.Generated then
+        match (e.gid, Hashtbl.find_opt born (e.pid, e.round)) with
+        | Some g, Some g' -> Hashtbl.replace renamed g g'
+        | _ -> ())
+    port;
+  List.map
+    (fun (e : Obs.Journal.entry) ->
+      match e.gid with
+      | Some g -> (
+          match Hashtbl.find_opt renamed g with
+          | Some g' -> { e with gid = Some g' }
+          | None -> e)
+      | None -> e)
+    port
+
+let sorted_latencies o = List.sort compare (Harness.Oracle.latencies o)
+
+let lockstep ~spec ~channel ~window ~seed label g =
+  let label =
+    Printf.sprintf "%s %s w%d" label
+      (Chaos.Schedule.channel_to_string channel)
+      window
+  in
+  let n = Topology.Graph.n g in
+  let wl =
+    Harness.Workload.uniform_random
+      (Prng.Splitmix.of_int ((seed * 1000) + 7))
+      ~n ~per_processor:2
+  in
+  Ssmfp.Message.reset_ghost_counter ();
+  let sink = Obs.Sink.create ~with_journal:true () in
+  let sm =
+    Harness.Runner.run ~obs:sink
+      (Harness.Runner.config ~spec ~daemon:Harness.Runner.Synchronous ~seed g
+         wl)
+  in
+  let state =
+    match Obs.Sink.journal sink with
+    | Some j -> Obs.Journal.entries j
+    | None -> Alcotest.fail "sink without journal"
+  in
+  Ssmfp.Message.reset_ghost_counter ();
+  let k = Chaos.Schedule.channel_knobs channel in
+  let t =
+    Mp.Ssmfp_mp.create ~spec ~loss:k.Chaos.Schedule.loss
+      ~duplication:k.Chaos.Schedule.duplication
+      ~reorder:k.Chaos.Schedule.reorder ~window ~seed g wl
+  in
+  let port = ref [] in
+  Mp.Ssmfp_mp.set_event_hook t (fun ~pid ~pulse ev ->
+      port :=
+        Obs.Journal.of_protocol_event ~step:0 ~round:(pulse + 1) ~pid ev
+        :: !port);
+  (* Window 1 over flaky channels needs about 5M deliveries on
+     torus:4x4: every pulse waits for the slowest of its channels. *)
+  let r = Mp.Ssmfp_mp.run ~max_deliveries:20_000_000 t in
+  Alcotest.(check bool) (label ^ ": state model quiescent") true
+    (sm.Harness.Runner.outcome = `Quiescent);
+  Alcotest.(check bool) (label ^ ": port drained") true
+    (r.Mp.Ssmfp_mp.outcome = `All_done);
+  let lines es = List.sort compare (List.map journal_line es) in
+  let expected = lines state in
+  let got = lines (rename_ghosts ~state (List.rev !port)) in
+  (* The first line the sorted sides disagree on names a (pid, round)
+     where the two models part. *)
+  let rec first_diff = function
+    | x :: xs, y :: ys when x = y -> first_diff (xs, ys)
+    | x :: _, y :: _ -> Printf.sprintf "state %s / port %s" x y
+    | x :: _, [] -> "state only: " ^ x
+    | [], y :: _ -> "port only: " ^ y
+    | [], [] -> "none"
+  in
+  Alcotest.(check string)
+    (label ^ ": events per (pid, round), first difference")
+    "none"
+    (first_diff (expected, got));
+  Alcotest.(check (list (float 0.)))
+    (label ^ ": latency multiset")
+    (sorted_latencies sm.Harness.Runner.oracle)
+    (sorted_latencies r.Mp.Ssmfp_mp.oracle);
+  Alcotest.(check int)
+    (label ^ ": invalid deliveries")
+    (Harness.Oracle.invalid_delivered_total sm.Harness.Runner.oracle)
+    (Harness.Oracle.invalid_delivered_total r.Mp.Ssmfp_mp.oracle);
+  let st = Mp.Ssmfp_mp.sync_stats t in
+  Alcotest.(check int) (label ^ ": adoptions") 0 st.Mp.Ssmfp_mp.adoptions;
+  let pulses = ref 0 in
+  for p = 0 to n - 1 do
+    pulses := !pulses + Mp.Ssmfp_mp.pulse_of t p
+  done;
+  Alcotest.(check int) (label ^ ": every pulse advance is a barrier") !pulses
+    st.Mp.Ssmfp_mp.barriers
+
+let lockstep_grid ~seed label g () =
+  List.iter
+    (fun (start, spec) ->
+      List.iter
+        (fun channel ->
+          List.iter
+            (fun window ->
+              lockstep ~spec ~channel ~window ~seed (label ^ " " ^ start) g)
+            [ 1; 8 ])
+        Chaos.Schedule.[ Reliable; Lossy; Flaky ])
+    Harness.Fault.[ ("pristine", pristine); ("adversarial", adversarial) ]
+
+(* Positive control: planted garbage snapshots claim pulses the network
+   never reached, so processes must adopt them. *)
+let test_garbage_adopts () =
+  let g = Topology.Builders.ring 6 in
+  let prof = Obs.Prof.create ~tracks:1 () in
+  let wl =
+    Harness.Workload.uniform_random (Prng.Splitmix.of_int 1007) ~n:6
+      ~per_processor:2
+  in
+  let t =
+    Mp.Ssmfp_mp.create ~spec:Harness.Fault.adversarial ~channel_garbage:30
+      ~seed:1 ~prof g wl
+  in
+  let r = Mp.Ssmfp_mp.run t in
+  Alcotest.(check bool) "drained" true (r.Mp.Ssmfp_mp.outcome = `All_done);
+  Alcotest.(check bool) "SP" true r.Mp.Ssmfp_mp.verdict.Harness.Oracle.ok;
+  let st = Mp.Ssmfp_mp.sync_stats t in
+  Alcotest.(check bool) "adopted" true (st.Mp.Ssmfp_mp.adoptions > 0);
+  Alcotest.(check bool) "a jump of at least one pulse" true
+    (st.Mp.Ssmfp_mp.max_jump >= 1);
+  let counter name = Obs.Prof.counter_total prof (Obs.Prof.counter prof name) in
+  Alcotest.(check int) "mp.barriers" st.Mp.Ssmfp_mp.barriers
+    (counter "mp.barriers");
+  Alcotest.(check int) "mp.adoptions" st.Mp.Ssmfp_mp.adoptions
+    (counter "mp.adoptions")
 
 (* ---------------- schedule grammar modifiers ---------------- *)
 
@@ -976,6 +1135,18 @@ let () =
           Alcotest.test_case "chaos crash" `Quick test_window_chaos_crash;
           Alcotest.test_case "chaos snapshot" `Quick test_window_chaos_snapshot;
           Alcotest.test_case "window 0 rejected" `Quick test_window_zero_rejected;
+        ] );
+      ( "pulses are rounds",
+        [
+          Alcotest.test_case "ring5" `Quick
+            (lockstep_grid ~seed:3 "ring5" (Topology.Builders.ring 5));
+          Alcotest.test_case "path4" `Quick
+            (lockstep_grid ~seed:4 "path4" (Topology.Builders.path 4));
+          Alcotest.test_case "fig2" `Quick
+            (lockstep_grid ~seed:5 "fig2" Topology.Builders.paper_figure2);
+          Alcotest.test_case "torus4x4" `Quick
+            (lockstep_grid ~seed:6 "torus4x4" (Topology.Builders.torus ~rows:4 ~cols:4));
+          Alcotest.test_case "garbage adopts" `Quick test_garbage_adopts;
         ] );
       ( "schedule modifiers",
         [

@@ -447,15 +447,13 @@ let test_fingerprints_pinned () =
       ~on_cut:(fun c -> fps := Snapshot.Ssmfp_link.fingerprint_hex c :: !fps)
       ~schedule:(sched_exn "8:rb:2@lossy") g wl
   in
-  Alcotest.(check int) "channel deliveries" 6896
+  Alcotest.(check int) "channel deliveries" 3611
     o.Chaos.Mp_run.channel_deliveries;
   Alcotest.(check (list string)) "cut fingerprints"
     [
-      "6d81ebc869539069"; "14ebec472d35f1a4"; "15f57db6d8e442c2";
-      "24bd4f02be46e48f"; "12aa848654cc0d8c"; "66a4778bedaf57f4";
-      "6359d3eacfaee121"; "74e14c12ef1d952c"; "1d17e25c1e9b2778";
-      "1c65a8ac5d139dd2"; "7f5a88bfdf1b1a79"; "1a471d513708130f";
-      "0e50c58768d78c2b"; "6c4c400023b36e7a";
+      "64696ea4e1c4cf82"; "2dd8c46048e3de9a"; "79a705bc1be30a79";
+      "248a195773d9a911"; "03a484b9f70b974b"; "25d4f1212eb58ece";
+      "18e2bbe126911385";
     ]
     (List.rev !fps)
 
