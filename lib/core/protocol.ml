@@ -301,8 +301,9 @@ let apply_action g ~variant ~tie ~delta net p { rule; dest = d } =
   in
   (State.with_rr sp' ((d + 1) mod n), events)
 
-let make ?(variant = faithful) ?(run_routing = true)
-    ?(tie = Routing.Selfstab.Smallest_id) g =
+(* The composed protocol over a given [enabled]: the reference's walk or
+   a cache's. *)
+let protocol_of g ~variant ~tie enabled =
   let delta = Topology.Graph.max_degree g in
   {
     Sim.Engine.proto_name = "ssmfp";
@@ -313,10 +314,206 @@ let make ?(variant = faithful) ?(run_routing = true)
        the Neighborhood contract and the engine's dirty-set evaluation
        applies. *)
     locality = Sim.Engine.Neighborhood;
-    enabled = (fun net p -> enabled_rules g ~variant ~run_routing ~tie net ~p);
+    enabled;
     apply = (fun net p a -> apply_action g ~variant ~tie ~delta net p a);
     action_label = (fun a -> rule_name a.rule);
   }
+
+let make ?(variant = faithful) ?(run_routing = true)
+    ?(tie = Routing.Selfstab.Smallest_id) g =
+  protocol_of g ~variant ~tie (fun net p ->
+      enabled_rules g ~variant ~run_routing ~tie net ~p)
+
+(* --- the guard cache ----------------------------------------------------- *)
+
+(* Every guard of destination d at p reads only p's slot d and routing
+   entry d, its neighbors' slot d and routing entry d, and the bit
+   [request_p ∧ nextDestination_p = d]. Slot, entry and message records
+   are immutable, so those values, compared by physical identity, are a
+   version stamp: an entry whose stored values are all [==] the current
+   ones holds the guards' current results. The cache keeps the stored
+   values alive, so no address is reused while an entry refers to it. *)
+module Cache = struct
+  (* One byte per (p, d): A's flag, the request bit of the key, and the
+     SSMFP rules in offer order from bit 2 up. *)
+  let bit_route = 1
+  let bit_request = 2
+  let ssmfp_order = Array.of_list ssmfp_rules
+  let rule_bit j = 4 lsl j
+  let rule_bits = 0xfc
+
+  (* Only the cache refers to these, so no state holds them and every
+     entry misses until first computed. They are static data, not young
+     blocks: [Array.make] of a major-heap-sized array forces a minor
+     collection when its initial value is young. *)
+  let never_slot = { State.buf_r = None; buf_e = None; queue = [ -1 ] }
+  let never_entry = { Routing.Selfstab.dist = -1; via = -1 }
+
+  type t = {
+    g : Topology.Graph.t;
+    variant : variant;
+    run_routing : bool;
+    tie : Routing.Selfstab.tie;
+    n : int;
+    closed : int array array;  (** N[p]: p, then its neighbors ascending *)
+    base : int array;
+        (** (p, d)'s key is at [base.(p) + d * |N[p]|], one place per
+            member of N[p] in [closed] order *)
+    key_slot : State.slot array;
+    key_entry : Routing.Selfstab.entry array;
+    flags : Bytes.t;  (** (p, d) at [p * n + d] *)
+    (* One call's scratch: the slot and routing arrays of N[p]. *)
+    cur_slots : State.slot array array;
+    cur_routing : Routing.Selfstab.state array;
+    mutable checks : int;
+    mutable recomputes : int;
+  }
+
+  let create ?(variant = faithful) ?(run_routing = true)
+      ?(tie = Routing.Selfstab.Smallest_id) g =
+    let n = Topology.Graph.n g in
+    let closed =
+      Array.init n (fun p -> Array.of_list (p :: Topology.Graph.neighbors g p))
+    in
+    let base = Array.make (n + 1) 0 in
+    for p = 0 to n - 1 do
+      base.(p + 1) <- base.(p) + (n * Array.length closed.(p))
+    done;
+    let width = Topology.Graph.max_degree g + 1 in
+    {
+      g;
+      variant;
+      run_routing;
+      tie;
+      n;
+      closed;
+      base;
+      key_slot = Array.make base.(n) never_slot;
+      key_entry = Array.make base.(n) never_entry;
+      flags = Bytes.make (n * n) '\000';
+      cur_slots = Array.make width [||];
+      cur_routing = Array.make width [||];
+      checks = 0;
+      recomputes = 0;
+    }
+
+  let checks c = c.checks
+  let recomputes c = c.recomputes
+
+  (* The destination [request_p ∧ nextDestination_p] names, -1 if none. *)
+  let request_dest sp =
+    if sp.State.request then
+      match sp.State.outbox with (d, _) :: _ -> d | [] -> -1
+    else -1
+
+  (* Point the scratch at N[p]'s arrays in [net]; returns |N[p]|. *)
+  let load c (net : State.t Sim.Engine.net) ~p =
+    let members = c.closed.(p) in
+    for i = 0 to Array.length members - 1 do
+      let s = net.states.(members.(i)) in
+      c.cur_slots.(i) <- s.State.slots;
+      c.cur_routing.(i) <- s.State.routing
+    done;
+    Array.length members
+
+  let rec same c ~d ~o ~k i =
+    i = k
+    || c.cur_slots.(i).(d) == c.key_slot.(o + i)
+       && c.cur_routing.(i).(d) == c.key_entry.(o + i)
+       && same c ~d ~o ~k (i + 1)
+
+  (* (p, d)'s flags, recomputed by the reference guards on a miss. *)
+  let refresh c sc ~k ~req_dest d =
+    c.checks <- c.checks + 1;
+    let p = sc.p in
+    let o = c.base.(p) + (d * k) in
+    let at = (p * c.n) + d in
+    let fl = Char.code (Bytes.unsafe_get c.flags at) in
+    let req = if d = req_dest then bit_request else 0 in
+    if fl land bit_request = req && same c ~d ~o ~k 0 then fl
+    else begin
+      c.recomputes <- c.recomputes + 1;
+      let fl = ref req in
+      if c.run_routing && holds sc ~d Route then fl := !fl lor bit_route;
+      for j = 0 to Array.length ssmfp_order - 1 do
+        if holds sc ~d ssmfp_order.(j) then fl := !fl lor rule_bit j
+      done;
+      for i = 0 to k - 1 do
+        c.key_slot.(o + i) <- c.cur_slots.(i).(d);
+        c.key_entry.(o + i) <- c.cur_routing.(i).(d)
+      done;
+      Bytes.unsafe_set c.flags at (Char.unsafe_chr !fl);
+      !fl
+    end
+
+  let scan_of c net ~p =
+    {
+      g = c.g;
+      variant = c.variant;
+      tie = c.tie;
+      net;
+      read = routing_of net;
+      p;
+      first = false;
+    }
+
+  (* Destination [i] places after [rr] in rotation order. *)
+  let nth_dest c ~rr i = if rr + i >= c.n then rr + i - c.n else rr + i
+
+  let rec first_rule fl j =
+    if fl land rule_bit j <> 0 then ssmfp_order.(j) else first_rule fl (j + 1)
+
+  let enabled c net ~p =
+    let sc = scan_of c net ~p in
+    let k = load c net ~p in
+    let req_dest = request_dest (read net p) in
+    let any_route = ref false in
+    for d = 0 to c.n - 1 do
+      if refresh c sc ~k ~req_dest d land bit_route <> 0 then any_route := true
+    done;
+    (* The offer order, built backwards from its last destination. *)
+    let rr = rr_of c.g net p in
+    let row = p * c.n in
+    let acc = ref [] in
+    for i = c.n - 1 downto 0 do
+      let d = nth_dest c ~rr i in
+      let fl = Char.code (Bytes.unsafe_get c.flags (row + d)) in
+      if !any_route then begin
+        if fl land bit_route <> 0 then acc := { rule = Route; dest = d } :: !acc
+      end
+      else if fl land rule_bits <> 0 then
+        for j = Array.length ssmfp_order - 1 downto 0 do
+          if fl land rule_bit j <> 0 then
+            acc := { rule = ssmfp_order.(j); dest = d } :: !acc
+        done
+    done;
+    !acc
+
+  (* A's first enabled action if it has one, else SSMFP's: with routing
+     on, every destination is checked for A's flag, and the first SSMFP
+     action met on the way is kept for the case it has none. *)
+  let first_enabled c net ~p =
+    let sc = scan_of c net ~p in
+    let k = load c net ~p in
+    let req_dest = request_dest (read net p) in
+    let rr = rr_of c.g net p in
+    let rec walk i ssmfp =
+      if i = c.n then ssmfp
+      else
+        let d = nth_dest c ~rr i in
+        let fl = refresh c sc ~k ~req_dest d in
+        if fl land bit_route <> 0 then Some { rule = Route; dest = d }
+        else if ssmfp = None && fl land rule_bits <> 0 then
+          let a = Some { rule = first_rule fl 0; dest = d } in
+          if c.run_routing then walk (i + 1) a else a
+        else walk (i + 1) ssmfp
+    in
+    walk 0 None
+
+  let protocol c =
+    protocol_of c.g ~variant:c.variant ~tie:c.tie (fun net p ->
+        enabled c net ~p)
+end
 
 let raise_requests ?on_raise t =
   for p = 0 to Topology.Graph.n (Sim.Engine.graph t) - 1 do

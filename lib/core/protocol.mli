@@ -89,7 +89,73 @@ val make :
     [true]) can be switched off to freeze routing tables — used by
     experiments that study SSMFP alone under correct (or adversarially
     fixed) tables. [tie] selects [A]'s shortest-path tie-break (SSMFP
-    must work with either family of trees [T_d]). *)
+    must work with either family of trees [T_d]).
+
+    This is the stateless reference: every [enabled] call runs every
+    guard of every destination ({!enabled_rules}), and the record holds
+    no mutable state, so one value may be shared by any number of
+    engines and domains (the model checker's workers do). {!Cache} gives
+    the same results with guard work in proportion to change. *)
+
+(** {2 Guard cache}
+
+    A processor runs one SSMFP instance per destination, and every guard
+    of instance [d] at [p] — [A]'s rule, R1–R6 and [choice_p(d)] — reads
+    only these values, the entry's {e key}:
+    - [p]'s slot [d] and routing entry [d];
+    - each neighbor's slot [d] and routing entry [d];
+    - the bit [request_p ∧ nextDestination_p = d].
+
+    The cache keeps, for each [(p, d)], [A]'s flag and the enabled SSMFP
+    rules in offer order, with the key values they were computed from.
+    Slot, routing-entry and {!Message.t} records are immutable, so
+    physical identity is a version stamp: an entry is valid iff every
+    stored value is [==] the current one, and a miss re-runs the
+    reference guards for that one destination. The cache holds the
+    stored values, so none is collected and its address reused while an
+    entry refers to it.
+
+    Nothing has to announce a change: a daemon step, [Sim.Engine.set_state],
+    a fault injection or a message-passing mirror all show up as a
+    changed identity. The results are exactly {!enabled_rules}' and
+    {!first_enabled}'s, on any configuration.
+
+    A cache holds O(n·(Δ+1)) words per processor and writes into its
+    tables on every call, so it belongs to one engine or one
+    message-passing instance on one domain: never share it across
+    domains. *)
+module Cache : sig
+  type t
+
+  val create :
+    ?variant:variant ->
+    ?run_routing:bool ->
+    ?tie:Routing.Selfstab.tie ->
+    Topology.Graph.t ->
+    t
+  (** An empty cache for {!make}'s protocol with the same arguments:
+      every entry misses until first computed. *)
+
+  val enabled : t -> State.t Sim.Engine.net -> p:int -> action list
+  (** {!enabled_rules} with the cache's arguments: checks the entry of
+      every destination, recomputes the stale ones, and rebuilds the
+      offer order from [rr]. *)
+
+  val first_enabled : t -> State.t Sim.Engine.net -> p:int -> action option
+  (** {!first_enabled} with the cache's arguments: the head of
+      {!enabled}, stopping at the first enabled action when routing is
+      off, or at [A]'s first enabled action when it has one. *)
+
+  val protocol : t -> (State.t, action, event) Sim.Engine.protocol
+  (** {!make}'s protocol with [enabled] served by the cache. *)
+
+  val checks : t -> int
+  (** Entries checked since {!create}, one per destination per call
+      (fewer when {!first_enabled} stops early). *)
+
+  val recomputes : t -> int
+  (** Checked entries that were stale and recomputed. *)
+end
 
 (** {2 Introspection} — the guard-level probes used by tests, oracles and
     the model checker. All read the engine configuration without side

@@ -106,9 +106,12 @@ let run ?obs cfg =
   let master = Prng.Splitmix.of_int cfg.seed in
   let fault_rng = Prng.Splitmix.split master in
   let daemon_rng = Prng.Splitmix.split master in
+  (* One guard cache per run: the engine evaluates only dirty
+     processors, and the cache only their changed destinations. *)
   let protocol =
-    Ssmfp.Protocol.make ~variant:cfg.variant ~run_routing:cfg.run_routing
-      cfg.graph
+    Ssmfp.Protocol.Cache.(
+      protocol
+        (create ~variant:cfg.variant ~run_routing:cfg.run_routing cfg.graph))
   in
   let states =
     Array.init

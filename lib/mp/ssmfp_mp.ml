@@ -12,6 +12,12 @@ type proc = { core : Ssmfp.State.t; pulse : int; prev : public option }
 
 type event_hook = pid:int -> pulse:int -> Ssmfp.Protocol.event -> unit
 
+type barrier_hook =
+  pid:int ->
+  Ssmfp.State.t Sim.Engine.net ->
+  Ssmfp.Protocol.action option ->
+  unit
+
 type sync_stats = { barriers : int; adoptions : int; max_jump : int }
 
 (* The synchronizer's accounting; only the handler writes it. *)
@@ -31,6 +37,7 @@ type t = {
   expected_valid : int;
   sync : sync;
   on_event : event_hook option ref;
+  on_barrier : barrier_hook option ref;
   drain_witness : int ref; (* last process seen busy by [all_drained] *)
   window : int;
   (* Sender/receiver state per directed channel, indexed [p].[slot] with
@@ -104,13 +111,17 @@ let promote m =
 
 let barrier_ready m proc = Array.for_all (fun (k, _) -> k = proc.pulse) m.now
 
-let make_handler g nbrs mirrors oracle sync prof hook_ref =
+let make_handler g nbrs mirrors oracle sync prof hook_ref barrier_hook_ref =
   let n = Topology.Graph.n g in
+  (* One guard cache per instance, never shared across domains. *)
+  let cache = Ssmfp.Protocol.Cache.create g in
   let proto = Ssmfp.Protocol.make g in
   let prof_on = Obs.Prof.enabled prof in
   let ptr = Obs.Prof.track prof 0 in
   let c_barriers = Obs.Prof.counter prof "mp.barriers" in
   let c_adoptions = Obs.Prof.counter prof "mp.adoptions" in
+  let c_checks = Obs.Prof.counter prof "mp.guard_checks" in
+  let c_recomputes = Obs.Prof.counter prof "mp.guard_recomputes" in
   (* The guard view, one per instance (campaigns run instances on
      parallel domains): p's core and its neighbors' mirrors are written
      in for one barrier and reset afterwards, O(deg) writes. *)
@@ -129,8 +140,19 @@ let make_handler g nbrs mirrors oracle sync prof hook_ref =
     Array.iteri
       (fun slot q -> view.(q) <- snd mirrors.(self).now.(slot))
       nbrs.(self);
+    let checks = Ssmfp.Protocol.Cache.checks cache in
+    let recomputes = Ssmfp.Protocol.Cache.recomputes cache in
+    let choice = Ssmfp.Protocol.Cache.first_enabled cache net ~p:self in
+    if prof_on then begin
+      Obs.Prof.add ptr c_checks (Ssmfp.Protocol.Cache.checks cache - checks);
+      Obs.Prof.add ptr c_recomputes
+        (Ssmfp.Protocol.Cache.recomputes cache - recomputes)
+    end;
+    (match !barrier_hook_ref with
+    | None -> ()
+    | Some f -> f ~pid:self net choice);
     let core' =
-      match Ssmfp.Protocol.first_enabled g net ~p:self with
+      match choice with
       | None -> core
       | Some action ->
           let core', events = proto.Sim.Engine.apply net self action in
@@ -218,6 +240,7 @@ let create ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0)
   let garbage_rng = Prng.Splitmix.split master in
   let oracle = Harness.Oracle.create () in
   let on_event = ref None in
+  let on_barrier = ref None in
   let n = Topology.Graph.n graph in
   let nbrs =
     Array.init n (fun p -> Array.of_list (Topology.Graph.neighbors graph p))
@@ -226,7 +249,9 @@ let create ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0)
   let sync =
     { s_max_pulse = 0; s_barriers = 0; s_adoptions = 0; s_max_jump = 0 }
   in
-  let inner = make_handler graph nbrs mirrors oracle sync prof on_event in
+  let inner =
+    make_handler graph nbrs mirrors oracle sync prof on_event on_barrier
+  in
   let slot_of self q =
     let ns = nbrs.(self) in
     let rec find i =
@@ -453,6 +478,7 @@ let create ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0)
     expected_valid = Harness.Workload.total workload;
     sync;
     on_event;
+    on_barrier;
     drain_witness;
     window;
     nbrs;
@@ -490,6 +516,7 @@ let window_retransmits t =
     0 t.win_send
 
 let set_event_hook t f = t.on_event := Some f
+let set_barrier_hook t f = t.on_barrier := Some f
 
 (* Snapshot-layer plumbing: the Chandy–Lamport engine in lib/snapshot
    attaches through these without ever seeing the network record. The

@@ -36,10 +36,16 @@
 
     Evaluating a barrier allocates O(deg) words: p's core and its
     neighbors' mirrors are written into one guard view per instance, and
-    {!Ssmfp.Protocol.first_enabled} stops at the first enabled action.
-    An executed action copies the one array it writes, since cores are
-    copy-on-write; that is what lets a publish share the arrays in O(1)
-    (see {!public}).
+    the instance's {!Ssmfp.Protocol.Cache} answers
+    {!Ssmfp.Protocol.first_enabled} on it. The cache checks each
+    destination's key, O(deg) identity comparisons, and re-runs the
+    guards only of the destinations whose values in p's closed
+    neighborhood changed since p's previous barrier: a mirror of an idle
+    neighbor shares its arrays with the one before, so an idle
+    destination costs no guard. An executed action copies the one array
+    it writes, since cores are copy-on-write; that is what lets a publish
+    share the arrays in O(1) (see {!public}) and what keeps unchanged
+    slots physically equal across pulses.
 
     What this does and does not establish: the construction uses unbounded
     pulse counters, so it is *not* a snap-stabilizing message-passing
@@ -144,9 +150,11 @@ val create :
     [?prof] threads through to {!Network.create} (Lamport stamps, hop
     log, latency and queue-depth histograms) and additionally counts
     every refresh republish and window retransmission in
-    ["mp.retransmissions"], and the {!sync_stats} barriers and
-    adoptions in ["mp.barriers"] and ["mp.adoptions"]. Profiling
-    consumes no PRNG draws: the run is identical with it on or off. *)
+    ["mp.retransmissions"], the {!sync_stats} barriers and adoptions in
+    ["mp.barriers"] and ["mp.adoptions"], and the guard cache's entry
+    checks and recomputations at the barriers in ["mp.guard_checks"]
+    and ["mp.guard_recomputes"]. Profiling consumes no PRNG draws: the
+    run is identical with it on or off. *)
 
 val run : ?max_deliveries:int -> t -> result
 (** Deliver channel messages under the fair random scheduler until every
@@ -223,6 +231,20 @@ val set_event_hook : t -> event_hook -> unit
     barrier execution emits, right after the omniscient oracle observes
     it, attributed to the acting process and its pulse. The snapshot
     layer's per-process ledgers are fed from here. *)
+
+type barrier_hook =
+  pid:int ->
+  Ssmfp.State.t Sim.Engine.net ->
+  Ssmfp.Protocol.action option ->
+  unit
+
+val set_barrier_hook : t -> barrier_hook -> unit
+(** Install a barrier observer: called at every barrier with the acting
+    process, its guard view (its core, with [request_p] raised if the
+    barrier raised it, and its neighbors' mirrors at its pulse) and the
+    action the cache chose, before the action executes. The view is
+    valid only during the call. The test suite checks the cache against
+    {!Ssmfp.Protocol.first_enabled} on it. *)
 
 val on_marker : t -> (self:int -> from:int -> epoch:int -> unit) -> unit
 val on_deliver : t -> (self:int -> from:int -> payload -> unit) -> unit

@@ -217,6 +217,184 @@ let test_default_mode () =
   Alcotest.(check bool) "full-sweep kept" true
     (Sim.Engine.mode t' = Sim.Engine.Full_sweep)
 
+(* ---------------- guard cache ---------------- *)
+
+(* [Ssmfp.Protocol.Cache] against the reference guards, at every process
+   after every step. Three caches see each run: the engine's own, fed
+   only the dirty processors as in [Harness.Runner]; one asked
+   [enabled] and one asked [first_enabled] at every process. *)
+
+let variants =
+  Ssmfp.Protocol.
+    [
+      ("faithful", faithful);
+      ("no-colors", { faithful with use_colors = false });
+      ("no-r5", { faithful with use_r5 = false });
+      ("no-rotation", { faithful with rotate_queue = false });
+      ("literal-r5", { faithful with literal_r5 = true });
+    ]
+
+(* Every variant × tie × routing combination: 20 configurations. *)
+let cache_configs =
+  List.concat_map
+    (fun (vname, variant) ->
+      List.concat_map
+        (fun (tname, tie) ->
+          List.map
+            (fun run_routing ->
+              ( Printf.sprintf "%s/%s/%s" vname tname
+                  (if run_routing then "routing" else "frozen"),
+                (variant, tie, run_routing) ))
+            [ true; false ])
+        Routing.Selfstab.[ ("smallest", Smallest_id); ("largest", Largest_id) ])
+    variants
+
+let action =
+  Alcotest.testable
+    (fun fmt (a : Ssmfp.Protocol.action) ->
+      Format.fprintf fmt "%s@%d" (Ssmfp.Protocol.rule_name a.rule) a.dest)
+    ( = )
+
+(* One run; [storm] adds, before each step, an external write at a
+   random process: a flipped request bit, a pushed send, or a state
+   replaced by a freshly corrupted one. *)
+let cache_run ~name ~config:(variant, tie, run_routing) ~storm g ~daemon_kind
+    ~seed ~max_steps =
+  let n = Topology.Graph.n g in
+  let cache =
+    Ssmfp.Protocol.Cache.create ~variant ~run_routing ~tie g
+  in
+  let shadow = Ssmfp.Protocol.Cache.create ~variant ~run_routing ~tie g in
+  let shadow_first =
+    Ssmfp.Protocol.Cache.create ~variant ~run_routing ~tie g
+  in
+  let wl_rng = Prng.Splitmix.of_int ((seed * 7) + 1) in
+  let wl = Harness.Workload.uniform_random wl_rng ~n ~per_processor:2 in
+  let _, spec = spec_of seed in
+  let rng = Prng.Splitmix.of_int ((seed * 13) + 5) in
+  let t =
+    Sim.Engine.make ~graph:g
+      ~protocol:(Ssmfp.Protocol.Cache.protocol cache)
+      (fun p -> Harness.Fault.initial_states ~rng spec g ~workload:wl p)
+  in
+  let daemon = daemon_of daemon_kind seed in
+  let storm_rng = Prng.Splitmix.of_int ((seed * 17) + 3) in
+  let check i =
+    let net = Sim.Engine.net t in
+    let offered = Hashtbl.create n in
+    List.iter
+      (fun c -> Hashtbl.replace offered c.Sim.Engine.cand_pid c.cand_actions)
+      (Sim.Engine.candidates t);
+    for p = 0 to n - 1 do
+      let reference =
+        Ssmfp.Protocol.enabled_rules g ~variant ~run_routing ~tie net ~p
+      in
+      let label what = Printf.sprintf "%s step %d p%d: %s" name i p what in
+      Alcotest.(check (list action)) (label "engine's cache") reference
+        (Option.value ~default:[] (Hashtbl.find_opt offered p));
+      Alcotest.(check (list action)) (label "enabled") reference
+        (Ssmfp.Protocol.Cache.enabled shadow net ~p);
+      Alcotest.(check (option action))
+        (label "first_enabled")
+        (Ssmfp.Protocol.first_enabled g ~variant ~run_routing ~tie net ~p)
+        (Ssmfp.Protocol.Cache.first_enabled shadow_first net ~p)
+    done
+  in
+  let rec loop i =
+    check i;
+    if i < max_steps then begin
+      if storm then begin
+        let p = Prng.Splitmix.int storm_rng n in
+        let st = Sim.Engine.state t p in
+        Sim.Engine.set_state t p
+          (match Prng.Splitmix.int storm_rng 3 with
+          | 0 -> { st with Ssmfp.State.request = not st.Ssmfp.State.request }
+          | 1 ->
+              Ssmfp.State.push_outbox st
+                ~dest:(Prng.Splitmix.int storm_rng n)
+                "storm"
+          | _ ->
+              Harness.Fault.initial_states ~rng:storm_rng
+                Harness.Fault.adversarial g ~workload:wl p)
+      end;
+      raise_requests g t;
+      match Sim.Engine.step t daemon with
+      | None -> ()
+      | Some _ -> loop (i + 1)
+    end
+  in
+  loop 0
+
+(* The grid's topologies × daemons × pristine, adversarial and random
+   starts (90 scenarios), each with the next of the 20 configurations. *)
+let test_cache_grid () =
+  let configs = Array.of_list cache_configs in
+  let count = ref 0 in
+  List.iter
+    (fun (gname, g) ->
+      List.iter
+        (fun daemon_kind ->
+          for seed = 0 to 2 do
+            let cname, config = configs.(!count mod Array.length configs) in
+            incr count;
+            let sname, _ = spec_of seed in
+            let name =
+              Printf.sprintf "%s/%s/%s/%s" gname daemon_kind sname cname
+            in
+            cache_run ~name ~config ~storm:false g ~daemon_kind ~seed
+              ~max_steps:250
+          done)
+        daemon_kinds)
+    graphs;
+  Alcotest.(check int) "scenarios" 90 !count
+
+(* The set_state storm, under every configuration. *)
+let test_cache_storm () =
+  List.iteri
+    (fun i (cname, config) ->
+      cache_run ~name:("storm/" ^ cname) ~config ~storm:true
+        (Topology.Builders.ring 8) ~daemon_kind:"round-robin" ~seed:i
+        ~max_steps:200)
+    cache_configs
+
+(* An unchanged configuration recomputes no destination, and a write
+   of one slot recomputes exactly that destination at the writer and
+   its neighbors: a cache that always missed would pass the
+   differential and lose the gain. *)
+let test_cache_hits () =
+  let g = Topology.Builders.torus ~rows:3 ~cols:3 in
+  let n = Topology.Graph.n g in
+  let rng = Prng.Splitmix.of_int 5 in
+  let states =
+    Array.init n (fun p ->
+        Harness.Fault.initial_states ~rng Harness.Fault.adversarial g
+          ~workload:(Harness.Workload.empty ~n) p)
+  in
+  let net = Sim.Engine.synthetic ~graph:g ~states in
+  let cache = Ssmfp.Protocol.Cache.create g in
+  let sweep () =
+    for p = 0 to n - 1 do
+      ignore (Ssmfp.Protocol.Cache.enabled cache net ~p)
+    done
+  in
+  let counts () =
+    Ssmfp.Protocol.Cache.(checks cache, recomputes cache)
+  in
+  sweep ();
+  Alcotest.(check (pair int int)) "first sweep computes every entry"
+    (n * n, n * n) (counts ());
+  sweep ();
+  Alcotest.(check (pair int int)) "unchanged configuration: all hits"
+    (2 * n * n, n * n) (counts ());
+  let p = 4 and d = 7 in
+  let sl = Ssmfp.State.slot states.(p) d in
+  states.(p) <-
+    Ssmfp.State.with_slot states.(p) d { sl with Ssmfp.State.buf_r = None };
+  sweep ();
+  Alcotest.(check (pair int int)) "one slot written: N[p] recompute d"
+    ((3 * n * n), (n * n) + 1 + Topology.Graph.degree g p)
+    (counts ())
+
 let () =
   Alcotest.run "incremental"
     [
@@ -228,5 +406,14 @@ let () =
             test_global_locality;
           Alcotest.test_case "set_state storm" `Quick test_set_state_storm;
           Alcotest.test_case "mode accessor & default" `Quick test_default_mode;
+        ] );
+      ( "guard cache",
+        [
+          Alcotest.test_case "90-scenario grid: cached vs reference guards"
+            `Quick test_cache_grid;
+          Alcotest.test_case "set_state storm, every configuration" `Quick
+            test_cache_storm;
+          Alcotest.test_case "hits on unchanged destinations" `Quick
+            test_cache_hits;
         ] );
     ]

@@ -834,6 +834,104 @@ let test_window_chaos_snapshot () =
         s.Chaos.Mp_run.consistent;
       Alcotest.(check bool) "cut verdict agrees" true s.Chaos.Mp_run.cut_agrees
 
+(* ---------------- guard cache ---------------- *)
+
+let show_choice = function
+  | None -> "none"
+  | Some (a : Ssmfp.Protocol.action) ->
+      Printf.sprintf "%s@%d" (Ssmfp.Protocol.rule_name a.rule) a.dest
+
+(* At every barrier, the action the port's guard cache chose must be
+   the reference guards' [first_enabled] on the same view. Returns the
+   count of barriers checked. *)
+let check_barriers label t =
+  let g = Mp.Ssmfp_mp.graph t in
+  let checked = ref 0 in
+  Mp.Ssmfp_mp.set_barrier_hook t (fun ~pid view choice ->
+      incr checked;
+      let reference = Ssmfp.Protocol.first_enabled g view ~p:pid in
+      if choice <> reference then
+        Alcotest.failf "%s: barrier %d at p%d: cache %s, reference %s" label
+          !checked pid (show_choice choice) (show_choice reference));
+  checked
+
+let check_all_barriers label t checked =
+  Alcotest.(check int)
+    (label ^ ": every barrier checked against the reference guards")
+    (Mp.Ssmfp_mp.sync_stats t).Mp.Ssmfp_mp.barriers !checked
+
+let prof_counter prof name =
+  Obs.Prof.counter_total prof (Obs.Prof.counter prof name)
+
+(* Planted garbage snapshots: adoptions and foreign mirrors. *)
+let test_cache_garbage () =
+  let g = Topology.Builders.ring 6 in
+  let prof = Obs.Prof.create ~tracks:1 () in
+  let wl =
+    Harness.Workload.uniform_random (Prng.Splitmix.of_int 1007) ~n:6
+      ~per_processor:2
+  in
+  let t =
+    Mp.Ssmfp_mp.create ~spec:Harness.Fault.adversarial ~channel_garbage:30
+      ~seed:1 ~prof g wl
+  in
+  let checked = check_barriers "garbage" t in
+  let r = Mp.Ssmfp_mp.run t in
+  Alcotest.(check bool) "drained" true (r.Mp.Ssmfp_mp.outcome = `All_done);
+  Alcotest.(check bool) "adopted" true
+    ((Mp.Ssmfp_mp.sync_stats t).Mp.Ssmfp_mp.adoptions > 0);
+  check_all_barriers "garbage" t checked;
+  let checks = prof_counter prof "mp.guard_checks" in
+  let recomputes = prof_counter prof "mp.guard_recomputes" in
+  Alcotest.(check bool) "some entries recomputed, fewer than checked" true
+    (recomputes > 0 && recomputes < checks)
+
+(* A crash burst on lossy channels, then a core overwritten mid-run
+   through [set_core]: amnesia, republished mirrors and a foreign core. *)
+let test_cache_crash () =
+  let g = Topology.Builders.ring 6 in
+  let wl =
+    Harness.Workload.uniform_random (Prng.Splitmix.of_int 2007) ~n:6
+      ~per_processor:2
+  in
+  let t =
+    Mp.Ssmfp_mp.create ~spec:Harness.Fault.adversarial ~loss:0.15
+      ~duplication:0.05 ~reorder:0.10 ~seed:2 g wl
+  in
+  let checked = check_barriers "crash" t in
+  let pulse_at_least k = fun t -> Mp.Ssmfp_mp.max_pulse t >= k in
+  ignore (Mp.Ssmfp_mp.drive ~stop:(pulse_at_least 8) t);
+  Mp.Ssmfp_mp.crash_process t 1 ~down_for:40;
+  Mp.Ssmfp_mp.crash_process t 4 ~down_for:40;
+  ignore (Mp.Ssmfp_mp.drive ~stop:(pulse_at_least 20) t);
+  let old = Mp.Ssmfp_mp.core t 2 in
+  let corrupted =
+    Harness.Fault.initial_states ~rng:(Prng.Splitmix.of_int 9)
+      Harness.Fault.adversarial g ~workload:(Harness.Workload.empty ~n:6) 2
+  in
+  Mp.Ssmfp_mp.set_core t 2
+    { corrupted with Ssmfp.State.outbox = old.Ssmfp.State.outbox };
+  let r = Mp.Ssmfp_mp.run t in
+  Alcotest.(check bool) "drained" true (r.Mp.Ssmfp_mp.outcome = `All_done);
+  check_all_barriers "crash" t checked
+
+(* An idle network republishes the same arrays every pulse, so after each
+   process's first barrier no destination is ever recomputed. *)
+let test_cache_hits () =
+  let g = Topology.Builders.ring 6 in
+  let prof = Obs.Prof.create ~tracks:1 () in
+  let t =
+    Mp.Ssmfp_mp.create ~seed:3 ~prof g (Harness.Workload.empty ~n:6)
+  in
+  ignore (Mp.Ssmfp_mp.drive ~stop:(fun t -> Mp.Ssmfp_mp.max_pulse t >= 10) t);
+  let barriers = (Mp.Ssmfp_mp.sync_stats t).Mp.Ssmfp_mp.barriers in
+  Alcotest.(check bool) "several barriers per process" true (barriers > 6 * 5);
+  Alcotest.(check int) "mp.guard_checks: every destination per barrier"
+    (6 * barriers)
+    (prof_counter prof "mp.guard_checks");
+  Alcotest.(check int) "mp.guard_recomputes: only each first barrier" (6 * 6)
+    (prof_counter prof "mp.guard_recomputes")
+
 (* ---------------- pulses are rounds ---------------- *)
 
 (* Lockstep differential against the state model: the port and
@@ -909,6 +1007,7 @@ let lockstep ~spec ~channel ~window ~seed label g =
       ~duplication:k.Chaos.Schedule.duplication
       ~reorder:k.Chaos.Schedule.reorder ~window ~seed g wl
   in
+  let checked = check_barriers label t in
   let port = ref [] in
   Mp.Ssmfp_mp.set_event_hook t (fun ~pid ~pulse ev ->
       port :=
@@ -952,7 +1051,8 @@ let lockstep ~spec ~channel ~window ~seed label g =
     pulses := !pulses + Mp.Ssmfp_mp.pulse_of t p
   done;
   Alcotest.(check int) (label ^ ": every pulse advance is a barrier") !pulses
-    st.Mp.Ssmfp_mp.barriers
+    st.Mp.Ssmfp_mp.barriers;
+  check_all_barriers label t checked
 
 let lockstep_grid ~seed label g () =
   List.iter
@@ -1147,6 +1247,12 @@ let () =
           Alcotest.test_case "torus4x4" `Quick
             (lockstep_grid ~seed:6 "torus4x4" (Topology.Builders.torus ~rows:4 ~cols:4));
           Alcotest.test_case "garbage adopts" `Quick test_garbage_adopts;
+        ] );
+      ( "guard cache",
+        [
+          Alcotest.test_case "garbage ring6" `Quick test_cache_garbage;
+          Alcotest.test_case "crash burst" `Quick test_cache_crash;
+          Alcotest.test_case "hits when idle" `Quick test_cache_hits;
         ] );
       ( "schedule modifiers",
         [
