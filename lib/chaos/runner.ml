@@ -80,7 +80,7 @@ let run ?obs ?(aftermath = 0) ?(prof = Obs.Prof.disabled) ~schedule
         match !pending with
         | [] -> ()
         | b :: rest ->
-            let round = (Sim.Engine.stats engine).Sim.Engine.rounds in
+            let round = Sim.Engine.rounds engine in
             (* Terminal counts as "now": a burst scheduled past
                quiescence strikes the quiescent configuration, and
                because this hook runs before the engine's terminal

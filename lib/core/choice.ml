@@ -1,18 +1,28 @@
 let members g ~p = p :: Topology.Graph.neighbors g p
 
+(* Every list here holds ints, compared inline rather than through the
+   polymorphic [List.mem] and [compare]. *)
+let rec mem_int (x : int) = function
+  | [] -> false
+  | y :: rest -> y = x || mem_int x rest
+
+(* The first occurrence of each member of N_p ∪ {p} in [queue], onto
+   [kept] in reverse queue order. *)
+let rec firsts g ~p kept = function
+  | [] -> kept
+  | x :: rest ->
+      if (x = p || Topology.Graph.is_edge g p x) && not (mem_int x kept) then
+        firsts g ~p (x :: kept) rest
+      else firsts g ~p kept rest
+
 let normalize g ~p queue =
-  let allowed = members g ~p in
-  let seen = Hashtbl.create 8 in
-  let keep x =
-    if List.mem x allowed && not (Hashtbl.mem seen x) then begin
-      Hashtbl.replace seen x ();
-      true
-    end
-    else false
+  (* N_p is ascending, so merging p in sorts N_p ∪ {p}. *)
+  let ascending =
+    List.merge Int.compare [ p ] (Topology.Graph.neighbors g p)
   in
-  let kept = List.filter keep queue in
-  let missing = List.filter (fun x -> not (Hashtbl.mem seen x)) allowed in
-  kept @ List.sort compare missing
+  let kept = firsts g ~p [] queue in
+  List.rev_append kept
+    (List.filter (fun x -> not (mem_int x kept)) ascending)
 
 let is_well_formed g ~p queue =
   let allowed = List.sort compare (members g ~p) in
@@ -20,4 +30,4 @@ let is_well_formed g ~p queue =
 
 let select ~candidate queue = List.find_opt candidate queue
 
-let serve s queue = List.filter (fun x -> x <> s) queue @ [ s ]
+let serve (s : int) queue = List.filter (fun x -> x <> s) queue @ [ s ]

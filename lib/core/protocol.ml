@@ -21,14 +21,18 @@ type variant = {
 let faithful =
   { use_colors = true; use_r5 = true; rotate_queue = true; literal_r5 = false }
 
-let rule_name = function
-  | Route -> "RA"
-  | R1 -> "R1"
-  | R2 -> "R2"
-  | R3 -> "R3"
-  | R4 -> "R4"
-  | R5 -> "R5"
-  | R6 -> "R6"
+(* A rule's index in the engine's [rules]. *)
+let rule_number = function
+  | Route -> 0
+  | R1 -> 1
+  | R2 -> 2
+  | R3 -> 3
+  | R4 -> 4
+  | R5 -> 5
+  | R6 -> 6
+
+let rule_names = [| "RA"; "R1"; "R2"; "R3"; "R4"; "R5"; "R6" |]
+let rule_name r = rule_names.(rule_number r)
 
 (* --- reading the configuration ------------------------------------- *)
 
@@ -76,14 +80,18 @@ let rec first_feeder g net ~p ~d = function
   | [] -> -1
   | q :: rest -> if can_feed g net ~p ~d q then q else first_feeder g net ~p ~d rest
 
-let choice g net ~p ~d =
+(* choice_p(d) as a pid, -1 for none: what the guards compare. *)
+let chosen g net ~p ~d =
   let self_feeds = can_feed g net ~p ~d p in
   let nbr = first_feeder g net ~p ~d (Topology.Graph.neighbors g p) in
-  if (not self_feeds) && nbr < 0 then None
+  if (not self_feeds) && nbr < 0 then -1
   else
     match first_feeder g net ~p ~d (slot_of net p d).State.queue with
-    | -1 -> Some (if self_feeds && (nbr < 0 || p < nbr) then p else nbr)
-    | s -> Some s
+    | -1 -> if self_feeds && (nbr < 0 || p < nbr) then p else nbr
+    | s -> s
+
+let choice g net ~p ~d =
+  match chosen g net ~p ~d with -1 -> None | s -> Some s
 
 (* --- guards ----------------------------------------------------------- *)
 
@@ -91,7 +99,7 @@ let guard_r1 g net ~p ~d =
   let sp = read net p in
   requests sp ~d
   && (State.slot sp d).State.buf_r = None
-  && choice g net ~p ~d = Some p
+  && chosen g net ~p ~d = p
 
 let guard_r2 g net ~p ~d =
   let sl = slot_of net p d in
@@ -109,10 +117,9 @@ let guard_r2 g net ~p ~d =
 let guard_r3 g net ~p ~d =
   (slot_of net p d).State.buf_r = None
   &&
-  match choice g net ~p ~d with
-  | Some s when s <> p -> (
-      match buf_e_seen g net ~p s d with Some _ -> true | None -> false)
-  | Some _ | None -> false
+  let s = chosen g net ~p ~d in
+  s >= 0 && s <> p
+  && match buf_e_seen g net ~p s d with Some _ -> true | None -> false
 
 let guard_r4 g net ~p ~d =
   p <> d
@@ -316,7 +323,8 @@ let protocol_of g ~variant ~tie enabled =
     locality = Sim.Engine.Neighborhood;
     enabled;
     apply = (fun net p a -> apply_action g ~variant ~tie ~delta net p a);
-    action_label = (fun a -> rule_name a.rule);
+    rules = Array.copy rule_names;
+    rule_of = (fun a -> rule_number a.rule);
   }
 
 let make ?(variant = faithful) ?(run_routing = true)
@@ -326,28 +334,24 @@ let make ?(variant = faithful) ?(run_routing = true)
 
 (* --- the guard cache ----------------------------------------------------- *)
 
-(* Every guard of destination d at p reads only p's slot d and routing
-   entry d, its neighbors' slot d and routing entry d, and the bit
-   [request_p ∧ nextDestination_p = d]. Slot, entry and message records
-   are immutable, so those values, compared by physical identity, are a
-   version stamp: an entry whose stored values are all [==] the current
-   ones holds the guards' current results. The cache keeps the stored
-   values alive, so no address is reused while an entry refers to it. *)
+(* Every guard of destination d at p reads only element d of the slot
+   and routing arrays of N[p], and the bit [request_p ∧
+   nextDestination_p = d]. States are copy-on-write: a write builds a
+   fresh array, and slot, entry and message records are immutable. So an
+   array [==] to the one p's previous call read holds the same values,
+   and in a fresh array an element [==] to the previous array's element d
+   leaves destination d's guards unchanged. The cache keeps the arrays it
+   compares against alive, so no address is reused while it refers to
+   it. *)
 module Cache = struct
-  (* One byte per (p, d): A's flag, the request bit of the key, and the
-     SSMFP rules in offer order from bit 2 up. *)
+  (* One byte per (p, d): A's flag, then the SSMFP rules in offer order. *)
   let bit_route = 1
-  let bit_request = 2
   let ssmfp_order = Array.of_list ssmfp_rules
-  let rule_bit j = 4 lsl j
-  let rule_bits = 0xfc
+  let rule_bit j = 2 lsl j
+  let rule_bits = 0x7e
 
-  (* Only the cache refers to these, so no state holds them and every
-     entry misses until first computed. They are static data, not young
-     blocks: [Array.make] of a major-heap-sized array forces a minor
-     collection when its initial value is young. *)
-  let never_slot = { State.buf_r = None; buf_e = None; queue = [ -1 ] }
-  let never_entry = { Routing.Selfstab.dist = -1; via = -1 }
+  (* [seen_request]'s value before p's first call. *)
+  let never = -2
 
   type t = {
     g : Topology.Graph.t;
@@ -357,14 +361,19 @@ module Cache = struct
     n : int;
     closed : int array array;  (** N[p]: p, then its neighbors ascending *)
     base : int array;
-        (** (p, d)'s key is at [base.(p) + d * |N[p]|], one place per
-            member of N[p] in [closed] order *)
-    key_slot : State.slot array;
-    key_entry : Routing.Selfstab.entry array;
+        (** member [i] of N[p] is at [base.(p) + i] in the [seen_] arrays *)
+    seen_slots : State.slot array array;
+    seen_routing : Routing.Selfstab.state array;
+        (** the arrays of N[p] that p's previous call read; [[||]] before *)
+    seen_request : int array;
+        (** p's request destination at its previous call, -1 for none *)
     flags : Bytes.t;  (** (p, d) at [p * n + d] *)
-    (* One call's scratch: the slot and routing arrays of N[p]. *)
-    cur_slots : State.slot array array;
-    cur_routing : Routing.Selfstab.state array;
+    routes : int array;  (** per p, how many destinations have A's flag *)
+    active : int array;  (** per p, how many have an SSMFP rule *)
+    (* One call's scratch: the destinations to recompute, all zero
+       between calls unless [any_stale]. *)
+    stale : Bytes.t;
+    mutable any_stale : bool;
     mutable checks : int;
     mutable recomputes : int;
   }
@@ -377,9 +386,11 @@ module Cache = struct
     in
     let base = Array.make (n + 1) 0 in
     for p = 0 to n - 1 do
-      base.(p + 1) <- base.(p) + (n * Array.length closed.(p))
+      base.(p + 1) <- base.(p) + Array.length closed.(p)
     done;
-    let width = Topology.Graph.max_degree g + 1 in
+    (* Every table starts from static values: [Array.make] of a
+       major-heap-sized array forces a minor collection when its initial
+       value is young. *)
     {
       g;
       variant;
@@ -388,11 +399,14 @@ module Cache = struct
       n;
       closed;
       base;
-      key_slot = Array.make base.(n) never_slot;
-      key_entry = Array.make base.(n) never_entry;
+      seen_slots = Array.make base.(n) [||];
+      seen_routing = Array.make base.(n) [||];
+      seen_request = Array.make n never;
       flags = Bytes.make (n * n) '\000';
-      cur_slots = Array.make width [||];
-      cur_routing = Array.make width [||];
+      routes = Array.make n 0;
+      active = Array.make n 0;
+      stale = Bytes.make n '\000';
+      any_stale = false;
       checks = 0;
       recomputes = 0;
     }
@@ -406,45 +420,26 @@ module Cache = struct
       match sp.State.outbox with (d, _) :: _ -> d | [] -> -1
     else -1
 
-  (* Point the scratch at N[p]'s arrays in [net]; returns |N[p]|. *)
-  let load c (net : State.t Sim.Engine.net) ~p =
-    let members = c.closed.(p) in
-    for i = 0 to Array.length members - 1 do
-      let s = net.states.(members.(i)) in
-      c.cur_slots.(i) <- s.State.slots;
-      c.cur_routing.(i) <- s.State.routing
-    done;
-    Array.length members
+  let mark c d =
+    Bytes.unsafe_set c.stale d '\001';
+    c.any_stale <- true
 
-  let rec same c ~d ~o ~k i =
-    i = k
-    || c.cur_slots.(i).(d) == c.key_slot.(o + i)
-       && c.cur_routing.(i).(d) == c.key_entry.(o + i)
-       && same c ~d ~o ~k (i + 1)
+  (* The destinations where two arrays of length n differ, one pointer
+     comparison each; one copy per element type, so that neither pays
+     the generic array's float check. *)
+  let diff_slots c (a : State.slot array) b =
+    for d = 0 to c.n - 1 do
+      if Array.unsafe_get a d != Array.unsafe_get b d then mark c d
+    done
 
-  (* (p, d)'s flags, recomputed by the reference guards on a miss. *)
-  let refresh c sc ~k ~req_dest d =
-    c.checks <- c.checks + 1;
-    let p = sc.p in
-    let o = c.base.(p) + (d * k) in
-    let at = (p * c.n) + d in
-    let fl = Char.code (Bytes.unsafe_get c.flags at) in
-    let req = if d = req_dest then bit_request else 0 in
-    if fl land bit_request = req && same c ~d ~o ~k 0 then fl
-    else begin
-      c.recomputes <- c.recomputes + 1;
-      let fl = ref req in
-      if c.run_routing && holds sc ~d Route then fl := !fl lor bit_route;
-      for j = 0 to Array.length ssmfp_order - 1 do
-        if holds sc ~d ssmfp_order.(j) then fl := !fl lor rule_bit j
-      done;
-      for i = 0 to k - 1 do
-        c.key_slot.(o + i) <- c.cur_slots.(i).(d);
-        c.key_entry.(o + i) <- c.cur_routing.(i).(d)
-      done;
-      Bytes.unsafe_set c.flags at (Char.unsafe_chr !fl);
-      !fl
-    end
+  let diff_routing c (a : Routing.Selfstab.state) b =
+    for d = 0 to c.n - 1 do
+      if Array.unsafe_get a d != Array.unsafe_get b d then mark c d
+    done
+
+  let length_n c a =
+    if Array.length a <> c.n then
+      invalid_arg "Protocol.Cache: a state array's length is not n"
 
   let scan_of c net ~p =
     {
@@ -457,58 +452,123 @@ module Cache = struct
       first = false;
     }
 
+  let has bits fl = Bool.to_int (fl land bits <> 0)
+
+  (* (p, d)'s flags from the reference guards, keeping p's counts. *)
+  let recompute c sc d =
+    let p = sc.p in
+    let at = (p * c.n) + d in
+    let fl = ref 0 in
+    if c.run_routing && holds sc ~d Route then fl := bit_route;
+    for j = 0 to Array.length ssmfp_order - 1 do
+      if holds sc ~d ssmfp_order.(j) then fl := !fl lor rule_bit j
+    done;
+    let fl = !fl and old = Char.code (Bytes.unsafe_get c.flags at) in
+    Bytes.unsafe_set c.flags at (Char.unsafe_chr fl);
+    c.routes.(p) <- c.routes.(p) + has bit_route fl - has bit_route old;
+    c.active.(p) <- c.active.(p) + has rule_bits fl - has rule_bits old
+
+  (* Bring p's flags up to date with [net]: mark the destinations whose
+     inputs changed since p's previous call (all of them at the first),
+     re-run the reference guards for those, then remember what was read.
+     Remembering last means a guard that raised leaves p's previous view
+     in place, so the next call marks the same destinations again. *)
+  let sync c (net : State.t Sim.Engine.net) ~p =
+    let members = c.closed.(p) in
+    let k = Array.length members in
+    let o = c.base.(p) in
+    let first = c.seen_request.(p) = never in
+    if first then for d = 0 to c.n - 1 do mark c d done;
+    for i = 0 to k - 1 do
+      let s = net.states.(members.(i)) in
+      let slots = s.State.slots and routing = s.State.routing in
+      let seen_slots = c.seen_slots.(o + i) in
+      let seen_routing = c.seen_routing.(o + i) in
+      (* Every array kept has length n, so the diffs index safely. *)
+      if first || slots != seen_slots then begin
+        length_n c slots;
+        if not first then diff_slots c seen_slots slots
+      end;
+      if first || routing != seen_routing then begin
+        length_n c routing;
+        if not first then diff_routing c seen_routing routing
+      end
+    done;
+    c.checks <- c.checks + k;
+    let req = request_dest net.states.(p) in
+    let seen_req = c.seen_request.(p) in
+    if req <> seen_req then begin
+      if req >= 0 && req < c.n then mark c req;
+      if seen_req >= 0 && seen_req < c.n then mark c seen_req
+    end;
+    if c.any_stale then begin
+      let sc = scan_of c net ~p in
+      for d = 0 to c.n - 1 do
+        if Bytes.unsafe_get c.stale d <> '\000' then begin
+          recompute c sc d;
+          Bytes.unsafe_set c.stale d '\000';
+          c.recomputes <- c.recomputes + 1
+        end
+      done;
+      c.any_stale <- false
+    end;
+    for i = 0 to k - 1 do
+      let s = net.states.(members.(i)) in
+      c.seen_slots.(o + i) <- s.State.slots;
+      c.seen_routing.(o + i) <- s.State.routing
+    done;
+    c.seen_request.(p) <- req
+
   (* Destination [i] places after [rr] in rotation order. *)
   let nth_dest c ~rr i = if rr + i >= c.n then rr + i - c.n else rr + i
+
+  (* The flag bits the offer order draws from: A's when any destination
+     has it, else SSMFP's; 0 when nothing is enabled. *)
+  let offer_bits c ~p =
+    if c.routes.(p) > 0 then bit_route
+    else if c.active.(p) > 0 then rule_bits
+    else 0
 
   let rec first_rule fl j =
     if fl land rule_bit j <> 0 then ssmfp_order.(j) else first_rule fl (j + 1)
 
   let enabled c net ~p =
-    let sc = scan_of c net ~p in
-    let k = load c net ~p in
-    let req_dest = request_dest (read net p) in
-    let any_route = ref false in
-    for d = 0 to c.n - 1 do
-      if refresh c sc ~k ~req_dest d land bit_route <> 0 then any_route := true
-    done;
-    (* The offer order, built backwards from its last destination. *)
-    let rr = rr_of c.g net p in
-    let row = p * c.n in
-    let acc = ref [] in
-    for i = c.n - 1 downto 0 do
-      let d = nth_dest c ~rr i in
-      let fl = Char.code (Bytes.unsafe_get c.flags (row + d)) in
-      if !any_route then begin
-        if fl land bit_route <> 0 then acc := { rule = Route; dest = d } :: !acc
-      end
-      else if fl land rule_bits <> 0 then
-        for j = Array.length ssmfp_order - 1 downto 0 do
-          if fl land rule_bit j <> 0 then
-            acc := { rule = ssmfp_order.(j); dest = d } :: !acc
-        done
-    done;
-    !acc
+    sync c net ~p;
+    match offer_bits c ~p with
+    | 0 -> []
+    | bits ->
+        (* The offer order, built backwards from its last destination. *)
+        let rr = rr_of c.g net p in
+        let row = p * c.n in
+        let acc = ref [] in
+        for i = c.n - 1 downto 0 do
+          let d = nth_dest c ~rr i in
+          let fl = Char.code (Bytes.unsafe_get c.flags (row + d)) land bits in
+          if fl = bit_route then acc := { rule = Route; dest = d } :: !acc
+          else if fl <> 0 then
+            for j = Array.length ssmfp_order - 1 downto 0 do
+              if fl land rule_bit j <> 0 then
+                acc := { rule = ssmfp_order.(j); dest = d } :: !acc
+            done
+        done;
+        !acc
 
-  (* A's first enabled action if it has one, else SSMFP's: with routing
-     on, every destination is checked for A's flag, and the first SSMFP
-     action met on the way is kept for the case it has none. *)
   let first_enabled c net ~p =
-    let sc = scan_of c net ~p in
-    let k = load c net ~p in
-    let req_dest = request_dest (read net p) in
-    let rr = rr_of c.g net p in
-    let rec walk i ssmfp =
-      if i = c.n then ssmfp
-      else
-        let d = nth_dest c ~rr i in
-        let fl = refresh c sc ~k ~req_dest d in
-        if fl land bit_route <> 0 then Some { rule = Route; dest = d }
-        else if ssmfp = None && fl land rule_bits <> 0 then
-          let a = Some { rule = first_rule fl 0; dest = d } in
-          if c.run_routing then walk (i + 1) a else a
-        else walk (i + 1) ssmfp
-    in
-    walk 0 None
+    sync c net ~p;
+    match offer_bits c ~p with
+    | 0 -> None
+    | bits ->
+        let rr = rr_of c.g net p in
+        let row = p * c.n in
+        (* Some destination has one of [bits], so the walk stops. *)
+        let rec walk i =
+          let d = nth_dest c ~rr i in
+          let fl = Char.code (Bytes.unsafe_get c.flags (row + d)) land bits in
+          if fl = 0 then walk (i + 1)
+          else if fl = bit_route then Some { rule = Route; dest = d }
+          else Some { rule = first_rule fl 0; dest = d }
+        in
+        walk 0
 
   let protocol c =
     protocol_of c.g ~variant:c.variant ~tie:c.tie (fun net p ->

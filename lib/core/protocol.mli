@@ -101,28 +101,43 @@ val make :
 
     A processor runs one SSMFP instance per destination, and every guard
     of instance [d] at [p] — [A]'s rule, R1–R6 and [choice_p(d)] — reads
-    only these values, the entry's {e key}:
-    - [p]'s slot [d] and routing entry [d];
-    - each neighbor's slot [d] and routing entry [d];
-    - the bit [request_p ∧ nextDestination_p = d].
+    only element [d] of the slot and routing arrays of N\[p\] ([p] and
+    its neighbors) and the bit [request_p ∧ nextDestination_p = d].
 
     The cache keeps, for each [(p, d)], [A]'s flag and the enabled SSMFP
-    rules in offer order, with the key values they were computed from.
-    Slot, routing-entry and {!Message.t} records are immutable, so
-    physical identity is a version stamp: an entry is valid iff every
-    stored value is [==] the current one, and a miss re-runs the
-    reference guards for that one destination. The cache holds the
-    stored values, so none is collected and its address reused while an
-    entry refers to it.
+    rules in offer order, and for each [p] the slot and routing arrays
+    of N\[p\] and the request destination that [p]'s previous call read.
+    A call compares each member's two arrays with the remembered ones by
+    physical identity; only an array that differs is diffed, one [==]
+    per destination, and the reference guards re-run only for the
+    destinations that differ in some member or whose request bit
+    changed. A process's first call computes every destination.
+
+    {b Contract.} States are copy-on-write: a write builds a fresh slot
+    or routing array ([State.with_slot], [State.with_routing],
+    [Selfstab.apply], every fault injector) and never writes into an
+    array a state already holds; slot, routing-entry and {!Message.t}
+    records are immutable. So an array [==] to the remembered one holds
+    the same elements, and an element [==] to the remembered one is the
+    same value. The cache holds the arrays it remembers, so none is
+    collected and its address reused while it refers to it. A write into
+    an array in place breaks the contract and may go unseen (test_snapshot's
+    "shadow catches write" does it on purpose).
 
     Nothing has to announce a change: a daemon step, [Sim.Engine.set_state],
     a fault injection or a message-passing mirror all show up as a
     changed identity. The results are exactly {!enabled_rules}' and
-    {!first_enabled}'s, on any configuration.
+    {!first_enabled}'s, on any configuration reached under the
+    contract.
 
-    A cache holds O(n·(Δ+1)) words per processor and writes into its
-    tables on every call, so it belongs to one engine or one
-    message-passing instance on one domain: never share it across
+    A call costs O(|N\[p\]|) identity checks when nothing in N\[p\]
+    changed, plus O(n) pointer comparisons per changed array and the
+    guards of the changed destinations. Building {!enabled}'s list or
+    finding {!first_enabled}'s action walks [p]'s n flag bytes, and
+    neither walks when nothing is enabled at [p]. A cache holds n bytes
+    and O(1) words per processor and 2 words per member of N\[p\]; it
+    writes into its tables on every call, so it belongs to one engine or
+    one message-passing instance on one domain: never share it across
     domains. *)
 module Cache : sig
   type t
@@ -134,27 +149,26 @@ module Cache : sig
     Topology.Graph.t ->
     t
   (** An empty cache for {!make}'s protocol with the same arguments:
-      every entry misses until first computed. *)
+      every process's first call computes every destination. *)
 
   val enabled : t -> State.t Sim.Engine.net -> p:int -> action list
-  (** {!enabled_rules} with the cache's arguments: checks the entry of
-      every destination, recomputes the stale ones, and rebuilds the
-      offer order from [rr]. *)
+  (** {!enabled_rules} with the cache's arguments: brings [p]'s
+      destinations up to date, then builds the offer order from [rr]. *)
 
   val first_enabled : t -> State.t Sim.Engine.net -> p:int -> action option
   (** {!first_enabled} with the cache's arguments: the head of
-      {!enabled}, stopping at the first enabled action when routing is
-      off, or at [A]'s first enabled action when it has one. *)
+      {!enabled}, without building the list. *)
 
   val protocol : t -> (State.t, action, event) Sim.Engine.protocol
   (** {!make}'s protocol with [enabled] served by the cache. *)
 
   val checks : t -> int
-  (** Entries checked since {!create}, one per destination per call
-      (fewer when {!first_enabled} stops early). *)
+  (** Array pairs compared by identity since {!create}: |N\[p\]| per
+      call at [p], each pair being a member's slot and routing arrays. *)
 
   val recomputes : t -> int
-  (** Checked entries that were stale and recomputed. *)
+  (** Destinations whose guards were re-run since {!create}: all n at a
+      process's first call, then only the changed ones. *)
 end
 
 (** {2 Introspection} — the guard-level probes used by tests, oracles and

@@ -133,7 +133,7 @@ let run ?obs cfg =
   let routing_settled = ref 0 in
   let on_raise p =
     Oracle.observe_request_raised oracle
-      ~round:(Sim.Engine.stats engine).Sim.Engine.rounds ~pid:p
+      ~round:(Sim.Engine.rounds engine) ~pid:p
   in
   let raise_requests = Ssmfp.Protocol.raise_requests ~on_raise in
   let submitted = ref (Workload.total cfg.workload) in
@@ -150,7 +150,7 @@ let run ?obs cfg =
           (f pid m.Ssmfp.Message.info)
   in
   let on_events ~step events =
-    let round = (Sim.Engine.stats engine).Sim.Engine.rounds in
+    let round = Sim.Engine.rounds engine in
     List.iter
       (fun (pid, ev) ->
         (match ev with
@@ -166,8 +166,8 @@ let run ?obs cfg =
   in
   let probe =
     {
-      Sim.Engine.on_move =
-        (fun ~pid:_ ~rule -> Obs.Metrics.incr metrics ("moves." ^ rule));
+      (* Per-rule move counts come from the engine's stats at the end. *)
+      Sim.Engine.on_move = (fun ~pid:_ ~rule:_ -> ());
       on_step =
         (fun ~step:_ ~frontier ~moves ->
           Obs.Metrics.observe metrics "engine.frontier_size"
@@ -213,6 +213,9 @@ let run ?obs cfg =
   Obs.Metrics.set_gauge metrics "engine.steps" (float_of_int stats.Sim.Engine.steps);
   Obs.Metrics.set_gauge metrics "engine.rounds" (float_of_int stats.Sim.Engine.rounds);
   Obs.Metrics.set_gauge metrics "engine.moves" (float_of_int stats.Sim.Engine.moves);
+  List.iter
+    (fun (rule, k) -> Obs.Metrics.incr metrics ~by:k ("moves." ^ rule))
+    stats.Sim.Engine.moves_by_rule;
   Obs.Metrics.incr metrics ~by:(Oracle.valid_generated oracle)
     "oracle.valid_generated";
   Obs.Metrics.incr metrics ~by:(Oracle.valid_delivered oracle)

@@ -37,15 +37,16 @@
     Evaluating a barrier allocates O(deg) words: p's core and its
     neighbors' mirrors are written into one guard view per instance, and
     the instance's {!Ssmfp.Protocol.Cache} answers
-    {!Ssmfp.Protocol.first_enabled} on it. The cache checks each
-    destination's key, O(deg) identity comparisons, and re-runs the
-    guards only of the destinations whose values in p's closed
-    neighborhood changed since p's previous barrier: a mirror of an idle
-    neighbor shares its arrays with the one before, so an idle
-    destination costs no guard. An executed action copies the one array
-    it writes, since cores are copy-on-write; that is what lets a publish
-    share the arrays in O(1) (see {!public}) and what keeps unchanged
-    slots physically equal across pulses.
+    {!Ssmfp.Protocol.first_enabled} on it. The cache compares the slot
+    and routing arrays of p's closed neighborhood with the ones p's
+    previous barrier read, deg + 1 identity checks; it diffs only an
+    array that changed, and re-runs the guards only of the destinations
+    whose elements differ: a mirror of an idle neighbor shares its
+    arrays with the one before, so a barrier in an idle neighborhood
+    costs deg + 1 comparisons and no guard. An executed action copies
+    the one array it writes, since cores are copy-on-write; that is what
+    lets a publish share the arrays in O(1) (see {!public}) and what
+    keeps unchanged slots physically equal across pulses.
 
     What this does and does not establish: the construction uses unbounded
     pulse counters, so it is *not* a snap-stabilizing message-passing
@@ -151,9 +152,10 @@ val create :
     log, latency and queue-depth histograms) and additionally counts
     every refresh republish and window retransmission in
     ["mp.retransmissions"], the {!sync_stats} barriers and adoptions in
-    ["mp.barriers"] and ["mp.adoptions"], and the guard cache's entry
-    checks and recomputations at the barriers in ["mp.guard_checks"]
-    and ["mp.guard_recomputes"]. Profiling consumes no PRNG draws: the
+    ["mp.barriers"] and ["mp.adoptions"], and the guard cache's work at
+    the barriers: array pairs compared (deg + 1 per barrier) in
+    ["mp.guard_checks"] and destinations recomputed in
+    ["mp.guard_recomputes"]. Profiling consumes no PRNG draws: the
     run is identical with it on or off. *)
 
 val run : ?max_deliveries:int -> t -> result

@@ -67,13 +67,14 @@ let protocol t =
     locality = Sim.Engine.Neighborhood;
     enabled;
     apply;
-    action_label =
+    rules = [| "start"; "forward"; "feedback"; "clean"; "complete" |];
+    rule_of =
       (function
-      | Start -> "start"
-      | Forward -> "forward"
-      | Feedback -> "feedback"
-      | Clean -> "clean"
-      | Complete -> "complete");
+      | Start -> 0
+      | Forward -> 1
+      | Feedback -> 2
+      | Clean -> 3
+      | Complete -> 4);
   }
 
 type wave_report = {

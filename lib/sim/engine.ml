@@ -7,7 +7,8 @@ type ('s, 'a, 'e) protocol = {
   locality : locality;
   enabled : 's net -> int -> 'a list;
   apply : 's net -> int -> 'a -> 's * 'e list;
-  action_label : 'a -> string;
+  rules : string array;
+  rule_of : 'a -> int;
 }
 
 type 'a candidate = { cand_pid : int; cand_actions : 'a list }
@@ -38,7 +39,7 @@ type ('s, 'a, 'e) t = {
   mutable steps : int;
   mutable rounds : int;
   mutable moves : int;
-  rule_moves : (string, int) Hashtbl.t;
+  rule_moves : int array; (* moves per rule, indexed as [protocol.rules] *)
   (* Processors enabled at the start of the current round that have neither
      executed nor been neutralized yet. The round completes when this
      becomes empty. [round_open] distinguishes a completed round from a
@@ -211,7 +212,7 @@ let make ?(mode = Incremental) ~graph ~protocol init =
       steps = 0;
       rounds = 0;
       moves = 0;
-      rule_moves = Hashtbl.create 16;
+      rule_moves = Array.make (Array.length protocol.rules) 0;
       pending = Array.make n false;
       pending_count = 0;
       round_open = false;
@@ -312,11 +313,10 @@ let step t daemon =
           (fun (p, a, s', events) ->
             t.network.states.(p) <- s';
             t.moves <- t.moves + 1;
-            let label = t.protocol.action_label a in
-            Hashtbl.replace t.rule_moves label
-              (1 + Option.value ~default:0 (Hashtbl.find_opt t.rule_moves label));
+            let r = t.protocol.rule_of a in
+            t.rule_moves.(r) <- t.rule_moves.(r) + 1;
             (match t.probe with
-            | Some probe -> probe.on_move ~pid:p ~rule:label
+            | Some probe -> probe.on_move ~pid:p ~rule:t.protocol.rules.(r)
             | None -> ());
             clear_pending t p;
             List.map (fun e -> (p, e)) events)
@@ -338,8 +338,14 @@ let stats t =
     rounds = t.rounds;
     moves = t.moves;
     moves_by_rule =
-      List.sort compare (List.of_seq (Hashtbl.to_seq t.rule_moves));
+      List.sort compare
+        (List.filter
+           (fun (_, k) -> k > 0)
+           (List.combine (Array.to_list t.protocol.rules)
+              (Array.to_list t.rule_moves)));
   }
+
+let rounds t = t.rounds
 
 let set_probe t probe = t.probe <- probe
 

@@ -48,9 +48,12 @@ type ('s, 'a, 'e) protocol = {
   apply : 's net -> int -> 'a -> 's * 'e list;
       (** [apply net p a] returns [p]'s next state and the observable
           events the action emits. It must not mutate [net]. *)
-  action_label : 'a -> string;
-      (** Stable name of the rule an action instantiates (e.g. ["R3"]),
-          used for per-rule move counts and scripted daemons. *)
+  rules : string array;
+      (** The stable name of every rule (e.g. ["R3"]), each once: the
+          labels of {!stats}' per-rule move counts and of [on_move]. *)
+  rule_of : 'a -> int;
+      (** The index in [rules] of the rule an action instantiates, so
+          that counting a move costs no string or hash lookup. *)
 }
 
 type 'a candidate = { cand_pid : int; cand_actions : 'a list }
@@ -158,6 +161,9 @@ val step : ('s, 'a, 'e) t -> 'a daemon -> (int * 'e) list option
     @raise Invalid_selection if the daemon misbehaves. *)
 
 val stats : ('s, 'a, 'e) t -> stats
+
+val rounds : ('s, 'a, 'e) t -> int
+(** [(stats t).rounds], without building the per-rule list. *)
 
 val run :
   ?max_steps:int ->

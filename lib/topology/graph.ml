@@ -36,8 +36,14 @@ let degree g p = List.length (neighbors g p)
 let max_degree g =
   Array.fold_left (fun acc l -> max acc (List.length l)) 0 g.adj
 
+(* [adj.(u)] is ascending, so the walk stops at the first larger id; the
+   ints are compared inline, not through the polymorphic [List.mem]. *)
+let rec mem_sorted (v : int) = function
+  | [] -> false
+  | x :: rest -> x = v || (x < v && mem_sorted v rest)
+
 let is_edge g u v =
-  u >= 0 && u < g.n && v >= 0 && v < g.n && List.mem v g.adj.(u)
+  u >= 0 && u < g.n && v >= 0 && v < g.n && mem_sorted v g.adj.(u)
 
 let mem_vertex g p = p >= 0 && p < g.n
 

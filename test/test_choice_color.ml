@@ -118,6 +118,44 @@ let prop_color_exists =
       let c = Ssmfp.Color.pick g5 ~delta ~neighbor_buf_r:env ~p:0 in
       c >= 0 && c <= delta && not (List.mem c (List.map snd assignments)))
 
+(* [Choice.normalize] as first written, over the polymorphic [List.mem],
+   a hash table and [List.sort compare]: the int-only version must give
+   the same queue on every graph, process and queue. *)
+let normalize_reference g ~p queue =
+  let allowed = p :: Topology.Graph.neighbors g p in
+  let seen = Hashtbl.create 8 in
+  let keep x =
+    if List.mem x allowed && not (Hashtbl.mem seen x) then begin
+      Hashtbl.replace seen x ();
+      true
+    end
+    else false
+  in
+  let kept = List.filter keep queue in
+  let missing = List.filter (fun x -> not (Hashtbl.mem seen x)) allowed in
+  kept @ List.sort compare missing
+
+let normalize_graphs =
+  [|
+    g5;
+    Topology.Builders.ring 6;
+    Topology.Builders.path 4;
+    Topology.Builders.star 7;
+    Topology.Builders.torus ~rows:3 ~cols:3;
+    Topology.Builders.complete 5;
+    Topology.Builders.paper_figure2;
+  |]
+
+let prop_normalize_matches_reference =
+  QCheck.Test.make ~name:"normalize = the reference normalize" ~count:1000
+    QCheck.(
+      triple (int_bound (Array.length normalize_graphs - 1)) (int_bound 99)
+        (list (int_range (-2) 10)))
+    (fun (gi, pi, queue) ->
+      let g = normalize_graphs.(gi) in
+      let p = pi mod Topology.Graph.n g in
+      Ssmfp.Choice.normalize g ~p queue = normalize_reference g ~p queue)
+
 (* Protocol.choice against its reference, select over the normalized
    queue. Each member of N_p ∪ {p} feeds p for d with probability 1/2;
    a neighbor that does not feed may still hold a message routed
@@ -212,6 +250,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_normalize_always_permutation;
+            prop_normalize_matches_reference;
             prop_serve_preserves_membership;
             prop_color_exists;
             prop_choice_matches_reference;

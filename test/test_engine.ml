@@ -26,7 +26,8 @@ let max_protocol g =
             (Topology.Graph.neighbors g p)
         in
         (v, [ v ]));
-    action_label = (fun `Adopt -> "adopt");
+    rules = [| "adopt" |];
+    rule_of = (fun `Adopt -> 0);
   }
 
 (* A protocol where neighbors swap values: tests that simultaneous writes
@@ -41,7 +42,8 @@ let swap_protocol g =
         match Topology.Graph.neighbors g p with
         | q :: _ -> (net.Sim.Engine.states.(q), [])
         | [] -> (net.Sim.Engine.states.(p), []));
-    action_label = (fun `Swap -> "swap");
+    rules = [| "swap" |];
+    rule_of = (fun `Swap -> 0);
   }
 
 let ring4 = Topology.Builders.ring 4
@@ -299,7 +301,8 @@ let boxed_protocol g =
         in
         if best > mine then [ Set best ] else []);
     apply = (fun _ _ (Set v) -> (v, [ v ]));
-    action_label = (fun (Set _) -> "set");
+    rules = [| "set" |];
+    rule_of = (fun (Set _) -> 0);
   }
 
 let test_rebuilt_action_accepted () =

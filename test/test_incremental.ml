@@ -134,7 +134,8 @@ let global_max_protocol =
         let m = Array.fold_left max min_int net.Sim.Engine.states in
         if net.Sim.Engine.states.(p) < m then [ Adopt m ] else []);
     apply = (fun _ _ (Adopt m) -> (m, [ m ]));
-    action_label = (fun (Adopt _) -> "adopt");
+    rules = [| "adopt" |];
+    rule_of = (fun (Adopt _) -> 0);
   }
 
 let test_global_locality () =
@@ -255,10 +256,49 @@ let action =
       Format.fprintf fmt "%s@%d" (Ssmfp.Protocol.rule_name a.rule) a.dest)
     ( = )
 
-(* One run; [storm] adds, before each step, an external write at a
-   random process: a flipped request bit, a pushed send, or a state
-   replaced by a freshly corrupted one. *)
-let cache_run ~name ~config:(variant, tie, run_routing) ~storm g ~daemon_kind
+(* External writes for [cache_run]: [write rng g ~wl ~p st] is the
+   state written at process [p] in place of [st]. *)
+
+(* A flipped request bit, a pushed send, or a state replaced by a
+   freshly corrupted one. *)
+let storm_write rng g ~wl ~p st =
+  match Prng.Splitmix.int rng 3 with
+  | 0 -> { st with Ssmfp.State.request = not st.Ssmfp.State.request }
+  | 1 ->
+      Ssmfp.State.push_outbox st
+        ~dest:(Prng.Splitmix.int rng (Topology.Graph.n g))
+        "storm"
+  | _ ->
+      Harness.Fault.initial_states ~rng Harness.Fault.adversarial g
+        ~workload:wl p
+
+(* Many destinations at once: one of chaos's Buffers, Queues and Crash
+   domains rewrites every slot of the state. *)
+let chaos_write rng g ~wl:_ ~p st =
+  let domain =
+    Chaos.Schedule.[| Buffers; Queues; Crash |].(Prng.Splitmix.int rng 3)
+  in
+  Chaos.Inject.corrupt_state rng g ~p ~domains:[ domain ] st
+
+(* Fresh identities, equal contents: both arrays replaced by copies. *)
+let copy_write _ _ ~wl:_ ~p:_ st =
+  {
+    st with
+    Ssmfp.State.slots = Array.copy st.Ssmfp.State.slots;
+    routing = Array.copy st.Ssmfp.State.routing;
+  }
+
+(* The request destination moves: the request is raised for a new
+   outbox head with a random destination. *)
+let request_write rng g ~wl:_ ~p:_ st =
+  let dest = Prng.Splitmix.int rng (Topology.Graph.n g) in
+  let rest = match st.Ssmfp.State.outbox with _ :: r -> r | [] -> [] in
+  { st with Ssmfp.State.request = true; outbox = (dest, "moved") :: rest }
+
+(* One run; [write], when given, adds before each step an external write
+   at a random process, and the caches are checked again right after
+   it. *)
+let cache_run ~name ~config:(variant, tie, run_routing) ?write g ~daemon_kind
     ~seed ~max_steps =
   let n = Topology.Graph.n g in
   let cache =
@@ -303,20 +343,13 @@ let cache_run ~name ~config:(variant, tie, run_routing) ~storm g ~daemon_kind
   let rec loop i =
     check i;
     if i < max_steps then begin
-      if storm then begin
-        let p = Prng.Splitmix.int storm_rng n in
-        let st = Sim.Engine.state t p in
-        Sim.Engine.set_state t p
-          (match Prng.Splitmix.int storm_rng 3 with
-          | 0 -> { st with Ssmfp.State.request = not st.Ssmfp.State.request }
-          | 1 ->
-              Ssmfp.State.push_outbox st
-                ~dest:(Prng.Splitmix.int storm_rng n)
-                "storm"
-          | _ ->
-              Harness.Fault.initial_states ~rng:storm_rng
-                Harness.Fault.adversarial g ~workload:wl p)
-      end;
+      (match write with
+      | None -> ()
+      | Some write ->
+          let p = Prng.Splitmix.int storm_rng n in
+          Sim.Engine.set_state t p
+            (write storm_rng g ~wl ~p (Sim.Engine.state t p));
+          check i);
       raise_requests g t;
       match Sim.Engine.step t daemon with
       | None -> ()
@@ -341,27 +374,26 @@ let test_cache_grid () =
             let name =
               Printf.sprintf "%s/%s/%s/%s" gname daemon_kind sname cname
             in
-            cache_run ~name ~config ~storm:false g ~daemon_kind ~seed
-              ~max_steps:250
+            cache_run ~name ~config g ~daemon_kind ~seed ~max_steps:250
           done)
         daemon_kinds)
     graphs;
   Alcotest.(check int) "scenarios" 90 !count
 
-(* The set_state storm, under every configuration. *)
-let test_cache_storm () =
+(* A write storm under every configuration. *)
+let storm ~name ~g ~max_steps write () =
   List.iteri
     (fun i (cname, config) ->
-      cache_run ~name:("storm/" ^ cname) ~config ~storm:true
-        (Topology.Builders.ring 8) ~daemon_kind:"round-robin" ~seed:i
-        ~max_steps:200)
+      cache_run ~name:(name ^ "/" ^ cname) ~config ~write g
+        ~daemon_kind:"round-robin" ~seed:i ~max_steps)
     cache_configs
 
-(* An unchanged configuration recomputes no destination, and a write
-   of one slot recomputes exactly that destination at the writer and
-   its neighbors: a cache that always missed would pass the
-   differential and lose the gain. *)
-let test_cache_hits () =
+let diff_storm ~name write =
+  storm ~name ~g:(Topology.Builders.torus ~rows:3 ~cols:3) ~max_steps:80 write
+
+(* The cache's counters over [sweep]s of torus:3x3 from an adversarial
+   start: one call per process, |N[p]| = 5 array pairs compared each. *)
+let torus_sweeps () =
   let g = Topology.Builders.torus ~rows:3 ~cols:3 in
   let n = Topology.Graph.n g in
   let rng = Prng.Splitmix.of_int 5 in
@@ -374,26 +406,104 @@ let test_cache_hits () =
   let cache = Ssmfp.Protocol.Cache.create g in
   let sweep () =
     for p = 0 to n - 1 do
-      ignore (Ssmfp.Protocol.Cache.enabled cache net ~p)
-    done
-  in
-  let counts () =
+      Alcotest.(check (list action))
+        (Printf.sprintf "p%d" p)
+        (Ssmfp.Protocol.enabled_rules g net ~p)
+        (Ssmfp.Protocol.Cache.enabled cache net ~p)
+    done;
     Ssmfp.Protocol.Cache.(checks cache, recomputes cache)
   in
-  sweep ();
-  Alcotest.(check (pair int int)) "first sweep computes every entry"
-    (n * n, n * n) (counts ());
-  sweep ();
-  Alcotest.(check (pair int int)) "unchanged configuration: all hits"
-    (2 * n * n, n * n) (counts ());
+  (g, states, sweep)
+
+(* An unchanged configuration recomputes no destination, and a write of
+   one slot recomputes exactly that destination at the writer and its
+   neighbors: a cache that always missed would pass the differential
+   and lose the gain. *)
+let test_cache_hits () =
+  let g, states, sweep = torus_sweeps () in
+  let n = Topology.Graph.n g in
+  let pairs = n * 5 in
+  Alcotest.(check (pair int int)) "first sweep computes every destination"
+    (pairs, n * n) (sweep ());
+  Alcotest.(check (pair int int)) "unchanged configuration: no recompute"
+    (2 * pairs, n * n) (sweep ());
   let p = 4 and d = 7 in
   let sl = Ssmfp.State.slot states.(p) d in
   states.(p) <-
     Ssmfp.State.with_slot states.(p) d { sl with Ssmfp.State.buf_r = None };
-  sweep ();
   Alcotest.(check (pair int int)) "one slot written: N[p] recompute d"
-    ((3 * n * n), (n * n) + 1 + Topology.Graph.degree g p)
-    (counts ())
+    (3 * pairs, (n * n) + 1 + Topology.Graph.degree g p)
+    (sweep ())
+
+(* Equal copies of both arrays are new identities with the same
+   elements: the diff finds no destination to recompute. *)
+let test_cache_equal_copy () =
+  let g, states, sweep = torus_sweeps () in
+  let n = Topology.Graph.n g in
+  ignore (sweep ());
+  for p = 0 to n - 1 do
+    states.(p) <- copy_write () g ~wl:() ~p states.(p)
+  done;
+  Alcotest.(check (pair int int)) "every array copied: no recompute"
+    (2 * n * 5, n * n) (sweep ())
+
+(* Moving p's request from one destination to another recomputes those
+   two destinations at p and nothing at its neighbors, which do not
+   read the request bit. *)
+let test_cache_request_moves () =
+  let _, states, sweep = torus_sweeps () in
+  let p = 2 in
+  let requesting d =
+    { (states.(p)) with Ssmfp.State.request = true; outbox = [ (d, "m") ] }
+  in
+  states.(p) <- requesting 3;
+  let _, before = sweep () in
+  states.(p) <- requesting 6;
+  let _, after = sweep () in
+  Alcotest.(check int) "destinations 3 and 6 at p" 2 (after - before);
+  states.(p) <- { (states.(p)) with Ssmfp.State.request = false };
+  let _, lowered = sweep () in
+  Alcotest.(check int) "request lowered: destination 6 at p" 1
+    (lowered - after)
+
+(* A process's first call recomputes all n destinations, whatever the
+   calls at other processes before it, and answers as the reference
+   does; over every grid topology and pristine, adversarial and random
+   starts. *)
+let test_cache_first_call () =
+  List.iter
+    (fun (gname, g) ->
+      let n = Topology.Graph.n g in
+      for seed = 0 to 5 do
+        let _, spec = spec_of seed in
+        let rng = Prng.Splitmix.of_int (seed + 11) in
+        let wl = Harness.Workload.uniform_random rng ~n ~per_processor:2 in
+        let states =
+          Array.init n (fun p ->
+              let st =
+                Harness.Fault.initial_states ~rng spec g ~workload:wl p
+              in
+              { st with Ssmfp.State.request = Prng.Splitmix.bool rng })
+        in
+        let net = Sim.Engine.synthetic ~graph:g ~states in
+        let enabled = Ssmfp.Protocol.Cache.create g in
+        let first = Ssmfp.Protocol.Cache.create g in
+        for p = 0 to n - 1 do
+          let label what =
+            Printf.sprintf "%s seed %d p%d: %s" gname seed p what
+          in
+          let before = Ssmfp.Protocol.Cache.recomputes enabled in
+          Alcotest.(check (list action)) (label "enabled")
+            (Ssmfp.Protocol.enabled_rules g net ~p)
+            (Ssmfp.Protocol.Cache.enabled enabled net ~p);
+          Alcotest.(check int) (label "recomputes n") n
+            (Ssmfp.Protocol.Cache.recomputes enabled - before);
+          Alcotest.(check (option action)) (label "first_enabled")
+            (Ssmfp.Protocol.first_enabled g net ~p)
+            (Ssmfp.Protocol.Cache.first_enabled first net ~p)
+        done
+      done)
+    graphs
 
 let () =
   Alcotest.run "incremental"
@@ -412,8 +522,22 @@ let () =
           Alcotest.test_case "90-scenario grid: cached vs reference guards"
             `Quick test_cache_grid;
           Alcotest.test_case "set_state storm, every configuration" `Quick
-            test_cache_storm;
+            (storm ~name:"storm" ~g:(Topology.Builders.ring 8) ~max_steps:200
+               storm_write);
           Alcotest.test_case "hits on unchanged destinations" `Quick
             test_cache_hits;
+          (* No suite name longer than "differential": Alcotest pads each
+             row to the longest one and cuts the test names to fit. *)
+          Alcotest.test_case "chaos buffers, queues and crash storm" `Quick
+            (diff_storm ~name:"chaos" chaos_write);
+          Alcotest.test_case "equal copies storm" `Quick
+            (diff_storm ~name:"copies" copy_write);
+          Alcotest.test_case "request destination storm" `Quick
+            (diff_storm ~name:"request" request_write);
+          Alcotest.test_case "equal copies recompute nothing" `Quick
+            test_cache_equal_copy;
+          Alcotest.test_case "request move recomputes two" `Quick
+            test_cache_request_moves;
+          Alcotest.test_case "first call" `Quick test_cache_first_call;
         ] );
     ]

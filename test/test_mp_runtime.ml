@@ -881,10 +881,14 @@ let test_cache_garbage () =
   Alcotest.(check bool) "adopted" true
     ((Mp.Ssmfp_mp.sync_stats t).Mp.Ssmfp_mp.adoptions > 0);
   check_all_barriers "garbage" t checked;
-  let checks = prof_counter prof "mp.guard_checks" in
+  let barriers = (Mp.Ssmfp_mp.sync_stats t).Mp.Ssmfp_mp.barriers in
+  Alcotest.(check int) "mp.guard_checks: |N[p]| = 3 array pairs per barrier"
+    (3 * barriers)
+    (prof_counter prof "mp.guard_checks");
   let recomputes = prof_counter prof "mp.guard_recomputes" in
-  Alcotest.(check bool) "some entries recomputed, fewer than checked" true
-    (recomputes > 0 && recomputes < checks)
+  Alcotest.(check bool)
+    "some destinations recomputed, fewer than n per barrier" true
+    (recomputes > 0 && recomputes < 6 * barriers)
 
 (* A crash burst on lossy channels, then a core overwritten mid-run
    through [set_core]: amnesia, republished mirrors and a foreign core. *)
@@ -915,22 +919,77 @@ let test_cache_crash () =
   Alcotest.(check bool) "drained" true (r.Mp.Ssmfp_mp.outcome = `All_done);
   check_all_barriers "crash" t checked
 
-(* An idle network republishes the same arrays every pulse, so after each
-   process's first barrier no destination is ever recomputed. *)
-let test_cache_hits () =
+(* An idle network republishes the same arrays every pulse, so every
+   barrier after a process's first compares only its |N[p]| = 3 array
+   pairs and recomputes no destination. [disturb], run at pulse 5, may
+   write at process 2 in ways that change no array's contents. *)
+let idle_ring6 ?(disturb = fun _ -> ()) label =
   let g = Topology.Builders.ring 6 in
   let prof = Obs.Prof.create ~tracks:1 () in
   let t =
     Mp.Ssmfp_mp.create ~seed:3 ~prof g (Harness.Workload.empty ~n:6)
   in
-  ignore (Mp.Ssmfp_mp.drive ~stop:(fun t -> Mp.Ssmfp_mp.max_pulse t >= 10) t);
+  let checked = check_barriers label t in
+  let pulse_at_least k t = Mp.Ssmfp_mp.max_pulse t >= k in
+  ignore (Mp.Ssmfp_mp.drive ~stop:(pulse_at_least 5) t);
+  disturb t;
+  ignore (Mp.Ssmfp_mp.drive ~stop:(pulse_at_least 10) t);
+  check_all_barriers label t checked;
   let barriers = (Mp.Ssmfp_mp.sync_stats t).Mp.Ssmfp_mp.barriers in
   Alcotest.(check bool) "several barriers per process" true (barriers > 6 * 5);
-  Alcotest.(check int) "mp.guard_checks: every destination per barrier"
-    (6 * barriers)
+  Alcotest.(check int) "mp.guard_checks: 3 array pairs per barrier"
+    (3 * barriers)
     (prof_counter prof "mp.guard_checks");
   Alcotest.(check int) "mp.guard_recomputes: only each first barrier" (6 * 6)
     (prof_counter prof "mp.guard_recomputes")
+
+let test_cache_hits () = idle_ring6 "idle"
+
+(* A core replaced by one over equal copies of its arrays: new
+   identities, the same elements, so the diff recomputes nothing. *)
+let test_cache_equal_copy () =
+  idle_ring6 "equal copy" ~disturb:(fun t ->
+      let core = Mp.Ssmfp_mp.core t 2 in
+      Mp.Ssmfp_mp.set_core t 2
+        {
+          core with
+          Ssmfp.State.slots = Array.copy core.Ssmfp.State.slots;
+          routing = Array.copy core.Ssmfp.State.routing;
+        })
+
+(* Crash–recovery amnesia loses the mirrors, not the core: the
+   republished mirrors share the core's arrays, so nothing is
+   recomputed. *)
+let test_cache_amnesia () =
+  idle_ring6 "amnesia" ~disturb:(fun t ->
+      Mp.Ssmfp_mp.crash_process t 2 ~down_for:40)
+
+(* [set_core] with chaos's Buffers, Queues and Crash domains, each
+   rewriting every slot of a core mid-run, then drained: every barrier
+   agrees with the reference guards. *)
+let test_cache_set_core_domains () =
+  let g = Topology.Builders.ring 6 in
+  let wl =
+    Harness.Workload.uniform_random (Prng.Splitmix.of_int 3007) ~n:6
+      ~per_processor:2
+  in
+  let t = Mp.Ssmfp_mp.create ~spec:Harness.Fault.adversarial ~seed:4 g wl in
+  let checked = check_barriers "set_core domains" t in
+  let rng = Prng.Splitmix.of_int 11 in
+  List.iteri
+    (fun i domain ->
+      ignore
+        (Mp.Ssmfp_mp.drive
+           ~stop:(fun t -> Mp.Ssmfp_mp.max_pulse t >= 6 * (i + 1))
+           t);
+      let p = 1 + (2 * i) in
+      Mp.Ssmfp_mp.set_core t p
+        (Chaos.Inject.corrupt_state rng g ~p ~domains:[ domain ]
+           (Mp.Ssmfp_mp.core t p)))
+    Chaos.Schedule.[ Buffers; Queues; Crash ];
+  let r = Mp.Ssmfp_mp.run t in
+  Alcotest.(check bool) "drained" true (r.Mp.Ssmfp_mp.outcome = `All_done);
+  check_all_barriers "set_core domains" t checked
 
 (* ---------------- pulses are rounds ---------------- *)
 
@@ -1253,6 +1312,12 @@ let () =
           Alcotest.test_case "garbage ring6" `Quick test_cache_garbage;
           Alcotest.test_case "crash burst" `Quick test_cache_crash;
           Alcotest.test_case "hits when idle" `Quick test_cache_hits;
+          Alcotest.test_case "equal copy when idle" `Quick
+            test_cache_equal_copy;
+          Alcotest.test_case "crash amnesia when idle" `Quick
+            test_cache_amnesia;
+          Alcotest.test_case "set_core chaos domains" `Quick
+            test_cache_set_core_domains;
         ] );
       ( "schedule modifiers",
         [

@@ -20,7 +20,8 @@ let max_protocol g =
             net.Sim.Engine.states.(p)
             (Topology.Graph.neighbors g p),
           [] ));
-    action_label = (fun () -> "adopt");
+    rules = [| "adopt" |];
+    rule_of = (fun () -> 0);
   }
 
 let test_record_and_entries () =
