@@ -576,7 +576,7 @@ let run_b3 () =
   ]
 
 (* B4: mp runtime throughput and latency — the production-scale event
-   loop (flat ring channels, Fenwick select, timer wheel) measured as a
+   loop (flat ring channels, bitset select, timer wheel) measured as a
    raw network against the frozen pre-refactor loop (Network_legacy:
    hashed Queue.t channels, per-step crash-span scan), under an
    identical deterministic token-relay protocol so every difference is

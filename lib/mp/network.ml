@@ -8,6 +8,10 @@ type ('s, 'm) handler = self:int -> from:int -> 's -> 'm -> 's * (int * 'm) list
    and behaves byte-for-byte as before. *)
 type 'm item = App of 'm * int | Marker of int (* snapshot epoch *)
 
+(* What a delivery leaves in the ring slot it frees: a constant, so the
+   delivered item is garbage once its handler returns. *)
+let vacant = Marker (-1)
+
 (* Profiling state: Lamport stamps and hop logging.
 
    Every handler- or timer-originated send is stamped with a fresh
@@ -75,11 +79,12 @@ type ('s, 'm) t = {
   chan_ix : (int * int, int) Hashtbl.t; (* cold-path (from,into) lookup *)
   nbr_pid : int array array; (* neighbors of p, Graph.neighbors order *)
   nbr_ci : int array array; (* channel index of p -> nbr_pid.(p).(k) *)
-  (* O(log C) channel scheduler: one uniform [int] draw bounded by the
-     nonempty count selects a nonempty channel in canonical order via
-     the Fenwick tree — the same draw, distribution and stream as the
-     pre-ring network. *)
-  fen : Fenwick.t;
+  (* Channel scheduler: one uniform [int] draw bounded by the nonempty
+     count selects a nonempty channel in canonical order through the
+     rank/select bitset (O(1) flag transitions, a count-guided scan to
+     select) — the same draw, distribution and stream as the pre-ring
+     network. *)
+  nonempty : Bitset.t;
   mutable flight : int; (* total items in rings, maintained *)
   handler : ('s, 'm) handler;
   loss : float;
@@ -125,28 +130,25 @@ let chan t ~from ~into =
 
 (* Hot-path channel lookup by destination pid: a linear probe of the
    sender's neighbor table — degree-bounded and allocation-free, unlike
-   a hash lookup keyed by a fresh tuple. *)
-let ci_of t from q =
-  let ns = t.nbr_pid.(from) in
-  let cs = t.nbr_ci.(from) in
-  let len = Array.length ns in
-  let rec find i =
-    if i >= len then invalid_arg "Network: not an edge"
-    else if ns.(i) = q then cs.(i)
-    else find (i + 1)
-  in
-  find 0
+   a hash lookup keyed by a fresh tuple. The probe is a closed top-level
+   function, so a lookup allocates no closure either. *)
+let rec ci_in ns cs q i =
+  if i >= Array.length ns then invalid_arg "Network: not an edge"
+  else if ns.(i) = q then cs.(i)
+  else ci_in ns cs q (i + 1)
+
+let ci_of t from q = ci_in t.nbr_pid.(from) t.nbr_ci.(from) q 0
 
 (* Flag transitions: [note_filled] after any push (idempotent),
-   [note_popped] after any pop. *)
+   [note_popped] after any take. *)
 let note_filled t ci =
-  if not (Fenwick.mem t.fen ci) then begin
-    Fenwick.set t.fen ci;
+  if not (Bitset.mem t.nonempty ci) then begin
+    Bitset.set t.nonempty ci;
     t.chan_since.(ci) <- t.now
   end
 
 let note_popped t ci =
-  if Ring.is_empty t.rings.(ci) then Fenwick.clear t.fen ci
+  if Ring.is_empty t.rings.(ci) then Bitset.clear t.nonempty ci
 
 let make_prof_state prof n =
   if not (Obs.Prof.enabled prof) then None
@@ -210,7 +212,7 @@ let create ?(loss = 0.) ?(duplication = 0.) ?(reorder = 0.)
     chan_ix;
     nbr_pid;
     nbr_ci;
-    fen = Fenwick.create c;
+    nonempty = Bitset.create c;
     flight = 0;
     handler;
     loss;
@@ -338,10 +340,11 @@ let enqueue t rng ci m =
    possibly out-of-order placement. Every draw is guarded by its knob
    being > 0 (and by the clock being pre-GST under partial synchrony)
    so networks created without a knob see the exact historical draw
-   sequence. *)
-let post t rng ~from sends =
-  List.iter
-    (fun (q, msg) ->
+   sequence. [post] walks the list by its own recursion, not through
+   [List.iter] and a closure, so a send allocates only its channel item. *)
+let rec post t rng ~from = function
+  | [] -> ()
+  | (q, msg) :: rest ->
       let sid = stamp t ~from in
       let ci = ci_of t from q in
       let copies =
@@ -358,8 +361,8 @@ let post t rng ~from sends =
         if t.loss > 0. && unreliable t && Prng.Splitmix.bernoulli rng t.loss
         then t.dropped <- t.dropped + 1
         else enqueue t rng ci (App (msg, sid))
-      done)
-    sends
+      done;
+      post t rng ~from rest
 
 (* Markers take the same unreliable link as handler sends, but their
    draws come from the caller's (snapshot layer's) own PRNG stream: the
@@ -496,7 +499,7 @@ let forced_channel t =
         let c = Array.length t.chan_keys in
         t.sync_cursor <- (t.sync_cursor + 1) mod c;
         let ci = t.sync_cursor in
-        if Fenwick.mem t.fen ci && t.now - t.chan_since.(ci) > Synchrony.delta sy
+        if Bitset.mem t.nonempty ci && t.now - t.chan_since.(ci) > Synchrony.delta sy
         then ci
         else -1
       end
@@ -505,7 +508,7 @@ let forced_channel t =
 let deliver_from t rng ci =
   let r = t.rings.(ci) in
   let from = t.chan_from.(ci) and into = t.chan_into.(ci) in
-  let item = Ring.pop r in
+  let item = Ring.take r ~vacant in
   t.flight <- t.flight - 1;
   note_popped t ci;
   match item with
@@ -579,12 +582,14 @@ let idle_timers t =
 let step t rng =
   sample_depths t;
   let acted =
-    if Fenwick.count t.fen = 0 then idle_timers t
+    if Bitset.count t.nonempty = 0 then idle_timers t
     else begin
       let fci = forced_channel t in
       let ci =
         if fci >= 0 then fci
-        else Fenwick.select t.fen (Prng.Splitmix.int rng (Fenwick.count t.fen))
+        else
+          Bitset.select t.nonempty
+            (Prng.Splitmix.int rng (Bitset.count t.nonempty))
       in
       deliver_from t rng ci;
       true

@@ -19,10 +19,11 @@
 
     Internals (production-scale runtime): channels are flat {!Ring}
     buffers indexed densely (no hash lookups or key allocation on the
-    delivery path), the nonempty-channel draw is a {!Fenwick} select
+    delivery path), the nonempty-channel draw is a {!Bitset} select
     (one PRNG draw bounded by the nonempty count, the historical
-    stream), and crash expiries plus user timers live on a hierarchical
-    {!Wheel} — a step costs O(log C + expired), never O(n). *)
+    stream; O(1) flag updates and a select that scans block and word
+    counts), and crash expiries plus user timers live on a hierarchical
+    {!Wheel} — a step costs one select plus O(expired), never O(n). *)
 
 type ('s, 'm) handler = self:int -> from:int -> 's -> 'm -> 's * (int * 'm) list
 (** [handler ~self ~from state msg] consumes one message and returns the

@@ -49,6 +49,18 @@ let pop t =
   t.len <- t.len - 1;
   x
 
+(* [pop] leaves the element in its slot until a later push overwrites
+   it, so a popped item stays reachable. [take] writes [vacant] there
+   instead: a delivered item can then die young, where a stale slot in
+   a long-lived ring would have the next minor collection promote it. *)
+let take t ~vacant =
+  if t.len = 0 then invalid_arg "Ring.take: empty";
+  let x = t.buf.(t.head) in
+  t.buf.(t.head) <- vacant;
+  t.head <- (t.head + 1) land (Array.length t.buf - 1);
+  t.len <- t.len - 1;
+  x
+
 let peek t =
   if t.len = 0 then invalid_arg "Ring.peek: empty";
   t.buf.(t.head)

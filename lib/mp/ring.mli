@@ -20,6 +20,12 @@ val pop : 'a t -> 'a
 (** Remove and return the front element.
     @raise Invalid_argument when empty. *)
 
+val take : 'a t -> vacant:'a -> 'a
+(** [take t ~vacant] is {!pop}, and also overwrites the freed slot with
+    [vacant] so the ring no longer references the element. [pop] leaves
+    it there until a later push lands on the slot.
+    @raise Invalid_argument when empty. *)
+
 val peek : 'a t -> 'a
 (** The front element without removing it.
     @raise Invalid_argument when empty. *)

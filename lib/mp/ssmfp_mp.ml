@@ -230,6 +230,13 @@ let make_handler g nbrs mirrors oracle sync prof hook_ref barrier_hook_ref =
   in
   handler
 
+(* Slot of neighbor [q] in [ns]: a closed top-level probe, so the lookup
+   on every frame sent or received allocates no closure. *)
+let rec slot_in ns q i =
+  if i >= Array.length ns then invalid_arg "Ssmfp_mp: not a neighbor"
+  else if ns.(i) = q then i
+  else slot_in ns q (i + 1)
+
 let create ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0)
     ?(loss = 0.) ?(duplication = 0.) ?(reorder = 0.) ?(seed = 1)
     ?(prof = Obs.Prof.disabled) ?(window = 8) ?synchrony graph workload =
@@ -252,15 +259,7 @@ let create ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0)
   let inner =
     make_handler graph nbrs mirrors oracle sync prof on_event on_barrier
   in
-  let slot_of self q =
-    let ns = nbrs.(self) in
-    let rec find i =
-      if i >= Array.length ns then invalid_arg "Ssmfp_mp: not a neighbor"
-      else if ns.(i) = q then i
-      else find (i + 1)
-    in
-    find 0
-  in
+  let slot_of self q = slot_in nbrs.(self) q 0 in
   let win_send =
     Array.init n (fun p -> Array.map (fun _ -> Window.sender window) nbrs.(p))
   in

@@ -1,4 +1,7 @@
-type histo = { mutable samples : float list; mutable n : int }
+(* A histogram keeps one count per distinct sample, keyed by the sample's
+   float bits: its memory follows the number of distinct values, not the
+   number of observations. *)
+type histo = { counts : (int64, int ref) Hashtbl.t; mutable n : int }
 
 type t = {
   counters : (string, int ref) Hashtbl.t;
@@ -24,11 +27,19 @@ let set_gauge t name v =
   | None -> Hashtbl.replace t.gauges name (ref v)
 
 let observe t name v =
-  match Hashtbl.find_opt t.histograms name with
-  | Some h ->
-      h.samples <- v :: h.samples;
-      h.n <- h.n + 1
-  | None -> Hashtbl.replace t.histograms name { samples = [ v ]; n = 1 }
+  let h =
+    match Hashtbl.find_opt t.histograms name with
+    | Some h -> h
+    | None ->
+        let h = { counts = Hashtbl.create 16; n = 0 } in
+        Hashtbl.replace t.histograms name h;
+        h
+  in
+  let key = Int64.bits_of_float v in
+  (match Hashtbl.find_opt h.counts key with
+  | Some c -> c := !c + 1
+  | None -> Hashtbl.replace h.counts key (ref 1));
+  h.n <- h.n + 1
 
 type summary = {
   count : int;
@@ -40,24 +51,43 @@ type summary = {
   p99 : float;
 }
 
-(* One sort shared by every percentile, same nearest-rank convention as
-   Harness.Stats (which obs cannot depend on: harness depends on obs). *)
-let summarize_samples samples n =
+(* The distinct values sorted with [compare], each with its count: the
+   sorted sample list, run-length encoded. Summing each value as often as
+   it occurred, in that order, and reading nearest ranks off the running
+   counts give exactly the sorted-list summary (same nearest-rank
+   convention as Harness.Stats, which obs cannot depend on: harness
+   depends on obs) whenever no sample is nan or -0. *)
+let summarize (h : histo) =
+  let n = h.n in
   if n = 0 then
     { count = 0; mean = nan; min = nan; max = nan; p50 = nan; p90 = nan; p99 = nan }
   else begin
-    let sorted = Array.of_list samples in
-    Array.sort compare sorted;
+    let runs =
+      Array.of_list
+        (Hashtbl.fold (fun k c acc -> (Int64.float_of_bits k, !c) :: acc) h.counts [])
+    in
+    Array.sort (fun (a, _) (b, _) -> compare a b) runs;
+    let total = ref 0. in
+    Array.iter
+      (fun (v, c) ->
+        for _ = 1 to c do
+          total := !total +. v
+        done)
+      runs;
     let pct p =
       let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) - 1 in
-      sorted.(max 0 (min (n - 1) rank))
+      let rank = max 0 (min (n - 1) rank) in
+      let rec at i below =
+        let v, c = runs.(i) in
+        if rank < below + c then v else at (i + 1) (below + c)
+      in
+      at 0 0
     in
-    let total = Array.fold_left ( +. ) 0. sorted in
     {
       count = n;
-      mean = total /. float_of_int n;
-      min = sorted.(0);
-      max = sorted.(n - 1);
+      mean = !total /. float_of_int n;
+      min = fst runs.(0);
+      max = fst runs.(Array.length runs - 1);
       p50 = pct 50.;
       p90 = pct 90.;
       p99 = pct 99.;
@@ -77,8 +107,7 @@ let snapshot (t : t) : snapshot =
   {
     counters = sorted_bindings t.counters ( ! );
     gauges = sorted_bindings t.gauges ( ! );
-    histograms =
-      sorted_bindings t.histograms (fun h -> summarize_samples h.samples h.n);
+    histograms = sorted_bindings t.histograms summarize;
   }
 
 let counter_value s name =

@@ -24,7 +24,9 @@ val set_gauge : t -> string -> float -> unit
 (** Set a gauge (last-write-wins sampled value). *)
 
 val observe : t -> string -> float -> unit
-(** Append a sample to a histogram. *)
+(** Add a sample to a histogram. A histogram keeps one count per
+    distinct value (by float bits), so its memory grows with the number
+    of distinct samples, not with the number of observations. *)
 
 (** {2 Snapshots} *)
 
@@ -38,7 +40,8 @@ type summary = {
   p99 : float;
 }
 (** [Harness.Stats]-style digest of a histogram's samples (nearest-rank
-    percentiles, [nan] on the empty sample). *)
+    percentiles, [nan] on the empty sample). Equal to the digest of the
+    sorted sample list whenever no sample is [nan] or [-0.]. *)
 
 type snapshot = {
   counters : (string * int) list;  (** sorted by name *)

@@ -1,108 +1,169 @@
-(* Tests for the production-scale mp runtime internals: the Fenwick
-   channel scheduler, the per-channel ring buffers, the hierarchical
-   timer wheel, the sliding-window retransmission layer and its
-   partial-synchrony timing model — plus the three contracts that hold
-   the runtime together: (a) [Mp.Network] is byte-identical to the
+(* Tests for the production-scale mp runtime internals: the rank/select
+   bitset channel scheduler, the per-channel ring buffers, the
+   hierarchical timer wheel, the sliding-window retransmission layer and
+   its partial-synchrony timing model — plus the three contracts that
+   hold the runtime together: (a) [Mp.Network] is byte-identical to the
    frozen [Mp.Network_legacy] for the same seed, (b) the synchronizer
    port replays pinned sliding-window trajectories exactly (golden
    pins), and (c) its pulses are the synchronous state model's rounds,
    event for event (lockstep differential). *)
 
-(* ---------------- Fenwick scheduler ---------------- *)
+(* ---------------- channel scheduler ---------------- *)
+
+(* The bitset keeps the Fenwick tree's contract, so the four tests that
+   pinned the tree keep their names and assertions. *)
 
 let test_fenwick_single_nonempty () =
   let n = 10 in
   for i = 0 to n - 1 do
-    let t = Mp.Fenwick.create n in
-    Mp.Fenwick.set t i;
-    Alcotest.(check int) "count" 1 (Mp.Fenwick.count t);
-    Alcotest.(check bool) "mem" true (Mp.Fenwick.mem t i);
-    Alcotest.(check int) "select finds the only flag" i (Mp.Fenwick.select t 0)
+    let t = Mp.Bitset.create n in
+    Mp.Bitset.set t i;
+    Alcotest.(check int) "count" 1 (Mp.Bitset.count t);
+    Alcotest.(check bool) "mem" true (Mp.Bitset.mem t i);
+    Alcotest.(check int) "select finds the only flag" i (Mp.Bitset.select t 0)
   done
 
 let test_fenwick_last_index () =
-  (* powers of two straddle the tree's internal node boundaries *)
+  (* powers of two straddle the old tree's internal node boundaries *)
   List.iter
     (fun n ->
-      let t = Mp.Fenwick.create n in
+      let t = Mp.Bitset.create n in
       for i = 0 to n - 1 do
-        Mp.Fenwick.set t i
+        Mp.Bitset.set t i
       done;
-      Alcotest.(check int) "full count" n (Mp.Fenwick.count t);
+      Alcotest.(check int) "full count" n (Mp.Bitset.count t);
       Alcotest.(check int)
         (Printf.sprintf "last select, n=%d" n)
         (n - 1)
-        (Mp.Fenwick.select t (n - 1));
+        (Mp.Bitset.select t (n - 1));
       (* clear everything but the last flag *)
       for i = 0 to n - 2 do
-        Mp.Fenwick.clear t i
+        Mp.Bitset.clear t i
       done;
-      Alcotest.(check int) "lone last flag" (n - 1) (Mp.Fenwick.select t 0))
+      Alcotest.(check int) "lone last flag" (n - 1) (Mp.Bitset.select t 0))
     [ 1; 2; 7; 8; 9; 15; 16; 17; 64; 100 ]
 
 let test_fenwick_flag_flap () =
   (* the push-then-pop pattern of a channel repeatedly going
      empty/nonempty: set and clear must stay idempotent and the counts
      exact through arbitrary flapping *)
-  let t = Mp.Fenwick.create 8 in
+  let t = Mp.Bitset.create 8 in
   for _ = 1 to 100 do
-    Mp.Fenwick.set t 3;
-    Mp.Fenwick.set t 3;
+    Mp.Bitset.set t 3;
+    Mp.Bitset.set t 3;
     (* idempotent *)
-    Alcotest.(check int) "one set" 1 (Mp.Fenwick.count t);
-    Mp.Fenwick.clear t 3;
-    Mp.Fenwick.clear t 3;
-    Alcotest.(check int) "cleared" 0 (Mp.Fenwick.count t)
+    Alcotest.(check int) "one set" 1 (Mp.Bitset.count t);
+    Mp.Bitset.clear t 3;
+    Mp.Bitset.clear t 3;
+    Alcotest.(check int) "cleared" 0 (Mp.Bitset.count t)
   done;
-  Mp.Fenwick.set t 1;
-  Mp.Fenwick.set t 6;
-  Mp.Fenwick.set t 1;
-  Alcotest.(check int) "two flags" 2 (Mp.Fenwick.count t);
-  Alcotest.(check int) "first" 1 (Mp.Fenwick.select t 0);
-  Alcotest.(check int) "second" 6 (Mp.Fenwick.select t 1)
+  Mp.Bitset.set t 1;
+  Mp.Bitset.set t 6;
+  Mp.Bitset.set t 1;
+  Alcotest.(check int) "two flags" 2 (Mp.Bitset.count t);
+  Alcotest.(check int) "first" 1 (Mp.Bitset.select t 0);
+  Alcotest.(check int) "second" 6 (Mp.Bitset.select t 1)
+
+(* Set and clear flags in a bitset and in a plain bool array, then check
+   count and every select against the sorted list of set indices. *)
+let matches_sorted_reference n ops =
+  let t = Mp.Bitset.create n in
+  let reference = Array.make n false in
+  List.iter
+    (fun (i, on) ->
+      if on then Mp.Bitset.set t i else Mp.Bitset.clear t i;
+      reference.(i) <- on)
+    ops;
+  let sorted =
+    Array.of_list (List.filter (fun i -> reference.(i)) (List.init n Fun.id))
+  in
+  Mp.Bitset.count t = Array.length sorted
+  && Array.for_all (fun i -> Mp.Bitset.mem t i = reference.(i)) (Array.init n Fun.id)
+  && Array.for_all Fun.id (Array.mapi (fun k i -> Mp.Bitset.select t k = i) sorted)
 
 (* The scheduler contract: one uniform draw in [0, count) through
    [select] must pick exactly the channel the historical implementation
-   picked — the (k+1)-th nonempty channel in index order. The reference
-   is the sorted list of set indices. *)
+   picked — the (k+1)-th nonempty channel in index order. Sizes run to
+   5,000 flags, and half the indices sit on a word (32) or block (1,024)
+   boundary or next to one. *)
 let prop_fenwick_matches_sorted_reference =
-  QCheck.Test.make ~name:"select = sorted-nonempty reference" ~count:300
-    QCheck.(pair (int_range 1 64) (list (pair small_nat bool)))
-    (fun (n, ops) ->
-      let t = Mp.Fenwick.create n in
-      let reference = Array.make n false in
-      List.iter
-        (fun (i, on) ->
-          let i = i mod n in
-          if on then (
-            Mp.Fenwick.set t i;
-            reference.(i) <- true)
-          else (
-            Mp.Fenwick.clear t i;
-            reference.(i) <- false))
-        ops;
-      let sorted =
-        List.filter (fun i -> reference.(i)) (List.init n Fun.id)
+  let edges = [ 31; 32; 33; 1023; 1024; 1025; 2047; 2048; 2049; 4095; 4096 ] in
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [ int_range 1 64; oneofl (edges @ [ 5000 ]); int_range 65 5000 ]
+      >>= fun n ->
+      let index =
+        oneof
+          [
+            int_bound (n - 1);
+            map (fun e -> min (n - 1) e) (oneofl (0 :: n - 1 :: edges));
+          ]
       in
-      Mp.Fenwick.count t = List.length sorted
-      && List.for_all
-           (fun k -> Mp.Fenwick.select t k = List.nth sorted k)
-           (List.init (List.length sorted) Fun.id))
+      map (fun ops -> (n, ops)) (list_size (int_bound 400) (pair index bool)))
+  in
+  QCheck.Test.make ~name:"select = sorted-nonempty reference" ~count:300
+    (QCheck.make
+       ~print:(fun (n, ops) -> Printf.sprintf "n=%d, %d ops" n (List.length ops))
+       gen)
+    (fun (n, ops) -> matches_sorted_reference n ops)
+
+(* Dense patterns at every word and block boundary the property only
+   samples: all flags, every third, and only the flags next to a word
+   boundary, each then thinned from the front. *)
+let test_bitset_boundaries () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun keep ->
+          let on = List.filter keep (List.init n Fun.id) in
+          let ops = List.map (fun i -> (i, true)) on in
+          let thinned =
+            ops @ List.filteri (fun k _ -> k mod 2 = 0) (List.map (fun i -> (i, false)) on)
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "n=%d, %d set" n (List.length on))
+            true
+            (matches_sorted_reference n ops && matches_sorted_reference n thinned))
+        [
+          (fun _ -> true);
+          (fun i -> i mod 3 = 0);
+          (fun i -> List.mem (i land 31) [ 0; 31 ]);
+        ])
+    [ 31; 32; 33; 1023; 1024; 1025; 5000 ]
+
+(* The scheduler's per-delivery operations allocate nothing: a million
+   select/clear/set rounds add no minor word. *)
+let test_bitset_allocates_nothing () =
+  let n = 20_000 in
+  let t = Mp.Bitset.create n in
+  for i = 0 to n - 1 do
+    if i mod 3 <> 0 then Mp.Bitset.set t i
+  done;
+  let words =
+    Test_util.minor_words (fun () ->
+        for r = 1 to 1_000_000 do
+          let i = Mp.Bitset.select t (r * 7919 mod Mp.Bitset.count t) in
+          Mp.Bitset.clear t i;
+          Mp.Bitset.set t ((i + r) mod n)
+        done)
+  in
+  Alcotest.(check (float 0.)) "minor words" 0. words
 
 (* Same contract phrased as the scheduler uses it: feeding one shared
-   PRNG stream to "draw k, select" against the Fenwick and against the
+   PRNG stream to "draw k, select" against the bitset and against the
    sorted-nonempty list yields the identical channel sequence. *)
 let test_fenwick_draw_sequence_unchanged () =
   let n = 12 in
-  let t = Mp.Fenwick.create n in
+  let t = Mp.Bitset.create n in
   let reference = Array.make n false in
   let flip rng =
     let i = Prng.Splitmix.int rng n in
     if reference.(i) then (
-      Mp.Fenwick.clear t i;
+      Mp.Bitset.clear t i;
       reference.(i) <- false)
     else (
-      Mp.Fenwick.set t i;
+      Mp.Bitset.set t i;
       reference.(i) <- true)
   in
   let rng = Prng.Splitmix.of_int 4242 in
@@ -113,7 +174,7 @@ let test_fenwick_draw_sequence_unchanged () =
     if sorted <> [] then begin
       let k = Prng.Splitmix.int rng_ref (List.length sorted) in
       Alcotest.(check int) "same channel drawn" (List.nth sorted k)
-        (Mp.Fenwick.select t k)
+        (Mp.Bitset.select t k)
     end
   done
 
@@ -168,7 +229,31 @@ let test_ring_insert_reorder () =
   Alcotest.check_raises "pop empty" (Invalid_argument "Ring.pop: empty")
     (fun () -> ignore (Mp.Ring.pop (Mp.Ring.create () : int Mp.Ring.t)))
 
-(* Model test: a ring driven by random push/pop/insert (the
+(* [take] is [pop] that leaves [vacant] in the freed slot: once every
+   slot of the backing array has been written, a taken item is no longer
+   reachable from the ring, while a popped one stays until a push lands
+   on its slot. *)
+let test_ring_take_vacates () =
+  let taken = Mp.Ring.create () and popped = Mp.Ring.create () in
+  for _ = 1 to 8 do
+    Mp.Ring.push taken [||];
+    ignore (Mp.Ring.take taken ~vacant:[||]);
+    Mp.Ring.push popped [||];
+    ignore (Mp.Ring.pop popped)
+  done;
+  Mp.Ring.push taken (Array.make 10_000 0);
+  Mp.Ring.push popped (Array.make 10_000 0);
+  Alcotest.(check int) "take returns the front" 10_000
+    (Array.length (Mp.Ring.take taken ~vacant:[||]));
+  ignore (Mp.Ring.pop popped);
+  let words r = Obj.reachable_words (Obj.repr r) in
+  Alcotest.(check bool) "taken item unreachable" true (words taken < 100);
+  Alcotest.(check bool) "popped item still reachable" true
+    (words popped > 10_000);
+  Alcotest.check_raises "take empty" (Invalid_argument "Ring.take: empty")
+    (fun () -> ignore (Mp.Ring.take taken ~vacant:[||]))
+
+(* Model test: a ring driven by random push/pop/take/insert (the
    duplication/reorder primitives of the unreliable link) agrees with a
    plain list model at every step. *)
 let prop_ring_matches_list_model =
@@ -185,7 +270,10 @@ let prop_ring_matches_list_model =
               model := !model @ [ x ]
           | 1 ->
               if !model <> [] then begin
-                let popped = Mp.Ring.pop r in
+                let popped =
+                  if x land 1 = 0 then Mp.Ring.pop r
+                  else Mp.Ring.take r ~vacant:(-1)
+                in
                 let expect = List.hd !model in
                 model := List.tl !model;
                 assert (popped = expect)
@@ -1222,6 +1310,13 @@ let () =
           Alcotest.test_case "draw sequence unchanged" `Quick
             test_fenwick_draw_sequence_unchanged;
         ] );
+      ( "bitset",
+        [
+          Alcotest.test_case "word and block boundaries" `Quick
+            test_bitset_boundaries;
+          Alcotest.test_case "allocates nothing" `Quick
+            test_bitset_allocates_nothing;
+        ] );
       ( "ring",
         [
           Alcotest.test_case "fifo + lazy storage" `Quick
@@ -1229,6 +1324,8 @@ let () =
           Alcotest.test_case "growth while wrapped" `Quick
             test_ring_growth_while_wrapped;
           Alcotest.test_case "insert reorder" `Quick test_ring_insert_reorder;
+          Alcotest.test_case "take vacates its slot" `Quick
+            test_ring_take_vacates;
         ] );
       ( "wheel",
         [

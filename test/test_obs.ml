@@ -99,6 +99,106 @@ let test_metrics_registry () =
   Alcotest.(check bool) "json has counter" true (contains js "\"c\":5");
   Alcotest.(check bool) "json has gauge" true (contains js "\"g\":7.5")
 
+(* The list-based summary histograms used before they kept one count per
+   distinct value: sort every sample, sum them in sorted order, read the
+   nearest ranks. The count-based summary must equal it field for field,
+   bit for bit, on any series without nan or -0. *)
+let reference_summary samples =
+  let n = List.length samples in
+  if n = 0 then
+    {
+      Obs.Metrics.count = 0;
+      mean = nan;
+      min = nan;
+      max = nan;
+      p50 = nan;
+      p90 = nan;
+      p99 = nan;
+    }
+  else begin
+    let sorted = Array.of_list samples in
+    Array.sort compare sorted;
+    let pct p =
+      let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) - 1 in
+      sorted.(max 0 (min (n - 1) rank))
+    in
+    let total = Array.fold_left ( +. ) 0. sorted in
+    {
+      Obs.Metrics.count = n;
+      mean = total /. float_of_int n;
+      min = sorted.(0);
+      max = sorted.(n - 1);
+      p50 = pct 50.;
+      p90 = pct 90.;
+      p99 = pct 99.;
+    }
+  end
+
+let test_histogram_matches_reference () =
+  let rng = Prng.Splitmix.of_int 2024 in
+  let bits = Int64.bits_of_float in
+  for series = 1 to 300 do
+    (* a small pool of distinct values, integral and not, drawn with
+       repetition; 0. appears but never -0. *)
+    let pool =
+      Array.init
+        (1 + Prng.Splitmix.int rng 40)
+        (fun _ ->
+          match Prng.Splitmix.int rng 3 with
+          | 0 -> float_of_int (Prng.Splitmix.int_in rng (-20) 20)
+          | 1 -> float_of_int (Prng.Splitmix.int_in rng (-400) 400) /. 7.
+          | _ -> Prng.Splitmix.float rng 1e6 -. 5e5)
+    in
+    let samples =
+      List.init (Prng.Splitmix.int rng 600) (fun _ ->
+          Prng.Splitmix.choose_array rng pool)
+    in
+    let m = Obs.Metrics.create () in
+    List.iter (Obs.Metrics.observe m "h") samples;
+    let s = Obs.Metrics.snapshot m in
+    let got = Option.get (Obs.Metrics.histogram_summary s "h") in
+    let want = reference_summary samples in
+    let field name f =
+      if samples = [] then
+        Alcotest.(check bool) name true (Float.is_nan (f got) && Float.is_nan (f want))
+      else
+        Alcotest.(check int64)
+          (Printf.sprintf "series %d: %s" series name)
+          (bits (f want)) (bits (f got))
+    in
+    Alcotest.(check int) "count" want.Obs.Metrics.count got.Obs.Metrics.count;
+    field "mean" (fun h -> h.Obs.Metrics.mean);
+    field "min" (fun h -> h.Obs.Metrics.min);
+    field "max" (fun h -> h.Obs.Metrics.max);
+    field "p50" (fun h -> h.Obs.Metrics.p50);
+    field "p90" (fun h -> h.Obs.Metrics.p90);
+    field "p99" (fun h -> h.Obs.Metrics.p99);
+    Alcotest.(check string) "json"
+      (Obs.Json.to_string
+         (Obs.Metrics.snapshot_to_json
+            { counters = []; gauges = []; histograms = [ ("h", want) ] }))
+      (Obs.Json.to_string (Obs.Metrics.snapshot_to_json s))
+  done
+
+(* A histogram's memory follows its distinct values: after ten values,
+   a million more observations of the same ten add no word. *)
+let test_histogram_bounded () =
+  let m = Obs.Metrics.create () in
+  let value i = float_of_int (i mod 10) /. 4. in
+  for i = 0 to 9 do
+    Obs.Metrics.observe m "h" (value i)
+  done;
+  let words = Obj.reachable_words (Obj.repr m) in
+  for i = 0 to 999_999 do
+    Obs.Metrics.observe m "h" (value i)
+  done;
+  Alcotest.(check int) "no growth" words (Obj.reachable_words (Obj.repr m));
+  let h =
+    Option.get (Obs.Metrics.histogram_summary (Obs.Metrics.snapshot m) "h")
+  in
+  Alcotest.(check int) "every observation counted" 1_000_010 h.Obs.Metrics.count;
+  Alcotest.(check (float 0.)) "max" 2.25 h.Obs.Metrics.max
+
 (* ---------------- journal: Figure 3 golden ---------------- *)
 
 let figure3_journal () =
@@ -246,6 +346,10 @@ let () =
         [
           Alcotest.test_case "registry" `Quick test_metrics_registry;
           Alcotest.test_case "runner snapshot" `Quick test_runner_metrics_snapshot;
+          Alcotest.test_case "histogram = sorted-list reference" `Quick
+            test_histogram_matches_reference;
+          Alcotest.test_case "histogram memory bounded" `Quick
+            test_histogram_bounded;
         ] );
       ( "journal",
         [

@@ -129,6 +129,185 @@ let test_nonempty_subset () =
       (List.for_all (fun x -> List.mem x [ 1; 2; 3; 4 ]) s)
   done
 
+(* Stream pins: every draw function's first outputs for five seeds,
+   recorded from the boxed-[int64] implementation before the stream moved
+   into an unboxed byte buffer. [int] at [big_bound] (about 2^61.4, so a
+   63-bit draw lands past the last whole block one time in three) takes
+   the rejection path; the next [next_int64] then pins the stream
+   position. Floats are pinned by their bits. *)
+let big_bound = (max_int / 3 * 2) + 1
+
+let transcript seed =
+  let module S = Prng.Splitmix in
+  let t = S.of_int seed in
+  let out = ref [] in
+  let add s = out := s :: !out in
+  let i64 x = add (Printf.sprintf "%Lx" x) in
+  let fl x = add (Printf.sprintf "%Lx" (Int64.bits_of_float x)) in
+  let ints xs = add (String.concat "," (List.map string_of_int xs)) in
+  for _ = 1 to 3 do
+    i64 (S.next_int64 t)
+  done;
+  List.iter
+    (fun b -> add (string_of_int (S.int t b)))
+    [ 1; 2; 7; 1000; 1 lsl 30; max_int ];
+  for _ = 1 to 6 do
+    add (string_of_int (S.int t big_bound))
+  done;
+  i64 (S.next_int64 t);
+  fl (S.float t 1.0);
+  fl (S.float t 2.5);
+  fl (S.float t 2.5);
+  for _ = 1 to 4 do
+    add (string_of_bool (S.bool t))
+  done;
+  for _ = 1 to 4 do
+    add (string_of_bool (S.bernoulli t 0.3))
+  done;
+  add (string_of_bool (S.bernoulli t 0.0));
+  add (string_of_bool (S.bernoulli t 1.0));
+  let c = S.split t in
+  i64 (S.next_int64 c);
+  i64 (S.next_int64 c);
+  i64 (S.next_int64 t);
+  let g = S.split c in
+  i64 (S.next_int64 g);
+  let k = S.copy t in
+  i64 (S.next_int64 k);
+  i64 (S.next_int64 k);
+  i64 (S.next_int64 t);
+  i64 (S.next_int64 t);
+  for _ = 1 to 3 do
+    add (string_of_int (S.choose t [ 10; 11; 12; 13; 14; 15; 16 ]))
+  done;
+  add (string_of_int (S.choose_array t [| 20; 21; 22; 23 |]));
+  ints (S.shuffle t (List.init 10 Fun.id));
+  let a = Array.init 6 Fun.id in
+  S.shuffle_in_place t a;
+  ints (Array.to_list a);
+  add (string_of_int (S.int_in t (-5) 5));
+  ints (S.sample_without_replacement t 3 10);
+  ints (S.subset t ~p:0.5 (List.init 8 Fun.id));
+  ints (S.nonempty_subset t [ 1; 2; 3 ]);
+  i64 (S.next_int64 t);
+  List.rev !out
+
+let pinned =
+  [
+    ( 0,
+      [ "e220a8397b1dcdaf"; "6e789e6aa1b965f4"; "6c45d188009454f"; "0"; "1";
+        "1"; "456"; "613111198"; "2266080580496311649"; "582314294304961497";
+        "1758133890145534738"; "2046059198456965612"; "1707696731361383850";
+        "1434984185583263359"; "1887981106604058546"; "d81a8d2b5a4485ac";
+        "3feb602c05620173"; "3ffa688da6d3c5ee"; "40029736e4f513cb"; "false";
+        "true"; "true"; "false"; "true"; "false"; "false"; "false"; "false";
+        "true"; "e3b2a42fdda169fb"; "934edeac96f4f056"; "5582d37111ac529";
+        "ff20b5e9f297c871"; "d254741f599dc6f7"; "69630f7593d108c3";
+        "d254741f599dc6f7"; "69630f7593d108c3"; "14"; "10"; "13"; "20";
+        "3,9,8,2,7,0,1,4,6,5"; "4,0,1,3,2,5"; "2"; "6,8,0"; "3,4,6,7"; "1,3";
+        "9e60398c8d8553c0" ] );
+    ( 1,
+      [ "910a2dec89025cc1"; "beeb8da1658eec67"; "f893a2eefb32555e"; "0"; "0";
+        "1"; "522"; "152289978"; "2633352815946178260"; "653096235313429765";
+        "2509559956131093332"; "1121604228648436789"; "1814658457261909658";
+        "946613732161323305"; "1540625848015299869"; "a534a6a6b7fd0b63";
+        "3fea175a1b4ae575"; "3ffb44a8af779b6d"; "4001afbde4550eb4"; "false";
+        "false"; "true"; "false"; "true"; "true"; "false"; "false"; "false";
+        "true"; "7f41309066cad17d"; "edbadb3c7f1c2400"; "990cd70b12c5d084";
+        "f394570cba87a976"; "962b1967c90789ba"; "65ace2685a072c6d";
+        "962b1967c90789ba"; "65ace2685a072c6d"; "12"; "10"; "12"; "22";
+        "3,7,9,5,2,8,4,6,1,0"; "2,0,5,1,4,3"; "-1"; "4,1,9"; "0,2,6"; "3";
+        "99545b4ca73e0f3" ] );
+    ( 42,
+      [ "bdd732262feb6e95"; "28efe333b266f103"; "47526757130f9f52"; "0"; "1";
+        "2"; "462"; "256841682"; "3135310438806241002"; "2630032850507075884";
+        "1889885825713147103"; "1472565325112311220"; "1660786037497297096";
+        "1721818780734852144"; "3060555364002503875"; "341452c54d7c33f2";
+        "3fba83d752f35eb8"; "3ff3d1e8009e83f0"; "3fcde597f15ad282"; "false";
+        "false"; "true"; "true"; "false"; "true"; "true"; "false"; "false";
+        "true"; "6a5a22381fc3b3d2"; "11ca8f08678522a6"; "b1b59f1b53585e43";
+        "86631346b423f7dd"; "ca376da14213d975"; "d72c1692509d2c5e";
+        "ca376da14213d975"; "d72c1692509d2c5e"; "10"; "15"; "16"; "21";
+        "4,1,7,9,3,5,8,0,2,6"; "0,5,2,4,3,1"; "3"; "4,3,7"; "0,5,6"; "2,3";
+        "9f87c032b7d877b3" ] );
+    ( -1,
+      [ "e4d971771b652c20"; "e99ff867dbf682c9"; "382ff84cb27281e9"; "0"; "1";
+        "2"; "482"; "298795058"; "2485797345912358467"; "112353042671515406";
+        "133166573664397194"; "64364061667843437"; "1920370709506047072";
+        "691608913952917128"; "1771509300996043881"; "2310bd4abe96ea03";
+        "3fdb17b7d708ef88"; "3fed27ba865ffea6"; "3ffae6ff0030518c"; "true";
+        "false"; "false"; "false"; "false"; "false"; "false"; "true"; "false";
+        "true"; "2c4b38d42d46cff9"; "2545dcbeaeeac671"; "69d22506dd4562e7";
+        "f8a4d154ff3a0766"; "f32a883a6fe8c041"; "9464fd3ad6ffc7e6";
+        "f32a883a6fe8c041"; "9464fd3ad6ffc7e6"; "16"; "12"; "16"; "21";
+        "4,6,7,3,9,1,2,5,8,0"; "0,4,5,1,2,3"; "5"; "6,7,3"; "0,2,5,7";
+        "1,2,3"; "d803afa0b3d758fa" ] );
+    ( max_int,
+      [ "43df0885536978a6"; "101018cc4a4cadfd"; "f7123db96bb11521"; "0"; "0";
+        "5"; "687"; "289585339"; "1124378152941392265"; "2124687166862334097";
+        "489441540611652120"; "2509961409263284324"; "2094932805870061093";
+        "1519291983786825334"; "2762857968950808071"; "ad69de818b8a9f7a";
+        "3feb273bdb256a2c"; "3ff6046e2bf8cefd"; "3fe3a900714c70e7"; "false";
+        "false"; "false"; "true"; "false"; "false"; "false"; "false"; "false";
+        "true"; "584f60ad4feccee6"; "578298633c1cb225"; "d0fa60718a9cc04f";
+        "fd18f312c2ce039f"; "502588050539d4fa"; "a6127a7e4cf18d75";
+        "502588050539d4fa"; "a6127a7e4cf18d75"; "15"; "10"; "12"; "23";
+        "8,1,7,0,9,4,3,5,6,2"; "0,1,5,3,4,2"; "4"; "2,1,4"; "0,3,5,6,7"; "3";
+        "6a2a67298ae5e810" ] );
+  ]
+
+let test_pinned_streams () =
+  List.iter
+    (fun (seed, expected) ->
+      check
+        Alcotest.(list string)
+        (Printf.sprintf "seed %d" seed)
+        expected (transcript seed))
+    pinned
+
+(* [int]'s rejection rule restated on raw outputs: draw r = top 63 bits,
+   keep r mod b unless r's block runs past [Int64.max_int]. The bound is
+   large enough that some draws are redrawn, and the stream positions
+   must agree afterwards. *)
+let test_int_rejection_redraws () =
+  let redrawn = ref 0 in
+  List.iter
+    (fun seed ->
+      let rng = Prng.Splitmix.of_int seed in
+      let raw = Prng.Splitmix.copy rng in
+      let b = Int64.of_int big_bound in
+      for _ = 1 to 20 do
+        let rec reference () =
+          let r = Int64.shift_right_logical (Prng.Splitmix.next_int64 raw) 1 in
+          let v = Int64.rem r b in
+          if Int64.(sub r v) > Int64.(sub (sub max_int b) 1L) then begin
+            incr redrawn;
+            reference ()
+          end
+          else Int64.to_int v
+        in
+        let want = reference () in
+        check int_t "same value" want (Prng.Splitmix.int rng big_bound)
+      done;
+      check Alcotest.int64 "same position" (Prng.Splitmix.next_int64 raw)
+        (Prng.Splitmix.next_int64 rng))
+    [ 0; 1; 42; -1; max_int ];
+  Alcotest.(check bool) "the rejection path ran" true (!redrawn > 0)
+
+(* A draw keeps its int64 arithmetic unboxed: a million [int] draws
+   allocate nothing. *)
+let test_int_allocates_nothing () =
+  let rng = Prng.Splitmix.of_int 5 in
+  let sink = ref 0 in
+  let words =
+    Test_util.minor_words (fun () ->
+        for i = 1 to 1_000_000 do
+          sink := !sink lxor Prng.Splitmix.int rng (1 + (i land 1023))
+        done)
+  in
+  Alcotest.(check (float 0.)) "minor words for 1M draws" 0. words;
+  ignore (Sys.opaque_identity !sink)
+
 (* Property-based *)
 
 let prop_int_in_range =
@@ -176,6 +355,11 @@ let () =
           Alcotest.test_case "sample w/o replacement" `Quick
             test_sample_without_replacement;
           Alcotest.test_case "nonempty subset" `Quick test_nonempty_subset;
+          Alcotest.test_case "pinned streams" `Quick test_pinned_streams;
+          Alcotest.test_case "int rejection redraws" `Quick
+            test_int_rejection_redraws;
+          Alcotest.test_case "int allocates nothing" `Quick
+            test_int_allocates_nothing;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -9,6 +9,17 @@ let contains haystack needle =
   in
   nn = 0 || scan 0
 
+(* Minor-heap words [f ()] allocates, less what an empty measurement
+   reads. *)
+let minor_words f =
+  let measure g =
+    let w0 = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. w0
+  in
+  let base = measure ignore in
+  measure f -. base
+
 (* Build a synthetic SSMFP configuration on [g] from per-processor edits. *)
 let config g edits =
   let states = Array.init (Topology.Graph.n g) (fun p -> Ssmfp.State.clean g p) in
