@@ -436,28 +436,38 @@ let run_cmd =
 (* ---------------- tables command ---------------- *)
 
 let tables_cmd =
-  let ids =
-    Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"e1..e11 (default all)")
+  let suite = Experiments.Tables.suite () in
+  (* An experiment's id is its display name's first word, lowercased. *)
+  let id_of (name, _) =
+    String.lowercase_ascii (List.hd (String.split_on_char ' ' name))
   in
-  let run ids =
-    let wanted = List.map String.lowercase_ascii ids in
+  let known = String.concat ", " (List.map id_of suite) in
+  (* An unknown id is a usage error naming it, before anything runs. *)
+  let parse s =
+    let id = String.lowercase_ascii s in
+    if List.exists (fun e -> id_of e = id) suite then Ok id
+    else Error (`Msg (Printf.sprintf "unknown experiment id %S, expected one of %s" s known))
+  in
+  let ids =
+    Arg.(
+      value & pos_all (conv (parse, Format.pp_print_string)) []
+      & info [] ~docv:"ID" ~doc:("Experiments to run, among " ^ known ^ " (default all)."))
+  in
+  (* Only the requested experiments are forced. *)
+  let run wanted =
     let code = ref 0 in
     List.iter
-      (fun (name, (o : Experiments.Tables.outcome)) ->
-        let id =
-          String.lowercase_ascii (List.hd (String.split_on_char ' ' name))
-        in
-        if wanted = [] || List.mem id wanted then begin
+      (fun ((name, experiment) as e) ->
+        if wanted = [] || List.mem (id_of e) wanted then begin
+          let o : Experiments.Tables.outcome = experiment () in
           Harness.Report.section name;
-          Harness.Report.print o.Experiments.Tables.table;
-          if not o.Experiments.Tables.ok then begin
+          Harness.Report.print o.table;
+          if not o.ok then begin
             code := 1;
-            List.iter
-              (fun s -> Harness.Report.note ("VIOLATED: " ^ s))
-              o.Experiments.Tables.notes
+            List.iter (fun s -> Harness.Report.note ("VIOLATED: " ^ s)) o.notes
           end
         end)
-      (Experiments.Tables.all ());
+      suite;
     !code
   in
   Cmd.v

@@ -313,15 +313,13 @@ let apply_action g ~variant ~tie ~delta net p { rule; dest = d } =
 let protocol_of g ~variant ~tie enabled =
   let delta = Topology.Graph.max_degree g in
   {
-    Sim.Engine.proto_name = "ssmfp";
     (* Every guard (R1–R6, choice, color picking and the routing layer's
        enabled_dests/target) reads only p's own state and its neighbors' —
        unreadable dereferences are already treated as "no message" (see
        DESIGN.md §5) — so the composed SSMFP∘routing protocol satisfies
-       the Neighborhood contract and the engine's dirty-set evaluation
-       applies. *)
-    locality = Sim.Engine.Neighborhood;
-    enabled;
+       the engine's closed-neighborhood contract and its dirty-set
+       evaluation applies. *)
+    Sim.Engine.enabled;
     apply = (fun net p a -> apply_action g ~variant ~tie ~delta net p a);
     rules = Array.copy rule_names;
     rule_of = (fun a -> rule_number a.rule);

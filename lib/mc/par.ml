@@ -60,7 +60,7 @@ type report = {
 (* How a configuration was derived: roots get a full enabled sweep at
    processing time; derived configurations carry their parent's enabled
    table plus the pids the transition wrote, so only the dirty set is
-   re-evaluated when the protocol declares Neighborhood locality. *)
+   re-evaluated. *)
 type 'a origin = Root | Derived of 'a list array * int list
 
 type ('s, 'a, 'm) entry = {
@@ -100,8 +100,7 @@ type ('s, 'a, 'e, 'm) ctx = {
 let enabled_table ctx net origin =
   let proto = ctx.model.protocol in
   match origin with
-  | Derived (parent_tbl, written)
-    when proto.Sim.Engine.locality = Sim.Engine.Neighborhood ->
+  | Derived (parent_tbl, written) ->
       let tbl = Array.copy parent_tbl in
       let touched = ref [] in
       let touch q =
@@ -118,8 +117,7 @@ let enabled_table ctx net origin =
         written;
       List.iter (fun q -> ctx.seen.(q) <- false) !touched;
       tbl
-  | Derived _ | Root ->
-      Array.init ctx.n (fun p -> proto.Sim.Engine.enabled net p)
+  | Root -> Array.init ctx.n (fun p -> proto.Sim.Engine.enabled net p)
 
 (* Generate every successor of [entry] in the canonical order (external
    transitions in the model's order, then protocol transitions in

@@ -40,8 +40,7 @@
       fullest victim when its own deque runs dry; termination is an
       atomic count of enqueued-but-unexpanded entries;
     - guards are re-evaluated only over the dirty set (written pids plus
-      neighbours) when the protocol declares {!Sim.Engine.Neighborhood}
-      locality; {!Sim.Engine.Global} protocols get a full sweep;
+      neighbours), by the engine's closed-neighborhood contract;
     - the frontier runs to {e exhaustion}: a fresh pair the model prunes
       is inserted and recorded as a violation but not expanded, and
       nothing else stops the search early, so [explored], [transitions]

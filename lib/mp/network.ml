@@ -82,8 +82,7 @@ type ('s, 'm) t = {
   (* Channel scheduler: one uniform [int] draw bounded by the nonempty
      count selects a nonempty channel in canonical order through the
      rank/select bitset (O(1) flag transitions, a count-guided scan to
-     select) — the same draw, distribution and stream as the pre-ring
-     network. *)
+     select); test_mp_runtime's "differential" pins hold this stream. *)
   nonempty : Bitset.t;
   mutable flight : int; (* total items in rings, maintained *)
   handler : ('s, 'm) handler;
@@ -102,6 +101,7 @@ type ('s, 'm) t = {
      instead of the old O(n) down-counter scan. *)
   down_until : int array;
   crash_wheel : Wheel.t;
+  due : int array; (* reused buffer: the recoveries one step makes, by pid *)
   (* User timers (the window layer's RTO/refresh), keyed per process:
      id = self * timer_keys + key. *)
   mutable timer_keys : int;
@@ -187,7 +187,7 @@ let create ?(loss = 0.) ?(duplication = 0.) ?(reorder = 0.)
     ?(prof = Obs.Prof.disabled) ?synchrony ?on_recover ~init ~handler graph =
   let n = Topology.Graph.n graph in
   (* Materialize every directed channel up front, in canonical sorted
-     order — the same order the pre-ring scheduler drew from. *)
+     order: the order the channel draw ranks them in. *)
   let chan_keys =
     List.concat_map (fun (u, v) -> [ (u, v); (v, u) ]) (Topology.Graph.edges graph)
     |> List.sort_uniq compare |> Array.of_list
@@ -224,6 +224,7 @@ let create ?(loss = 0.) ?(duplication = 0.) ?(reorder = 0.)
     on_recover;
     down_until = Array.make n 0;
     crash_wheel = Wheel.create ~ids:n;
+    due = Array.make n 0;
     timer_keys = 0;
     timer_wheel = None;
     timer_handler = None;
@@ -541,30 +542,48 @@ let deliver_from t rng ci =
         post t rng ~from:into sends
       end
 
+(* Gather the crash recoveries due by [t.now] into [t.due], sorted by
+   pid (insertion: a step rarely recovers two); returns how many. *)
+let rec gather_due t k =
+  let p = Wheel.next_due t.crash_wheel in
+  if p < 0 then k
+  else begin
+    let i = ref k in
+    while !i > 0 && t.due.(!i - 1) > p do
+      t.due.(!i) <- t.due.(!i - 1);
+      decr i
+    done;
+    t.due.(!i) <- p;
+    gather_due t (k + 1)
+  end
+
+let rec fire_due t rng w =
+  let id = Wheel.next_due w in
+  if id >= 0 then begin
+    fire_timer t rng id;
+    fire_due t rng w
+  end
+
 (* End of an acted step: advance the clock and both wheels. Crash
    recoveries fire first (in pid order, like the old down-counter scan),
    then user timers (in deadline order) — so a timer due the tick a
-   process recovers sees the recovered state. *)
+   process recovers sees the recovered state. Top-level recursions over
+   [Wheel.next_due], so a step allocates no closure and no list. *)
 let epilogue t rng =
   t.now <- t.now + 1;
-  if Wheel.pending t.crash_wheel > 0 then begin
-    let due = ref [] in
-    Wheel.advance t.crash_wheel ~upto:t.now (fun p -> due := p :: !due);
-    match !due with
-    | [] -> ()
-    | ps ->
-        List.iter
-          (fun p ->
-            if t.down_until.(p) <= t.now then
-              match t.on_recover with
-              | None -> ()
-              | Some f -> t.states.(p) <- f ~self:p t.states.(p))
-          (List.sort compare ps)
-  end
-  else Wheel.advance t.crash_wheel ~upto:t.now (fun _ -> ());
+  Wheel.advance t.crash_wheel ~upto:t.now;
+  for i = 0 to gather_due t 0 - 1 do
+    let p = t.due.(i) in
+    if t.down_until.(p) <= t.now then
+      match t.on_recover with
+      | None -> ()
+      | Some f -> t.states.(p) <- f ~self:p t.states.(p)
+  done;
   match t.timer_wheel with
   | None -> ()
-  | Some w -> Wheel.advance w ~upto:t.now (fun id -> fire_timer t rng id)
+  | Some w ->
+      Wheel.advance w ~upto:t.now;
+      fire_due t rng w
 
 (* All channels empty: with wheel timers pending the clock jumps to the
    next deadline (that fire is the step); otherwise the network is

@@ -23,6 +23,12 @@ type t = {
   deadline : int array; (* per id: absolute fire tick, -1 = unarmed *)
   mutable now : int;
   mutable armed : int; (* ids with a live deadline *)
+  mutable upto : int; (* end of the current advance window *)
+  (* The drained slot's entries not yet handed out, [ready.(i)] for
+     [i < left], the oldest at [left - 1]. Grown on demand, never
+     shrunk, so a tick allocates nothing. *)
+  mutable ready : int array;
+  mutable left : int;
 }
 
 let create ~ids =
@@ -32,6 +38,9 @@ let create ~ids =
     deadline = Array.make (max ids 1) (-1);
     now = 0;
     armed = 0;
+    upto = 0;
+    ready = Array.make 16 0;
+    left = 0;
   }
 
 let now t = t.now
@@ -43,13 +52,12 @@ let deadline t id = t.deadline.(id)
    tick*: level l spans [64^l, 64^(l+1)) ticks ahead, slot = the
    deadline's l-th 6-bit digit. Deadlines beyond the horizon alias into
    the top level and re-bucket on surfacing. *)
+let rec level_of delta l span =
+  if l = levels - 1 || delta < span * slots then l
+  else level_of delta (l + 1) (span * slots)
+
 let insert t id at =
-  let delta = at - t.now in
-  let rec level l span =
-    if l = levels - 1 || delta < span * slots then l
-    else level (l + 1) (span * slots)
-  in
-  let l = level 0 1 in
+  let l = level_of (at - t.now) 0 1 in
   let slot = (at lsr (bits * l)) land (slots - 1) in
   t.wheel.(l).(slot) <- id :: t.wheel.(l).(slot)
 
@@ -75,45 +83,59 @@ let next t =
     if !best = max_int then None else Some !best
   end
 
-(* One tick: cascade any level whose digit rolled over, then drain the
-   level-0 slot. Entries are processed oldest-first (slots are built as
-   LIFO lists, reversed on drain) so firing order within a tick is the
-   arming order — deterministic. *)
-let tick t fire =
-  t.now <- t.now + 1;
-  let rec cascade l =
-    if l < levels && t.now land ((1 lsl (bits * l)) - 1) = 0 then begin
-      let slot = (t.now lsr (bits * l)) land (slots - 1) in
-      let entries = List.rev t.wheel.(l).(slot) in
-      t.wheel.(l).(slot) <- [];
-      List.iter
-        (fun id ->
-          let d = t.deadline.(id) in
-          if d >= t.now then insert t id d)
-        entries;
-      cascade (l + 1)
-    end
-  in
-  cascade 1;
-  let slot = t.now land (slots - 1) in
-  let entries = List.rev t.wheel.(0).(slot) in
-  t.wheel.(0).(slot) <- [];
-  List.iter
-    (fun id ->
-      let d = t.deadline.(id) in
-      if d = t.now then begin
-        t.deadline.(id) <- -1;
-        t.armed <- t.armed - 1;
-        fire id
-      end
-      else if d > t.now then insert t id d)
-    entries
+(* Move slot [l].[slot] into [ready] in its list order, newest entry
+   first (slots are built as LIFO lists), and return its length. *)
+let rec fill ready i = function
+  | [] -> i
+  | id :: older ->
+      ready.(i) <- id;
+      fill ready (i + 1) older
 
-let advance t ~upto fire =
+let take t l slot =
+  let entries = t.wheel.(l).(slot) in
+  let k = List.length entries in
+  if k > Array.length t.ready then t.ready <- Array.make (2 * k) 0;
+  t.wheel.(l).(slot) <- [];
+  fill t.ready 0 entries
+
+(* One tick: cascade any level whose digit rolled over (re-bucketing its
+   live entries, oldest first), then load the level-0 slot into [ready]
+   for [next_due] to drain, oldest first (the order wheel.mli states). *)
+let tick t =
+  t.now <- t.now + 1;
+  let l = ref 1 in
+  while !l < levels && t.now land ((1 lsl (bits * !l)) - 1) = 0 do
+    for i = take t !l ((t.now lsr (bits * !l)) land (slots - 1)) - 1 downto 0 do
+      let d = t.deadline.(t.ready.(i)) in
+      if d >= t.now then insert t t.ready.(i) d
+    done;
+    incr l
+  done;
+  t.left <- take t 0 (t.now land (slots - 1))
+
+let advance t ~upto =
   (* With nothing armed the clock can jump: stale slot entries are
      harmless (their deadlines are behind [now] and drop on surfacing). *)
-  if t.armed = 0 then t.now <- max t.now upto
-  else
-    while t.now < upto do
-      tick t fire
-    done
+  if t.armed = 0 then t.now <- max t.now upto;
+  t.upto <- upto
+
+let rec next_due t =
+  if t.left > 0 then begin
+    t.left <- t.left - 1;
+    let id = t.ready.(t.left) in
+    let d = t.deadline.(id) in
+    if d = t.now then begin
+      t.deadline.(id) <- -1;
+      t.armed <- t.armed - 1;
+      id
+    end
+    else begin
+      if d > t.now then insert t id d;
+      next_due t
+    end
+  end
+  else if t.now < t.upto then begin
+    tick t;
+    next_due t
+  end
+  else -1

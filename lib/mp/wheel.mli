@@ -31,8 +31,16 @@ val pending : t -> int
 val next : t -> int option
 (** Earliest pending deadline — O(ids), for idle jumps only. *)
 
-val advance : t -> upto:int -> (int -> unit) -> unit
-(** [advance t ~upto fire] moves the clock to [upto], calling [fire id]
-    for every timer due in [(now, upto]], in deadline order (arming
-    order within a tick). Timers armed by [fire] for later ticks within
-    the window fire in the same sweep. *)
+val advance : t -> upto:int -> unit
+(** [advance t ~upto] opens the window [(now, upto]]: the clock then
+    moves toward [upto] as {!next_due} drains it. Drain every window
+    (call {!next_due} until it returns [-1]) before opening the next. *)
+
+val next_due : t -> int
+(** The next timer due in the window, disarmed, with the clock at its
+    tick — in deadline order, and within a tick in a deterministic order
+    that is the arming order unless a re-armed timer's stale entry
+    reached the tick's slot first — or [-1] once the clock has reached
+    the window's end. Timers armed between calls
+    for later ticks within the window come out in the same sweep. No
+    closure, no allocation: a tick costs the slot reads. *)

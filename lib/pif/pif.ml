@@ -61,11 +61,9 @@ let protocol t =
     | Complete -> ({ s with phase = C }, [ Completed ])
   in
   {
-    Sim.Engine.proto_name = "pif";
     (* Guards read only the parent's and children's phases — tree edges
        are graph edges, so the closed-neighborhood contract holds. *)
-    locality = Sim.Engine.Neighborhood;
-    enabled;
+    Sim.Engine.enabled;
     apply;
     rules = [| "start"; "forward"; "feedback"; "clean"; "complete" |];
     rule_of =

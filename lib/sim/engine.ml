@@ -1,10 +1,6 @@
-type locality = Neighborhood | Global
-
 type 's net = { graph : Topology.Graph.t; states : 's array }
 
 type ('s, 'a, 'e) protocol = {
-  proto_name : string;
-  locality : locality;
   enabled : 's net -> int -> 'a list;
   apply : 's net -> int -> 'a -> 's * 'e list;
   rules : string array;
@@ -49,10 +45,10 @@ type ('s, 'a, 'e) t = {
   mutable round_open : bool;
   (* Incremental mode: [cand_tbl.(p)] is [p]'s enabled-action list in the
      current configuration. It is kept current eagerly: every state write
-     re-evaluates exactly the dirty set — the written processors plus, for
-     [Neighborhood] protocols, their neighbors — and leaves every other
-     entry untouched (a guard reads only its closed neighborhood, so
-     nothing else can have changed). Unused in Full_sweep mode. *)
+     re-evaluates exactly the dirty set — the written processors plus
+     their neighbors — and leaves every other entry untouched (a guard
+     reads only its closed neighborhood, so nothing else can have
+     changed). Unused in Full_sweep mode. *)
   cand_tbl : 'a list array;
   (* Scratch for dirty-set deduplication; all-false between refreshes. *)
   dirty_mark : bool array;
@@ -160,10 +156,9 @@ let refresh_full t =
 
 (* Incremental path: [written] lists the processors whose states changed.
    The locality contract says a write at [p] can only flip guards inside
-   N[p], so only that dirty set is re-evaluated; a [Global] protocol
-   dirties everyone. Neutralization stays honest because the invariant
-   "pending ⊆ enabled" is re-established for exactly the processors whose
-   guards may have changed. *)
+   N[p], so only that dirty set is re-evaluated. Neutralization stays
+   honest because the invariant "pending ⊆ enabled" is re-established for
+   exactly the processors whose guards may have changed. *)
 let refresh_incremental t written =
   let g = t.network.graph in
   let touched = ref [] in
@@ -176,17 +171,11 @@ let refresh_incremental t written =
       if actions = [] then clear_pending t q
     end
   in
-  (match t.protocol.locality with
-  | Global ->
-      for q = 0 to Topology.Graph.n g - 1 do
-        touch q
-      done
-  | Neighborhood ->
-      List.iter
-        (fun p ->
-          touch p;
-          List.iter touch (Topology.Graph.neighbors g p))
-        written);
+  List.iter
+    (fun p ->
+      touch p;
+      List.iter touch (Topology.Graph.neighbors g p))
+    written;
   List.iter (fun q -> t.dirty_mark.(q) <- false) !touched;
   invalidate_cands t;
   maybe_complete_round t

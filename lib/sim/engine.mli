@@ -20,16 +20,6 @@
     and exists for differential testing; both modes produce byte-identical
     traces, stats and rounds (pinned by [test/test_incremental.ml]). *)
 
-type locality =
-  | Neighborhood
-      (** The §2.1 contract: [enabled net p] depends only on the states of
-          [p] and its graph neighbors. This is what lets the engine
-          restrict re-evaluation to the dirty set. *)
-  | Global
-      (** Escape hatch for guards that read beyond the closed neighborhood:
-          every write dirties every processor (incremental mode then
-          degenerates to a full sweep, but stays correct). *)
-
 type 's net = private {
   graph : Topology.Graph.t;
   states : 's array;  (** [states.(p)] is the local state of processor [p]. *)
@@ -37,14 +27,13 @@ type 's net = private {
 (** A configuration. Read-only views of it are passed to guards. *)
 
 type ('s, 'a, 'e) protocol = {
-  proto_name : string;
-  locality : locality;
-      (** How far a guard can read; declare {!Global} unless every guard
-          provably reads only the closed neighborhood. *)
   enabled : 's net -> int -> 'a list;
       (** [enabled net p] lists the actions of [p] whose guards hold in
           [net], ordered by decreasing priority. The head is what a
-          priority-respecting daemon executes. *)
+          priority-respecting daemon executes. It must depend only on the
+          states of [p] and its graph neighbors (the §2.1 contract): that
+          is what lets the engine restrict re-evaluation to the dirty
+          set. *)
   apply : 's net -> int -> 'a -> 's * 'e list;
       (** [apply net p a] returns [p]'s next state and the observable
           events the action emits. It must not mutate [net]. *)
@@ -101,8 +90,8 @@ type mode =
           write. Kept for differential testing and benchmarking. *)
   | Incremental
       (** Default: a persistent per-processor candidate table, refreshed
-          only over the dirty set of each write (sized by the protocol's
-          {!locality}). Observable behavior is identical to
+          only over the dirty set of each write (the written processors
+          and their neighbors). Observable behavior is identical to
           {!Full_sweep}. *)
 
 val synthetic : graph:Topology.Graph.t -> states:'s array -> 's net

@@ -6,9 +6,7 @@
    maximum of its neighborhood. Terminal iff all values are equal. *)
 let max_protocol g =
   {
-    Sim.Engine.proto_name = "max";
-    locality = Sim.Engine.Neighborhood;
-    enabled =
+    Sim.Engine.enabled =
       (fun net p ->
         let mine = net.Sim.Engine.states.(p) in
         let bigger =
@@ -34,9 +32,7 @@ let max_protocol g =
    read the pre-step configuration (composite atomicity). *)
 let swap_protocol g =
   {
-    Sim.Engine.proto_name = "swap";
-    locality = Sim.Engine.Neighborhood;
-    enabled = (fun _net _p -> [ `Swap ]);
+    Sim.Engine.enabled = (fun _net _p -> [ `Swap ]);
     apply =
       (fun net p `Swap ->
         match Topology.Graph.neighbors g p with
@@ -289,9 +285,7 @@ type boxed_action = Set of int
 
 let boxed_protocol g =
   {
-    Sim.Engine.proto_name = "boxed";
-    locality = Sim.Engine.Neighborhood;
-    enabled =
+    Sim.Engine.enabled =
       (fun net p ->
         let mine = net.Sim.Engine.states.(p) in
         let best =

@@ -120,46 +120,6 @@ let test_grid () =
     graphs;
   Alcotest.(check bool) "at least 100 scenarios" true (!count >= 100)
 
-(* A protocol that reads beyond the closed neighborhood must declare
-   Global locality; the incremental engine then dirties every processor
-   on every write and stays equivalent to the reference. *)
-type gaction = Adopt of int
-
-let global_max_protocol =
-  {
-    Sim.Engine.proto_name = "global-max";
-    locality = Sim.Engine.Global;
-    enabled =
-      (fun net p ->
-        let m = Array.fold_left max min_int net.Sim.Engine.states in
-        if net.Sim.Engine.states.(p) < m then [ Adopt m ] else []);
-    apply = (fun _ _ (Adopt m) -> (m, [ m ]));
-    rules = [| "adopt" |];
-    rule_of = (fun (Adopt _) -> 0);
-  }
-
-let test_global_locality () =
-  let g = Topology.Builders.ring 9 in
-  let mk mode =
-    Sim.Engine.make ~mode ~graph:g ~protocol:global_max_protocol (fun p ->
-        (p * 17) mod 9)
-  in
-  let a = mk Sim.Engine.Full_sweep and b = mk Sim.Engine.Incremental in
-  let da = Sim.Daemon.central_random (Prng.Splitmix.of_int 3) in
-  let db = Sim.Daemon.central_random (Prng.Splitmix.of_int 3) in
-  let rec loop i =
-    match (Sim.Engine.step a da, Sim.Engine.step b db) with
-    | None, None -> ()
-    | Some ea, Some eb ->
-        if ea <> eb then Alcotest.failf "global: step %d events differ" i;
-        loop (i + 1)
-    | _ -> Alcotest.failf "global: step %d termination differs" i
-  in
-  loop 0;
-  Alcotest.(check bool) "stats equal" true (Sim.Engine.stats a = Sim.Engine.stats b);
-  Alcotest.(check (array int)) "terminal configs equal"
-    (Sim.Engine.net a).Sim.Engine.states (Sim.Engine.net b).Sim.Engine.states
-
 (* set_state storms: external writes between steps must keep the
    candidate table coherent (the runner's request-raising pattern plus
    arbitrary corruption mid-run). *)
@@ -206,15 +166,13 @@ let test_set_state_storm () =
 
 let test_default_mode () =
   let g = Topology.Builders.ring 4 in
-  let t =
-    Sim.Engine.make ~graph:g ~protocol:global_max_protocol (fun p -> p)
-  in
+  let protocol = Ssmfp.Protocol.make g in
+  let workload = Array.make 4 [] in
+  let init = Harness.Fault.initial_states Harness.Fault.pristine g ~workload in
+  let t = Sim.Engine.make ~graph:g ~protocol init in
   Alcotest.(check bool) "default is incremental" true
     (Sim.Engine.mode t = Sim.Engine.Incremental);
-  let t' =
-    Sim.Engine.make ~mode:Sim.Engine.Full_sweep ~graph:g
-      ~protocol:global_max_protocol (fun p -> p)
-  in
+  let t' = Sim.Engine.make ~mode:Sim.Engine.Full_sweep ~graph:g ~protocol init in
   Alcotest.(check bool) "full-sweep kept" true
     (Sim.Engine.mode t' = Sim.Engine.Full_sweep)
 
@@ -512,8 +470,6 @@ let () =
         [
           Alcotest.test_case "120-scenario grid: full vs incremental" `Quick
             test_grid;
-          Alcotest.test_case "global locality fallback" `Quick
-            test_global_locality;
           Alcotest.test_case "set_state storm" `Quick test_set_state_storm;
           Alcotest.test_case "mode accessor & default" `Quick test_default_mode;
         ] );

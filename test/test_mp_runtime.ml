@@ -2,11 +2,12 @@
    bitset channel scheduler, the per-channel ring buffers, the
    hierarchical timer wheel, the sliding-window retransmission layer and
    its partial-synchrony timing model — plus the three contracts that
-   hold the runtime together: (a) [Mp.Network] is byte-identical to the
-   frozen [Mp.Network_legacy] for the same seed, (b) the synchronizer
-   port replays pinned sliding-window trajectories exactly (golden
-   pins), and (c) its pulses are the synchronous state model's rounds,
-   event for event (lockstep differential). *)
+   hold the runtime together: (a) the bare [Mp.Network] replays, for the
+   same seeds, the trajectories the pre-ring network loop recorded
+   (pinned, group "differential"), (b) the synchronizer port replays
+   pinned sliding-window trajectories exactly (golden pins), and (c) its
+   pulses are the synchronous state model's rounds, event for event
+   (lockstep differential). *)
 
 (* ---------------- channel scheduler ---------------- *)
 
@@ -295,12 +296,24 @@ let prop_ring_matches_list_model =
 
 (* ---------------- timer wheel ---------------- *)
 
+(* Open the window up to [upto] and call [fire] on each due timer. *)
+let advance w ~upto fire =
+  Mp.Wheel.advance w ~upto;
+  let rec drain () =
+    let id = Mp.Wheel.next_due w in
+    if id >= 0 then begin
+      fire id;
+      drain ()
+    end
+  in
+  drain ()
+
 let fire_log w upto =
   (* advance tick-by-tick so each firing is tagged with its exact tick *)
   let log = ref [] in
   while Mp.Wheel.now w < upto do
     let t = Mp.Wheel.now w + 1 in
-    Mp.Wheel.advance w ~upto:t (fun id -> log := (id, t) :: !log)
+    advance w ~upto:t (fun id -> log := (id, t) :: !log)
   done;
   List.rev !log
 
@@ -345,7 +358,7 @@ let test_wheel_idle_jump () =
   Alcotest.(check (option int)) "next finds far deadline" (Some 70_000)
     (Mp.Wheel.next w);
   let fired = ref [] in
-  Mp.Wheel.advance w ~upto:70_000 (fun id ->
+  advance w ~upto:70_000 (fun id ->
       fired := (id, Mp.Wheel.now w) :: !fired);
   Alcotest.(check bool) "fired on the jump" true (List.mem_assoc 0 !fired);
   Alcotest.(check int) "clock landed" 70_000 (Mp.Wheel.now w);
@@ -357,7 +370,7 @@ let test_wheel_rearm_from_fire () =
   let w = Mp.Wheel.create ~ids:1 in
   Mp.Wheel.arm w 0 ~at:5;
   let fires = ref [] in
-  Mp.Wheel.advance w ~upto:20 (fun id ->
+  advance w ~upto:20 (fun id ->
       fires := id :: !fires;
       if List.length !fires = 1 then Mp.Wheel.arm w 0 ~at:12);
   Alcotest.(check int) "fired twice in one sweep" 2 (List.length !fires)
@@ -602,85 +615,73 @@ let test_synchrony_bounded_age () =
         true (c > 0))
     counts
 
-(* ---------------- Network vs Network_legacy differential ----------- *)
+(* ---------------- pinned network trajectories ---------------- *)
 
-(* Drive the rework and the frozen pre-ring loop in lockstep from the
-   same seed and compare every observable: the refactor's contract is
-   that the PRNG draw sequence — and hence the whole trajectory — is
-   byte-identical. *)
-let differential ?(loss = 0.) ?(duplication = 0.) ?(reorder = 0.)
-    ?(crash = None) ~seed ~budget label =
+(* A TTL token relay on ring:6, one fault axis per case, from a fixed
+   seed. The expected observables were recorded from the pre-ring
+   network loop, which the ring-buffer [Mp.Network] replayed in
+   lockstep, draw for draw, until the old loop was retired: the loop was
+   frozen and the seeds are fixed, so its outputs are constants. A
+   change to the channel draw, to the order or guard of a loss,
+   duplication or reorder draw, or to crash evaporation moves them.
+   Every case drains: it ends idle, with every channel empty.
+   [states] are the tokens each process received. *)
+let differential ?(loss = 0.) ?(duplication = 0.) ?(reorder = 0.) ?crash
+    ~seed ~budget ~deliveries ?(dropped = 0) ?(duplicated = 0)
+    ?(reordered = 0) ?(dropped_while_down = 0) label states =
   let g = Topology.Builders.ring 6 in
   let n = Topology.Graph.n g in
   let handler ~self ~from:_ count ttl =
     (count + 1, if ttl > 0 then [ ((self + 1) mod n, ttl - 1) ] else [])
   in
-  let new_net =
+  let net =
     Mp.Network.create ~loss ~duplication ~reorder ~init:(fun _ -> 0) ~handler g
   in
-  let old_net =
-    Mp.Network_legacy.create ~loss ~duplication ~reorder
-      ~init:(fun _ -> 0)
-      ~handler g
-  in
   for p = 0 to n - 1 do
-    Mp.Network.inject new_net ~from:p ~into:((p + 1) mod n) (20 + p);
-    Mp.Network_legacy.inject old_net ~from:p ~into:((p + 1) mod n) (20 + p)
+    Mp.Network.inject net ~from:p ~into:((p + 1) mod n) (20 + p)
   done;
-  (match crash with
-  | Some (p, down_for) ->
-      Mp.Network.crash new_net p ~down_for;
-      Mp.Network_legacy.crash old_net p ~down_for
-  | None -> ());
-  let r1 = Mp.Network.run ~max_deliveries:budget new_net (Prng.Splitmix.of_int seed) in
-  let r2 =
-    Mp.Network_legacy.run ~max_deliveries:budget old_net
-      (Prng.Splitmix.of_int seed)
+  Option.iter (fun (p, down_for) -> Mp.Network.crash net p ~down_for) crash;
+  let outcome =
+    Mp.Network.run ~max_deliveries:budget net (Prng.Splitmix.of_int seed)
   in
   let chk name = Alcotest.(check int) (label ^ ": " ^ name) in
-  Alcotest.(check bool) (label ^ ": same outcome") true (r1 = r2);
-  chk "deliveries"
-    (Mp.Network_legacy.deliveries old_net)
-    (Mp.Network.deliveries new_net);
-  chk "dropped" (Mp.Network_legacy.dropped old_net) (Mp.Network.dropped new_net);
-  chk "duplicated"
-    (Mp.Network_legacy.duplicated old_net)
-    (Mp.Network.duplicated new_net);
-  chk "reordered"
-    (Mp.Network_legacy.reordered old_net)
-    (Mp.Network.reordered new_net);
-  chk "dropped while down"
-    (Mp.Network_legacy.dropped_while_down old_net)
-    (Mp.Network.dropped_while_down new_net);
-  chk "in flight"
-    (Mp.Network_legacy.in_flight old_net)
-    (Mp.Network.in_flight new_net);
+  Alcotest.(check bool) (label ^ ": idle") true (outcome = `Idle);
+  chk "deliveries" deliveries (Mp.Network.deliveries net);
+  chk "dropped" dropped (Mp.Network.dropped net);
+  chk "duplicated" duplicated (Mp.Network.duplicated net);
+  chk "reordered" reordered (Mp.Network.reordered net);
+  chk "dropped while down" dropped_while_down
+    (Mp.Network.dropped_while_down net);
+  chk "in flight" 0 (Mp.Network.in_flight net);
+  Alcotest.(check (list int)) (label ^ ": states") states
+    (List.init n (Mp.Network.state net));
   for p = 0 to n - 1 do
-    chk
-      (Printf.sprintf "state %d" p)
-      (Mp.Network_legacy.state old_net p)
-      (Mp.Network.state new_net p);
     Alcotest.(check (list int))
       (Printf.sprintf "%s: channel %d->%d" label p ((p + 1) mod n))
-      (Mp.Network_legacy.channel_contents old_net ~from:p ~into:((p + 1) mod n))
-      (Mp.Network.channel_contents new_net ~from:p ~into:((p + 1) mod n))
+      []
+      (Mp.Network.channel_contents net ~from:p ~into:((p + 1) mod n))
   done
 
 let test_differential_reliable () =
-  differential ~seed:101 ~budget:5000 "reliable"
+  differential ~seed:101 ~budget:5000 ~deliveries:141 "reliable"
+    [ 23; 24; 23; 24; 23; 24 ]
 
 let test_differential_lossy () =
-  differential ~loss:0.2 ~seed:102 ~budget:5000 "lossy"
+  differential ~loss:0.2 ~seed:102 ~budget:5000 ~deliveries:24 ~dropped:6
+    "lossy" [ 4; 3; 3; 4; 5; 5 ]
 
 let test_differential_duplicating () =
-  differential ~duplication:0.25 ~seed:103 ~budget:5000 "duplicating"
+  differential ~duplication:0.25 ~seed:103 ~budget:5000 ~deliveries:3631
+    ~duplicated:740 "duplicating" [ 565; 710; 480; 608; 561; 707 ]
 
 let test_differential_reordering () =
-  differential ~reorder:0.3 ~seed:104 ~budget:5000 "reordering"
+  differential ~reorder:0.3 ~seed:104 ~budget:5000 ~deliveries:141
+    ~reordered:16 "reordering" [ 23; 24; 23; 24; 23; 24 ]
 
 let test_differential_flaky_crash () =
-  differential ~loss:0.3 ~duplication:0.1 ~reorder:0.2 ~crash:(Some (2, 40))
-    ~seed:105 ~budget:2000 "flaky+crash"
+  differential ~loss:0.3 ~duplication:0.1 ~reorder:0.2 ~crash:(2, 40)
+    ~seed:105 ~budget:2000 ~deliveries:9 ~dropped:3 ~dropped_while_down:3
+    "flaky+crash" [ 2; 2; 0; 1; 2; 2 ]
 
 (* ---------------- golden trajectory pins ---------------- *)
 

@@ -2,9 +2,7 @@
 
 let max_protocol g =
   {
-    Sim.Engine.proto_name = "max";
-    locality = Sim.Engine.Neighborhood;
-    enabled =
+    Sim.Engine.enabled =
       (fun net p ->
         let mine = net.Sim.Engine.states.(p) in
         if
