@@ -149,28 +149,16 @@ let export_artifacts dir =
     (Topology.Dot.of_graph ~labels:Topology.Dot.default_letter
        Topology.Builders.paper_figure2)
 
-(* Hand-rolled scenarios for the chart sweeps (the axes are not a
-   cartesian grid, so Campaign.Spec.expand does not apply). *)
+(* The chart sweeps pair each topology with its own seed, so each point
+   is a one-point grid. *)
 let chart_scenario ~index ~spelling ~corruption ~workload ~seed =
-  let open Campaign.Spec in
-  let topology = topology_exn spelling in
-  let daemon = Harness.Runner.Synchronous in
   {
-    index;
-    id =
-      Printf.sprintf "%s/%s/%s/%s/state/none/s%d" topology.t_name
-        (corruption_to_string corruption)
-        (Harness.Runner.daemon_kind_to_string daemon)
-        (workload_to_string workload) seed;
-    topology;
-    corruption;
-    daemon;
-    workload;
-    model = State_model;
-    chaos = Chaos.Schedule.none;
-    snapshot = 0;
-    seed;
-    max_steps = 500_000;
+    (Campaign.Spec.point ~model:Campaign.Spec.State_model
+       ~chaos:Chaos.Schedule.none ~seed ~max_steps:500_000
+       (Campaign.Spec.topology_exn spelling)
+       corruption workload)
+    with
+    Campaign.Spec.index;
   }
 
 let chart_value (o : Campaign.Pool.outcome) f =

@@ -11,6 +11,9 @@
 
 open Cmdliner
 
+module Spec = Campaign.Spec
+module Pool = Campaign.Pool
+
 (* ---------------- converters ---------------- *)
 
 (* Counts, sizes and tolerances: a malformed value is a usage error
@@ -36,40 +39,19 @@ let non_negative_float =
     ~what:"a non-negative number"
 
 (* One grammar for every command: the campaign grid DSL owns it. *)
-let topology_conv =
+let conv_of parse print =
   Arg.conv
-    ( (fun s ->
-        match Campaign.Spec.topology_of_string s with
-        | Ok t -> Ok (t.Campaign.Spec.t_name, t.Campaign.Spec.graph)
-        | Error e -> Error (`Msg e)),
-      fun fmt (name, _) -> Format.pp_print_string fmt name )
+    ( (fun s -> Result.map_error (fun e -> `Msg e) (parse s)),
+      fun fmt v -> Format.pp_print_string fmt (print v) )
 
-let corruption_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "pristine" | "none" -> Ok ("pristine", Harness.Fault.pristine)
-    | "random" -> Ok ("random", Harness.Fault.random_spec (Prng.Splitmix.of_int 3))
-    | "adversarial" | "worst" -> Ok ("adversarial", Harness.Fault.adversarial)
-    | _ -> Error (`Msg "corruption must be pristine, random or adversarial")
-  in
-  Arg.conv (parse, fun fmt (name, _) -> Format.pp_print_string fmt name)
+let topology_conv = conv_of Spec.topology_of_string (fun t -> t.Spec.t_name)
+let corruption_conv = conv_of Spec.corruption_of_string Spec.corruption_to_string
 
 let daemon_conv =
-  let parse s =
-    match Harness.Runner.daemon_kind_of_string s with
-    | Ok k -> Ok k
-    | Error e -> Error (`Msg e)
-  in
-  Arg.conv (parse, fun fmt k ->
-      Format.pp_print_string fmt (Harness.Runner.daemon_kind_to_string k))
+  conv_of Harness.Runner.daemon_kind_of_string
+    Harness.Runner.daemon_kind_to_string
 
-let schedule_conv =
-  Arg.conv
-    ( (fun s ->
-        match Chaos.Schedule.of_string s with
-        | Ok v -> Ok v
-        | Error e -> Error (`Msg e)),
-      fun fmt t -> Format.pp_print_string fmt (Chaos.Schedule.to_string t) )
+let schedule_conv = conv_of Chaos.Schedule.of_string Chaos.Schedule.to_string
 
 (* ---------------- shared flags ---------------- *)
 
@@ -79,7 +61,7 @@ let schedule_conv =
 let topology_arg =
   Arg.(
     value
-    & opt topology_conv ("ring:8", Topology.Builders.ring 8)
+    & opt topology_conv (Spec.topology_exn "ring:8")
     & info [ "t"; "topology" ] ~docv:"TOPOLOGY"
         ~doc:"Network: ring:8, path:5, star:6, grid:3x4, random:12:6, fig2, ...")
 
@@ -88,7 +70,9 @@ let corruption_arg default =
     value
     & opt corruption_conv default
     & info [ "c"; "corruption" ] ~docv:"LEVEL"
-        ~doc:"Initial configuration: pristine, random or adversarial.")
+        ~doc:
+          "Initial configuration: pristine, random or adversarial. A \
+           random configuration is drawn from the seed.")
 
 let daemon_arg default ~doc =
   Arg.(value & opt daemon_conv default & info [ "d"; "daemon" ] ~docv:"DAEMON" ~doc)
@@ -174,60 +158,59 @@ let emit_prof ~profile ~prof_summary prof =
     if prof_summary then print_string (Obs.Traceview.summary prof)
   end
 
-(* --json or --journal attach an observability sink to a state-model
-   run. The journal streams to disk as events are recorded; closing it
-   in a [finally] means an aborted run keeps a partial JSONL. *)
-let with_sink ~json_file ~journal_file run =
+(* Execute a scenario with the artifacts its flags ask for. On the state
+   model, --json or --journal attach an observability sink; the journal
+   streams to disk as events are recorded. On the mp model,
+   --cut-journal streams one snapshot_cut JSONL line per completed cut,
+   after [on_cut]. Closing both in a [finally] means an aborted run
+   keeps partial JSONL. *)
+let execute ?prof ?(on_cut = ignore) ?json_file ?journal_file ?cut_journal
+    (sc : Spec.scenario) =
   let obs =
-    if json_file <> None || journal_file <> None then
+    if
+      sc.Spec.model = Spec.State_model
+      && (json_file <> None || journal_file <> None)
+    then
       Some
         (Obs.Sink.create
            ~with_journal:(journal_file <> None)
            ?journal_path:journal_file ())
     else None
   in
-  let r =
-    Fun.protect
-      ~finally:(fun () -> Option.iter Obs.Sink.close obs)
-      (fun () -> run obs)
-  in
-  match (journal_file, Option.bind obs Obs.Sink.journal) with
-  | Some path, Some j -> (r, Some (path, j))
-  | _ -> (r, None)
-
-(* --cut-journal streams one snapshot_cut JSONL line per completed cut to
-   disk; [run] receives the recorder to call on each cut. *)
-let with_cut_journal cut_journal run =
   let cut_j =
     Option.map (fun path -> (path, Obs.Journal.create ~path ())) cut_journal
   in
-  let record =
-    Option.map
-      (fun (_, j) (c : Snapshot.Ssmfp_link.cut) ->
+  let on_cut (c : Snapshot.Ssmfp_link.cut) =
+    on_cut c;
+    Option.iter
+      (fun (_, j) ->
         Obs.Journal.record_cut j ~step:c.Snapshot.Cut.completed_at
           ~epoch:c.Snapshot.Cut.epoch ~initiator:c.Snapshot.Cut.initiator
           ~fingerprint:(Snapshot.Ssmfp_link.fingerprint_hex c))
       cut_j
   in
-  let r =
+  let run =
     Fun.protect
-      ~finally:(fun () -> Option.iter (fun (_, j) -> Obs.Journal.close j) cut_j)
-      (fun () -> run record)
+      ~finally:(fun () ->
+        Option.iter Obs.Sink.close obs;
+        Option.iter (fun (_, j) -> Obs.Journal.close j) cut_j)
+      (fun () -> Pool.execute ?obs ?prof ~on_cut sc)
   in
-  (r, cut_j)
+  let journal =
+    match (journal_file, Option.bind obs Obs.Sink.journal) with
+    | Some path, Some j -> Some (path, j)
+    | _ -> None
+  in
+  (run, journal, cut_j)
 
 let print_journal label what =
   Option.iter (fun (path, j) ->
       Printf.printf "%s: %d %s -> %s\n" label (Obs.Journal.length j) what path)
 
-(* The workload stream of run/chaos/snapshot. *)
-let workload_rng seed = Prng.Splitmix.of_int (seed + 7919)
-
-let print_topology name graph =
-  Printf.printf "topology    : %s (n=%d, Δ=%d, D=%d)\n" name
-    (Topology.Graph.n graph)
-    (Topology.Graph.max_degree graph)
-    (Topology.Metrics.diameter graph)
+let print_topology (t : Spec.topology) =
+  let n, delta, diameter = Chaos.Recovery.graph_meta t.Spec.graph in
+  Printf.printf "topology    : %s (n=%d, Δ=%d, D=%d)\n" t.Spec.t_name n delta
+    diameter
 
 let state_outcome = function
   | `Quiescent -> "quiescent"
@@ -246,16 +229,11 @@ let print_channel (ch : Mp.Ssmfp_mp.channel_stats) =
     ch.Mp.Ssmfp_mp.delivered ch.Mp.Ssmfp_mp.lost ch.Mp.Ssmfp_mp.duplicated
     ch.Mp.Ssmfp_mp.reordered ch.Mp.Ssmfp_mp.dropped_while_down
 
-(* chaos and snapshot open alike: print the run header, then hand over
-   the uniform workload. *)
-let with_chaos_header ~seed ~messages (name, graph) schedule spec_name run =
-  artifact_errors @@ fun () ->
-  print_topology name graph;
-  Printf.printf "schedule    : %s\n" (Chaos.Schedule.to_string schedule);
-  Printf.printf "corruption  : %s\n" spec_name;
-  run
-    (Harness.Workload.uniform_random (workload_rng seed)
-       ~n:(Topology.Graph.n graph) ~per_processor:messages)
+(* chaos and snapshot open alike. *)
+let print_chaos_header (sc : Spec.scenario) =
+  print_topology sc.Spec.topology;
+  Printf.printf "schedule    : %s\n" (Chaos.Schedule.to_string sc.Spec.chaos);
+  Printf.printf "corruption  : %s\n" (Spec.corruption_to_string sc.Spec.corruption)
 
 (* --dest must name a processor of the chosen topology. *)
 let check_dest graph dest =
@@ -267,9 +245,10 @@ let check_dest graph dest =
 (* ---------------- run command ---------------- *)
 
 (* The machine-readable twin of the `run` command's printed report. *)
-let run_summary_json ~topology ~n ~graph ~corruption ~daemon ~seed
-    ~journal_file (r : Harness.Runner.result) =
+let run_summary_json (sc : Spec.scenario) ~journal_file
+    (r : Harness.Runner.result) =
   let open Obs.Json in
+  let n, delta, diameter = Chaos.Recovery.graph_meta sc.Spec.topology.Spec.graph in
   let oracle = r.Harness.Runner.oracle in
   let stats = r.Harness.Runner.stats in
   Obj
@@ -277,14 +256,14 @@ let run_summary_json ~topology ~n ~graph ~corruption ~daemon ~seed
       ( "topology",
         Obj
           [
-            ("name", String topology);
+            ("name", String sc.Spec.topology.Spec.t_name);
             ("n", Int n);
-            ("max_degree", Int (Topology.Graph.max_degree graph));
-            ("diameter", Int (Topology.Metrics.diameter graph));
+            ("max_degree", Int delta);
+            ("diameter", Int diameter);
           ] );
-      ("corruption", String corruption);
-      ("daemon", String (Harness.Runner.daemon_kind_to_string daemon));
-      ("seed", Int seed);
+      ("corruption", String (Spec.corruption_to_string sc.Spec.corruption));
+      ("daemon", String (Harness.Runner.daemon_kind_to_string sc.Spec.daemon));
+      ("seed", Int sc.Spec.seed);
       ( "outcome",
         String
           (match r.Harness.Runner.outcome with
@@ -340,45 +319,37 @@ let run_cmd =
          adversarial or random-action."
   in
   let workload_kind =
+    let kinds =
+      [ "uniform"; "all-to-one"; "one-to-all"; "permutation"; "neighbors" ]
+    in
     Arg.(
       value
-      & opt
-          (enum
-             [
-               ("uniform", `Uniform); ("all-to-one", `All_to_one);
-               ("one-to-all", `One_to_all); ("permutation", `Permutation);
-               ("neighbors", `Neighbors);
-             ])
-          `Uniform
+      & opt (enum (List.map (fun k -> (k, k)) kinds)) "uniform"
       & info [ "w"; "workload" ] ~docv:"KIND"
           ~doc:
             "Traffic pattern: uniform, all-to-one, one-to-all, permutation \
              or neighbors.")
   in
-  let run (name, graph) (spec_name, spec) daemon seed messages max_steps
-      workload_kind json_file journal_file =
+  let run topology corruption daemon seed messages max_steps workload_kind
+      json_file journal_file =
     artifact_errors @@ fun () ->
-    let n = Topology.Graph.n graph in
-    let rng = workload_rng seed in
+    (* --workload KIND with --messages K is the campaign's KIND:K. *)
     let workload =
-      match workload_kind with
-      | `Uniform -> Harness.Workload.uniform_random rng ~n ~per_processor:messages
-      | `All_to_one ->
-          Harness.Workload.all_to_one ~n ~dest:0 ~per_processor:messages
-      | `One_to_all -> Harness.Workload.one_to_all ~n ~src:0 ~rounds:messages
-      | `Permutation ->
-          Harness.Workload.permutation rng ~n ~per_processor:messages
-      | `Neighbors ->
-          Harness.Workload.neighbors_only graph ~per_processor:messages
+      Result.get_ok
+        (Spec.workload_of_string (Printf.sprintf "%s:%d" workload_kind messages))
     in
-    let cfg =
-      Harness.Runner.config ~spec ~daemon ~seed ~max_steps graph workload
+    let sc =
+      Spec.point ~daemon ~model:Spec.State_model ~chaos:Chaos.Schedule.none
+        ~seed ~max_steps topology corruption workload
     in
-    let r, journal =
-      with_sink ~json_file ~journal_file (fun obs -> Harness.Runner.run ?obs cfg)
+    let run, journal, _ = execute ?json_file ?journal_file sc in
+    let r =
+      match run with Pool.State o -> o.run | Pool.Mp _ -> assert false
     in
-    print_topology name graph;
-    Printf.printf "corruption  : %s (%d invalid messages planted)\n" spec_name
+    let n = Topology.Graph.n topology.Spec.graph in
+    print_topology topology;
+    Printf.printf "corruption  : %s (%d invalid messages planted)\n"
+      (Spec.corruption_to_string corruption)
       r.invalid_planted;
     Printf.printf "daemon      : %s\n" (Harness.Runner.daemon_kind_to_string daemon);
     Printf.printf "outcome     : %s after %d steps / %d rounds / %d moves\n"
@@ -405,17 +376,14 @@ let run_cmd =
        else "VIOLATED — " ^ String.concat "; " r.verdict.Harness.Oracle.violations);
     print_journal "journal     " "events" journal;
     Option.iter
-      (fun path ->
-        write_json path
-          (run_summary_json ~topology:name ~n ~graph ~corruption:spec_name
-             ~daemon ~seed ~journal_file r))
+      (fun path -> write_json path (run_summary_json sc ~journal_file r))
       json_file;
     if r.verdict.Harness.Oracle.ok then 0 else 1
   in
   let term =
     Term.(
       const run $ topology_arg
-      $ corruption_arg ("adversarial", Harness.Fault.adversarial)
+      $ corruption_arg Spec.Adversarial
       $ daemon $ seed_arg $ messages_arg
       $ max_steps_arg positive 2_000_000 ~doc:"Step budget."
       $ workload_kind
@@ -496,7 +464,8 @@ let dot_cmd =
       & opt (enum [ ("ssmfp", `Ssmfp); ("destination", `Dest) ]) `Ssmfp
       & info [ "scheme" ] ~doc:"Buffer graph scheme: ssmfp or destination.")
   in
-  let run (_, graph) dest scheme =
+  let run topology dest scheme =
+    let graph = topology.Spec.graph in
     check_dest graph dest;
     let tables = Routing.Table.correct_all graph in
     let next_hop ~p ~d = Routing.Selfstab.next_hop tables.(p) ~d in
@@ -520,9 +489,11 @@ let watch_cmd =
   let steps =
     Arg.(value & opt positive 40 & info [ "steps" ] ~docv:"N" ~doc:"Steps to display.")
   in
-  let run (name, graph) (spec_name, spec) dest steps every seed =
+  let run topology corruption dest steps every seed =
+    let graph = topology.Spec.graph in
     check_dest graph dest;
     let n = Topology.Graph.n graph in
+    let spec = Spec.fault_spec corruption ~seed in
     let master = Prng.Splitmix.of_int seed in
     let fault_rng = Prng.Splitmix.split master in
     let daemon_rng = Prng.Splitmix.split master in
@@ -535,8 +506,10 @@ let watch_cmd =
             ~workload p)
     in
     let daemon = Sim.Daemon.distributed_random daemon_rng in
-    Printf.printf "%s, %s corruption, watching destination %d\n" name
-      spec_name dest;
+    Printf.printf "%s, %s corruption, watching destination %d\n"
+      topology.Spec.t_name
+      (Spec.corruption_to_string corruption)
+      dest;
     print_endline
       (Harness.Viz.frame graph (Sim.Engine.net t) ~dest ~step:0 ~moves:[]);
     let moves_of events =
@@ -580,7 +553,7 @@ let watch_cmd =
        ~doc:"Step a run and render one destination's buffers after each step.")
     Term.(
       const run $ topology_arg
-      $ corruption_arg ("adversarial", Harness.Fault.adversarial)
+      $ corruption_arg Spec.Adversarial
       $ dest_arg ~doc:"Destination component to display."
       $ steps
       $ every_arg 1 ~docv:"K" ~doc:"Render every K-th step."
@@ -598,8 +571,8 @@ let pif_cmd =
   let corrupted =
     Arg.(value & flag & info [ "corrupted" ] ~doc:"Random initial phases.")
   in
-  let run (name, graph) waves root corrupted seed =
-    match Pif.tree_of graph ~root with
+  let run topology waves root corrupted seed =
+    match Pif.tree_of topology.Spec.graph ~root with
     | exception Invalid_argument msg ->
         Printf.eprintf "%s (pif needs a tree topology, e.g. path:5, btree:7)\n" msg;
         2
@@ -615,7 +588,7 @@ let pif_cmd =
         in
         Printf.printf
           "%s root %d: %d waves completed in %d rounds (%d steps); coverage %s\n"
-          name root r.Pif.waves_completed r.Pif.rounds r.Pif.steps
+          topology.Spec.t_name root r.Pif.waves_completed r.Pif.rounds r.Pif.steps
           (if r.Pif.coverage_ok then "ok" else "VIOLATED");
         if r.Pif.coverage_ok && r.Pif.waves_completed >= waves then 0 else 1
   in
@@ -724,20 +697,13 @@ let chaos_cmd =
   let model =
     Arg.(
       value
-      & opt (enum [ ("state", `State); ("mp", `Mp) ]) `State
+      & opt (enum [ ("state", Spec.State_model); ("mp", Spec.Mp_model) ])
+          Spec.State_model
       & info [ "model" ] ~docv:"MODEL"
           ~doc:
             "Execution model: state (shared-memory engine, burst rounds are \
              engine rounds) or mp (message-passing synchronizer, burst \
              rounds are pulses).")
-  in
-  let aftermath =
-    Arg.(
-      value & opt non_negative 4
-      & info [ "aftermath" ] ~docv:"K"
-          ~doc:
-            "Fresh requests submitted right after the last burst, so the \
-             post-burst exactly-once check always has traffic.")
   in
   let channel_garbage =
     Arg.(
@@ -777,24 +743,23 @@ let chaos_cmd =
       (if r.Chaos.Recovery.ok then "recovery oracle satisfied"
        else "VIOLATED — " ^ String.concat "; " r.Chaos.Recovery.violations)
   in
-  (* A flag meant for the other model is a usage error, not a no-op. *)
-  let check_model_flags model ~journal_file ~snapshot_every ~cut_journal
-      ~channel_garbage =
+  (* A flag or schedule modifier meant for the other model is a usage
+     error, not a no-op. *)
+  let check_model_flags (sc : Spec.scenario) ~journal_file ~cut_journal =
     let cut_journal_needs = "--model mp and --snapshot-every" in
     let misplaced =
-      match model with
-      | `Mp ->
+      match sc.Spec.model with
+      | Spec.Mp_model ->
           if journal_file <> None then Some ("--journal", "--model state")
-          else if cut_journal <> None && snapshot_every = 0 then
+          else if cut_journal <> None && sc.Spec.snapshot = 0 then
             Some ("--cut-journal", cut_journal_needs)
           else None
-      | `State ->
-          if snapshot_every > 0 then Some ("--snapshot-every", "--model mp")
-          else if cut_journal <> None then
-            Some ("--cut-journal", cut_journal_needs)
-          else if channel_garbage > 0 then
-            Some ("--channel-garbage", "--model mp")
-          else None
+      | Spec.State_model -> (
+          match Spec.mp_only sc with
+          | Some setting -> Some (setting, "--model mp")
+          | None when cut_journal <> None ->
+              Some ("--cut-journal", cut_journal_needs)
+          | None -> None)
     in
     Option.iter
       (fun (flag, needs) ->
@@ -802,13 +767,22 @@ let chaos_cmd =
         exit Cmd.Exit.cli_error)
       misplaced
   in
-  let run (name, graph) schedule model (spec_name, spec) daemon seed messages
-      aftermath channel_garbage max_steps json_file journal_file snapshot_every
+  let run topology schedule model corruption daemon seed messages
+      channel_garbage max_steps json_file journal_file snapshot_every
       cut_journal profile prof_summary =
-    check_model_flags model ~journal_file ~snapshot_every ~cut_journal
-      ~channel_garbage;
-    with_chaos_header ~seed ~messages (name, graph) schedule spec_name
-    @@ fun workload ->
+    (* A single run is its campaign scenario, but for channel garbage:
+       the flag's, not the grid's. *)
+    let sc =
+      {
+        (Spec.point ~daemon ~snapshot:snapshot_every ~model ~chaos:schedule
+           ~seed ~max_steps topology corruption (Spec.Uniform messages))
+        with
+        Spec.channel_garbage;
+      }
+    in
+    check_model_flags sc ~journal_file ~cut_journal;
+    artifact_errors @@ fun () ->
+    print_chaos_header sc;
     let prof = make_prof ~profile ~prof_summary ~tracks:1 in
     let print_faults ~at fired ~aftermath_submitted =
       Printf.printf "faults      : %s\n"
@@ -819,8 +793,7 @@ let chaos_cmd =
                 (fun (t, victims) ->
                   Printf.sprintf "%s %d -> %d victim(s)" at t victims)
                 fired));
-      if aftermath > 0 then
-        Printf.printf "aftermath   : %d probe request(s)\n" aftermath_submitted
+      Printf.printf "aftermath   : %d probe request(s)\n" aftermath_submitted
     in
     (* Both models end alike: the verdict line, the journal line, the
        JSON summary and the profile. *)
@@ -836,7 +809,7 @@ let chaos_cmd =
           write_json path
             (Obj
                ([
-                  ("topology", String name);
+                  ("topology", String topology.Spec.t_name);
                   ("model", String model);
                   ("schedule", String (Chaos.Schedule.to_string schedule));
                   ("seed", Int seed);
@@ -855,16 +828,12 @@ let chaos_cmd =
       emit_prof ~profile ~prof_summary prof;
       if verdict_ok then 0 else 1
     in
-    match model with
-    | `State ->
-        let cfg =
-          Harness.Runner.config ~spec ~daemon ~seed ~max_steps graph workload
-        in
-        let o, journal =
-          with_sink ~json_file ~journal_file (fun obs ->
-              Chaos.Runner.run ?obs ~prof ~aftermath ~schedule cfg)
-        in
-        let r = o.Chaos.Runner.run in
+    let run, journal, cut_j =
+      execute ~prof ?json_file ?journal_file ?cut_journal sc
+    in
+    match run with
+    | Pool.State o ->
+        let r = o.run in
         Printf.printf "model       : state (%s daemon)\n"
           (Harness.Runner.daemon_kind_to_string daemon);
         Printf.printf "outcome     : %s after %d steps / %d rounds\n"
@@ -881,13 +850,7 @@ let chaos_cmd =
           (Chaos.Recovery.verdict ~schedule ~verdict:o.Chaos.Runner.sp_verdict
              ~report:o.Chaos.Runner.report)
           []
-    | `Mp ->
-        let o, cut_j =
-          with_cut_journal cut_journal (fun on_cut ->
-              Chaos.Mp_run.run ~spec ~channel_garbage ~seed
-                ~max_deliveries:max_steps ~aftermath ~snapshot_every ?on_cut
-                ~prof ~schedule graph workload)
-        in
+    | Pool.Mp o ->
         Printf.printf "model       : mp (α-synchronizer port)\n";
         Printf.printf "retransmit  : sliding window (w=%d)%s\n"
           o.Chaos.Mp_run.window
@@ -945,7 +908,7 @@ let chaos_cmd =
     Term.(
       const run $ topology_arg
       $ schedule_arg
-          (Campaign.Spec.chaos_exn "10:rbqf:all")
+          (Spec.chaos_exn "10:rbqf:all")
           ~doc:
             "Fault schedule: bursts joined by '+', each \
              <round>:<domains>:<victims> with domains from r(outing) \
@@ -956,10 +919,10 @@ let chaos_cmd =
              synchrony). Example: 10:rbqf:all+40:c:2@lossy@win=4. \
              'none' disables faults."
       $ model
-      $ corruption_arg ("adversarial", Harness.Fault.adversarial)
+      $ corruption_arg Spec.Adversarial
       $ daemon_arg Harness.Runner.Synchronous
           ~doc:"Scheduler for the state model (ignored by mp)."
-      $ seed_arg $ messages_arg $ aftermath $ channel_garbage
+      $ seed_arg $ messages_arg $ channel_garbage
       $ max_steps_arg positive 2_000_000
           ~doc:"Step budget (state) / per-segment delivery budget (mp)."
       $ json_arg ~doc:"Write a machine-readable chaos summary to $(docv)."
@@ -989,30 +952,33 @@ let chaos_cmd =
    model with in-band Chandy–Lamport cuts, print each cut as it
    completes, and end on the cut-vs-omniscient verdict comparison. *)
 let snapshot_cmd =
-  let run (name, graph) schedule (spec_name, spec) seed every messages
-      max_steps json_file cut_journal =
-    with_chaos_header ~seed ~messages (name, graph) schedule spec_name
-    @@ fun workload ->
+  let run topology schedule corruption seed every messages max_steps json_file
+      cut_journal =
+    let sc =
+      {
+        (Spec.point ~snapshot:every ~model:Spec.Mp_model ~chaos:schedule ~seed
+           ~max_steps topology corruption (Spec.Uniform messages))
+        with
+        Spec.channel_garbage = 0;
+      }
+    in
+    artifact_errors @@ fun () ->
+    print_chaos_header sc;
     Printf.printf "snapshots   : every %d channel deliveries\n" every;
     let cuts_seen = ref [] in
-    let o, cut_j =
-      with_cut_journal cut_journal (fun record ->
-          let on_cut (c : Snapshot.Ssmfp_link.cut) =
-            cuts_seen := c :: !cuts_seen;
-            Printf.printf
-              "cut         : epoch=%-3d initiator=%-3d latency=%-5d in-flight=%-3d fp=%s%s%s\n"
-              c.Snapshot.Cut.epoch c.Snapshot.Cut.initiator
-              (Snapshot.Cut.latency c)
-              (Snapshot.Cut.in_flight c)
-              (Snapshot.Ssmfp_link.fingerprint_hex c)
-              (if Snapshot.Cut.shadow_ok c then "" else " SHADOW-MISMATCH")
-              (if Snapshot.Ssmfp_link.consistent c then "" else " INCONSISTENT");
-            Option.iter (fun f -> f c) record
-          in
-          Chaos.Mp_run.run ~spec ~seed ~max_deliveries:max_steps
-            ~aftermath:(Chaos.Recovery.aftermath_for schedule)
-            ~snapshot_every:every ~on_cut ~schedule graph workload)
+    let on_cut (c : Snapshot.Ssmfp_link.cut) =
+      cuts_seen := c :: !cuts_seen;
+      Printf.printf
+        "cut         : epoch=%-3d initiator=%-3d latency=%-5d in-flight=%-3d fp=%s%s%s\n"
+        c.Snapshot.Cut.epoch c.Snapshot.Cut.initiator
+        (Snapshot.Cut.latency c)
+        (Snapshot.Cut.in_flight c)
+        (Snapshot.Ssmfp_link.fingerprint_hex c)
+        (if Snapshot.Cut.shadow_ok c then "" else " SHADOW-MISMATCH")
+        (if Snapshot.Ssmfp_link.consistent c then "" else " INCONSISTENT")
     in
+    let run, _, cut_j = execute ~on_cut ?cut_journal sc in
+    let o = match run with Pool.Mp o -> o | Pool.State _ -> assert false in
     print_mp_outcome o ~suffix:"";
     print_channel o.Chaos.Mp_run.channel;
     match o.Chaos.Mp_run.snapshot with
@@ -1050,9 +1016,9 @@ let snapshot_cmd =
             write_json path
               (Obj
                  [
-                   ("topology", String name);
+                   ("topology", String topology.Spec.t_name);
                    ("schedule", String (Chaos.Schedule.to_string schedule));
-                   ("corruption", String spec_name);
+                   ("corruption", String (Spec.corruption_to_string corruption));
                    ("seed", Int seed);
                    ("every", Int every);
                    ( "outcome",
@@ -1094,7 +1060,7 @@ let snapshot_cmd =
             "Fault schedule running under the snapshots (chaos grammar), \
              e.g. none@lossy or 8:rb:2@flaky. 'none' keeps the channel \
              reliable."
-      $ corruption_arg ("pristine", Harness.Fault.pristine)
+      $ corruption_arg Spec.Pristine
       $ seed_arg
       $ every_arg 400 ~docv:"N"
           ~doc:"Initiate a snapshot epoch every $(docv) channel deliveries."
@@ -1126,30 +1092,30 @@ let contains_substring hay needle =
   let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
   go 0
 
-(* A conv for comma-separated axis values, one parser per axis. Two
-   values that print alike would expand to scenarios sharing an id. *)
-let axis_conv ~what parse print =
+(* A comma-separated campaign axis, one parser per axis. Two values
+   that print alike would expand to scenarios sharing an id. *)
+let axis_arg name ~what parse print ~doc =
   let parser s =
     let items =
       List.filter
         (fun x -> String.trim x <> "")
         (String.split_on_char ',' s)
     in
-    if items = [] then Error (`Msg (Printf.sprintf "empty %s list" what))
+    if items = [] then Error (Printf.sprintf "empty %s list" what)
     else
       let rec go acc = function
         | [] -> Ok (List.rev acc)
         | x :: rest -> (
             match parse x with
             | Ok v when List.exists (fun u -> print u = print v) acc ->
-                Error (`Msg (Printf.sprintf "repeated %s %S" what (print v)))
+                Error (Printf.sprintf "repeated %s %S" what (print v))
             | Ok v -> go (v :: acc) rest
-            | Error e -> Error (`Msg e))
+            | Error _ as e -> e)
       in
       go [] items
   in
-  Arg.conv
-    (parser, fun fmt l -> Format.pp_print_string fmt (String.concat "," (List.map print l)))
+  let axis = conv_of parser (fun l -> String.concat "," (List.map print l)) in
+  Arg.(value & opt (some axis) None & info [ name ] ~docv:"LIST" ~doc)
 
 let campaign_cmd =
   let open Campaign in
@@ -1165,99 +1131,55 @@ let campaign_cmd =
              without the snapshot layer).")
   in
   let topologies =
-    let axis =
-      axis_conv ~what:"topology"
-        (fun s -> Spec.topology_of_string s)
-        (fun t -> t.Spec.t_name)
-    in
-    Arg.(
-      value
-      & opt (some axis) None
-      & info [ "topologies" ] ~docv:"LIST"
-          ~doc:"Comma-separated topologies overriding the grid's axis, e.g. ring:8,grid:3x4.")
+    axis_arg "topologies" ~what:"topology" Spec.topology_of_string
+      (fun t -> t.Spec.t_name)
+      ~doc:
+        "Comma-separated topologies overriding the grid's axis, e.g. \
+         ring:8,grid:3x4."
   in
   let corruptions =
-    let axis =
-      axis_conv ~what:"corruption" Spec.corruption_of_string
-        Spec.corruption_to_string
-    in
-    Arg.(
-      value
-      & opt (some axis) None
-      & info [ "corruptions" ] ~docv:"LIST"
-          ~doc:"Comma-separated corruption levels: pristine,random,adversarial.")
+    axis_arg "corruptions" ~what:"corruption" Spec.corruption_of_string
+      Spec.corruption_to_string
+      ~doc:"Comma-separated corruption levels: pristine,random,adversarial."
   in
   let daemons =
-    let axis =
-      axis_conv ~what:"daemon" Harness.Runner.daemon_kind_of_string
-        Harness.Runner.daemon_kind_to_string
-    in
-    Arg.(
-      value
-      & opt (some axis) None
-      & info [ "daemons" ] ~docv:"LIST"
-          ~doc:"Comma-separated daemons, e.g. synchronous,distributed,adversarial.")
+    axis_arg "daemons" ~what:"daemon" Harness.Runner.daemon_kind_of_string
+      Harness.Runner.daemon_kind_to_string
+      ~doc:"Comma-separated daemons, e.g. synchronous,distributed,adversarial."
   in
   let workloads =
-    let axis =
-      axis_conv ~what:"workload" Spec.workload_of_string Spec.workload_to_string
-    in
-    Arg.(
-      value
-      & opt (some axis) None
-      & info [ "workloads" ] ~docv:"LIST"
-          ~doc:"Comma-separated workloads, e.g. uniform:2,all-to-one:1.")
+    axis_arg "workloads" ~what:"workload" Spec.workload_of_string
+      Spec.workload_to_string
+      ~doc:"Comma-separated workloads, e.g. uniform:2,all-to-one:1."
   in
   let models =
-    let axis = axis_conv ~what:"model" Spec.model_of_string Spec.model_to_string in
-    Arg.(
-      value
-      & opt (some axis) None
-      & info [ "models" ] ~docv:"LIST"
-          ~doc:"Comma-separated execution models: state,mp.")
+    axis_arg "models" ~what:"model" Spec.model_of_string Spec.model_to_string
+      ~doc:"Comma-separated execution models: state,mp."
   in
   let chaos =
-    let axis =
-      axis_conv ~what:"chaos schedule" Chaos.Schedule.of_string
-        Chaos.Schedule.to_string
-    in
-    Arg.(
-      value
-      & opt (some axis) None
-      & info [ "chaos" ] ~docv:"LIST"
-          ~doc:
-            "Comma-separated fault schedules, e.g. \
-             none,10:rbqf:all+40:c:2@lossy (see the chaos subcommand for the \
-             grammar).")
+    axis_arg "chaos" ~what:"chaos schedule" Chaos.Schedule.of_string
+      Chaos.Schedule.to_string
+      ~doc:
+        "Comma-separated fault schedules, e.g. \
+         none,10:rbqf:all+40:c:2@lossy (see the chaos subcommand for the \
+         grammar)."
   in
   let snapshots =
-    let axis =
-      axis_conv ~what:"snapshot interval"
-        (fun s ->
-          match int_of_string_opt (String.trim s) with
-          | Some v when v >= 0 -> Ok v
-          | _ -> Error (Printf.sprintf "bad snapshot interval %S (expected a non-negative delivery count)" s))
-        string_of_int
-    in
-    Arg.(
-      value
-      & opt (some axis) None
-      & info [ "snapshots" ] ~docv:"LIST"
-          ~doc:
-            "Comma-separated snapshot intervals (channel deliveries) \
-             overriding the grid's axis, e.g. 0,400. 0 is snapshot-off; \
-             nonzero intervals apply to mp scenarios only.")
+    axis_arg "snapshots" ~what:"snapshot interval"
+      (fun s ->
+        match int_of_string_opt (String.trim s) with
+        | Some v when v >= 0 -> Ok v
+        | _ -> Error (Printf.sprintf "bad snapshot interval %S (expected a non-negative delivery count)" s))
+      string_of_int
+      ~doc:
+        "Comma-separated snapshot intervals (channel deliveries) \
+         overriding the grid's axis, e.g. 0,400. 0 is snapshot-off; \
+         nonzero intervals apply to mp scenarios only."
   in
   let seeds =
     let axis =
-      Arg.conv
-        ( (fun s ->
-            match Spec.seeds_of_string s with
-            | Ok l -> Ok l
-            | Error e -> Error (`Msg e)),
-          fun fmt l ->
-            Format.pp_print_string fmt
-              (String.concat "," (List.map string_of_int l)) )
+      conv_of Spec.seeds_of_string (fun l ->
+          String.concat "," (List.map string_of_int l))
     in
     Arg.(
       value
@@ -1426,7 +1348,10 @@ let campaign_cmd =
     Term.(
       const run $ grid_base $ topologies $ corruptions $ daemons $ workloads
       $ models $ chaos $ snapshots $ seeds
-      $ max_steps_arg (Arg.some positive) None ~doc:"Per-scenario step budget."
+      $ max_steps_arg (Arg.some positive) None
+          ~doc:
+            "Per-scenario step budget; on mp scenarios, the delivery budget \
+             of each burst segment and of the final drain."
       $ only
       $ workers_arg positive
           (Campaign.Pool.default_workers ())

@@ -157,33 +157,27 @@ let summary_of_mp (o : Chaos.Mp_run.outcome) =
     snapshot = o.Chaos.Mp_run.snapshot;
   }
 
-(* channel_garbage mirrors the corruption axis on the mp side: forged
-   messages sitting in flight at start, scaled like the planted state
-   corruption (Prop. 4's budget is per destination, hence the 2n). *)
-let mp_channel_garbage (sc : Spec.scenario) ~n =
-  match sc.Spec.corruption with
-  | Spec.Pristine -> 0
-  | Spec.Random_point -> 10
-  | Spec.Adversarial -> 2 * n
+type run = State of Chaos.Runner.outcome | Mp of Chaos.Mp_run.outcome
 
-let run_scenario (sc : Spec.scenario) =
-  let aftermath = Chaos.Recovery.aftermath_for sc.Spec.chaos in
+(* The post-burst probe wave: it fires only after a schedule's last
+   burst, so burst-free runs never submit it. *)
+let aftermath = 4
+
+let execute ?obs ?prof ?on_cut (sc : Spec.scenario) =
+  let cfg = Spec.materialize sc in
   match sc.Spec.model with
   | Spec.State_model ->
       (* Zero-burst schedules delegate to the plain runner inside
          Chaos.Runner — byte-identical to Harness.Runner.run. *)
-      summary_of_chaos
-        (Chaos.Runner.run ~aftermath ~schedule:sc.Spec.chaos
-           (Spec.materialize sc))
+      State (Chaos.Runner.run ?obs ?prof ~aftermath ~schedule:sc.Spec.chaos cfg)
   | Spec.Mp_model ->
-      let n = Topology.Graph.n sc.Spec.topology.Spec.graph in
-      summary_of_mp
-        (Chaos.Mp_run.run
-           ~spec:(Spec.materialize_fault_spec sc)
-           ~channel_garbage:(mp_channel_garbage sc ~n) ~seed:sc.Spec.seed
-           ~aftermath ~snapshot_every:sc.Spec.snapshot
-           ~schedule:sc.Spec.chaos sc.Spec.topology.Spec.graph
-           (Spec.materialize_workload sc))
+      Mp
+        (Chaos.Mp_run.run ~spec:cfg.Harness.Runner.spec
+           ~channel_garbage:sc.Spec.channel_garbage ~seed:sc.Spec.seed
+           ~max_deliveries:sc.Spec.max_steps ~aftermath
+           ~snapshot_every:sc.Spec.snapshot ?on_cut ?prof
+           ~schedule:sc.Spec.chaos cfg.Harness.Runner.graph
+           cfg.Harness.Runner.workload)
 
 let run_one sc =
   let t0 = Unix.gettimeofday () in
@@ -195,8 +189,9 @@ let run_one sc =
        ran before — the artifact must not depend on scheduling. *)
     Ssmfp.Message.reset_ghost_counter ();
     Printexc.record_backtrace true;
-    match run_scenario sc with
-    | s -> Done s
+    match execute sc with
+    | State o -> Done (summary_of_chaos o)
+    | Mp o -> Done (summary_of_mp o)
     | exception e ->
         let raw = Printexc.get_raw_backtrace () in
         Crashed
@@ -214,26 +209,9 @@ let run_one sc =
     seconds = Unix.gettimeofday () -. t0;
   }
 
+(* run_one turns a raising scenario into a Crashed outcome, so an Error
+   here means the scenario's metadata itself could not be computed. *)
 let run ?workers ?prof scenarios =
-  let results =
-    run_list ?prof ?workers (List.map (fun sc () -> run_one sc) scenarios)
-  in
-  List.map2
-    (fun sc result ->
-      match result with
-      | Ok o -> o
-      | Error msg ->
-          (* run_one already catches runner exceptions; this branch
-             only fires if scenario metadata itself blew up. *)
-          let n, delta, diameter =
-            Chaos.Recovery.graph_meta sc.Spec.topology.Spec.graph
-          in
-          {
-            scenario = sc;
-            n;
-            delta;
-            diameter;
-            status = Crashed { crash_msg = msg; crash_backtrace = "" };
-            seconds = 0.;
-          })
-    scenarios results
+  List.map
+    (function Ok o -> o | Error msg -> failwith msg)
+    (run_list ?prof ?workers (List.map (fun sc () -> run_one sc) scenarios))

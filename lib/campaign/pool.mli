@@ -89,13 +89,26 @@ val run_list :
     per-track ["campaign.tasks"] counter — the steal count of each
     domain's cursor. Profiling never affects results or their order. *)
 
+type run = State of Chaos.Runner.outcome | Mp of Chaos.Mp_run.outcome
+
+val execute :
+  ?obs:Obs.Sink.t ->
+  ?prof:Obs.Prof.t ->
+  ?on_cut:(Snapshot.Ssmfp_link.cut -> unit) ->
+  Spec.scenario ->
+  run
+(** Run one scenario on the calling domain — the one way campaigns and
+    single [ssmfp_cli] runs execute. State scenarios run through
+    {!Chaos.Runner} (burst-free schedules take the plain
+    [Harness.Runner] path), mp ones through {!Chaos.Mp_run} with the
+    scenario's channel garbage, snapshot interval and [max_steps] as
+    the per-segment delivery budget; both submit 4 fresh requests after
+    the last burst. [?obs] reaches the state model, [?on_cut] the mp
+    model, [?prof] both. Exceptions propagate. *)
+
 val run_one : Spec.scenario -> outcome
-(** Execute one scenario on the calling domain (resets the domain's
-    ghost-id counter first). Dispatches on the scenario's model: state
-    scenarios run through {!Chaos.Runner} (burst-free schedules delegate
-    to the plain [Harness.Runner] code path untouched), mp scenarios
-    through {!Chaos.Mp_run} with channel garbage scaled from the
-    corruption axis (pristine 0, random 10, adversarial [2n]). *)
+(** {!execute} and summarize a scenario, after resetting the domain's
+    ghost-id counter; an exception becomes a {!Crashed} outcome. *)
 
 val run :
   ?workers:int -> ?prof:Obs.Prof.t -> Spec.scenario list -> outcome list

@@ -218,6 +218,7 @@ type scenario = {
   model : model;
   chaos : Chaos.Schedule.t;
   snapshot : int;
+  channel_garbage : int;
   seed : int;
   max_steps : int;
 }
@@ -232,18 +233,33 @@ let scenario_id t c d w m ch sn s =
     (if sn > 0 then Printf.sprintf "/snap%d" sn else "")
     s
 
-let chaos_filter sc =
-  (* The mp synchronizer has no daemon; keep one daemon spelling per mp
-     point so the chaos grid doesn't carry semantically-identical twins.
-     Snapshots, the window retransmission layer and partial synchrony
-     are mp-only: drop state-model × snapshot>0 and state-model ×
-     windowed/synchronous schedules. *)
+(* Snapshots, channel garbage, the window retransmission layer and
+   partial synchrony exist only in the message-passing port. *)
+let mp_only sc =
   match sc.model with
+  | Mp_model -> None
   | State_model ->
-      sc.snapshot = 0
-      && sc.chaos.Chaos.Schedule.window = None
-      && sc.chaos.Chaos.Schedule.synchrony = None
+      if sc.snapshot > 0 then Some "--snapshot-every"
+      else if sc.channel_garbage > 0 then Some "--channel-garbage"
+      else if sc.chaos.Chaos.Schedule.window <> None then Some "@win="
+      else if sc.chaos.Chaos.Schedule.synchrony <> None then Some "@ps="
+      else None
+
+(* The mp synchronizer has no daemon; keep one daemon spelling per mp
+   point so the chaos grid doesn't carry semantically-identical twins. *)
+let chaos_filter sc =
+  match sc.model with
+  | State_model -> mp_only sc = None
   | Mp_model -> sc.daemon = Harness.Runner.Synchronous
+
+(* Channel garbage mirrors the corruption axis on the mp side: forged
+   messages sitting in flight at start, scaled like the planted state
+   corruption (Prop. 4's budget is per destination, hence the 2n). *)
+let channel_garbage m c t =
+  match (m, c) with
+  | State_model, _ | Mp_model, Pristine -> 0
+  | Mp_model, Random_point -> 10
+  | Mp_model, Adversarial -> 2 * Topology.Graph.n t.graph
 
 let expand ?(filter = fun _ -> true) (grid : grid) =
   let acc = ref [] in
@@ -274,6 +290,7 @@ let expand ?(filter = fun _ -> true) (grid : grid) =
                                       model = m;
                                       chaos = ch;
                                       snapshot = sn;
+                                      channel_garbage = channel_garbage m c t;
                                       seed = s;
                                       max_steps = grid.max_steps;
                                     }
@@ -300,28 +317,45 @@ let expand ?(filter = fun _ -> true) (grid : grid) =
   | None -> ());
   scenarios
 
-(* Same derivations as `ssmfp_cli run`, so a scenario and the equivalent
-   single run agree bit-for-bit. *)
-let materialize_workload sc =
-  let graph = sc.topology.graph in
-  let n = Topology.Graph.n graph in
-  let wl_rng = Prng.Splitmix.of_int (sc.seed + 7919) in
-  match sc.workload with
-  | Uniform k -> Harness.Workload.uniform_random wl_rng ~n ~per_processor:k
-  | All_to_one k -> Harness.Workload.all_to_one ~n ~dest:0 ~per_processor:k
-  | One_to_all k -> Harness.Workload.one_to_all ~n ~src:0 ~rounds:k
-  | Permutation k -> Harness.Workload.permutation wl_rng ~n ~per_processor:k
-  | Neighbors k -> Harness.Workload.neighbors_only graph ~per_processor:k
-  | Saturating k -> Harness.Workload.saturating wl_rng ~graph ~per_processor:k
+let point ?(daemon = Harness.Runner.Synchronous) ?(snapshot = 0) ~model
+    ~chaos ~seed ~max_steps topology corruption workload =
+  match
+    expand
+      {
+        topologies = [ topology ];
+        corruptions = [ corruption ];
+        daemons = [ daemon ];
+        workloads = [ workload ];
+        models = [ model ];
+        chaos = [ chaos ];
+        snapshots = [ snapshot ];
+        seeds = [ seed ];
+        max_steps;
+      }
+  with
+  | [ sc ] -> sc
+  | _ -> assert false
 
-let materialize_fault_spec sc =
-  match sc.corruption with
+let fault_spec corruption ~seed =
+  match corruption with
   | Pristine -> Harness.Fault.pristine
   | Adversarial -> Harness.Fault.adversarial
   | Random_point ->
-      Harness.Fault.random_spec (Prng.Splitmix.of_int (sc.seed + 104729))
+      Harness.Fault.random_spec (Prng.Splitmix.of_int (seed + 104729))
 
 let materialize sc =
-  Harness.Runner.config ~spec:(materialize_fault_spec sc) ~daemon:sc.daemon
-    ~seed:sc.seed ~max_steps:sc.max_steps sc.topology.graph
-    (materialize_workload sc)
+  let graph = sc.topology.graph in
+  let n = Topology.Graph.n graph in
+  let wl_rng = Prng.Splitmix.of_int (sc.seed + 7919) in
+  let workload =
+    match sc.workload with
+    | Uniform k -> Harness.Workload.uniform_random wl_rng ~n ~per_processor:k
+    | All_to_one k -> Harness.Workload.all_to_one ~n ~dest:0 ~per_processor:k
+    | One_to_all k -> Harness.Workload.one_to_all ~n ~src:0 ~rounds:k
+    | Permutation k -> Harness.Workload.permutation wl_rng ~n ~per_processor:k
+    | Neighbors k -> Harness.Workload.neighbors_only graph ~per_processor:k
+    | Saturating k -> Harness.Workload.saturating wl_rng ~graph ~per_processor:k
+  in
+  Harness.Runner.config
+    ~spec:(fault_spec sc.corruption ~seed:sc.seed)
+    ~daemon:sc.daemon ~seed:sc.seed ~max_steps:sc.max_steps graph workload

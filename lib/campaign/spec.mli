@@ -78,10 +78,11 @@ type grid = {
       (** fault schedules; [Chaos.Schedule.none] is the plain run *)
   snapshots : int list;
       (** snapshot initiation intervals in channel deliveries; [0] is
-          snapshot-off (mp scenarios only — {!chaos_filter} drops
-          state-model points with a nonzero interval) *)
+          snapshot-off (mp scenarios only, see {!mp_only}) *)
   seeds : int list;
-  max_steps : int;  (** step budget of every scenario *)
+  max_steps : int;
+      (** step budget of every scenario; on mp scenarios a delivery
+          budget per burst segment and for the final drain *)
 }
 
 val default_grid : unit -> grid
@@ -116,15 +117,26 @@ type scenario = {
   model : model;
   chaos : Chaos.Schedule.t;
   snapshot : int;  (** snapshot interval in deliveries; [0] = off *)
+  channel_garbage : int;
+      (** forged messages pre-loaded into the mp channels, not part of
+          [id]; {!expand} sets [0] / [10] / [2n] for pristine / random /
+          adversarial mp scenarios and [0] on state ones *)
   seed : int;
   max_steps : int;
 }
 
+val mp_only : scenario -> string option
+(** The first mp-only setting a state-model scenario carries, spelled
+    as the [ssmfp_cli chaos] flag or modifier that sets it: a snapshot
+    interval (["--snapshot-every"]), channel garbage
+    (["--channel-garbage"]), ["@win="] or ["@ps="]. [None] on valid
+    state scenarios and on every mp one. *)
+
 val chaos_filter : scenario -> bool
-(** Keeps every state-model scenario (snapshot-off spelling only — the
-    layer is mp-specific) and only the synchronous-daemon spelling of
-    each mp scenario (the synchronizer has no daemon, so other
-    spellings would be semantically identical twins). *)
+(** Keeps every state-model scenario that {!mp_only} accepts and only
+    the synchronous-daemon spelling of each mp scenario (the
+    synchronizer has no daemon, so other spellings would be
+    semantically identical twins). *)
 
 val expand : ?filter:(scenario -> bool) -> grid -> scenario list
 (** Cartesian product in a stable order: topologies outermost, then
@@ -134,15 +146,29 @@ val expand : ?filter:(scenario -> bool) -> grid -> scenario list
     @raise Invalid_argument if two scenarios share an id (duplicate axis
     values). *)
 
+val point :
+  ?daemon:Harness.Runner.daemon_kind ->
+  ?snapshot:int ->
+  model:model ->
+  chaos:Chaos.Schedule.t ->
+  seed:int ->
+  max_steps:int ->
+  topology ->
+  corruption ->
+  workload_kind ->
+  scenario
+(** The one scenario of a one-point grid (daemon [Synchronous] and
+    snapshot interval [0] unless given): a single run gets its id and
+    derived fields from {!expand}, like any grid point. *)
+
+val fault_spec : corruption -> seed:int -> Harness.Fault.spec
+(** The spec of a corruption level; [Random_point] draws from
+    [seed + 104729]. *)
+
 val materialize : scenario -> Harness.Runner.config
-(** The runner configuration of a scenario. Deterministic: the workload
-    stream is seeded with [seed + 7919] (the same convention as
-    [ssmfp_cli run]) and a [Random_point] corruption spec with a further
-    seed-derived stream, so two calls — on any domain — build identical
-    configurations. *)
-
-val materialize_workload : scenario -> Harness.Workload.t
-(** Just the workload of {!materialize} (the mp path needs it bare). *)
-
-val materialize_fault_spec : scenario -> Harness.Fault.spec
-(** Just the corruption spec of {!materialize}. *)
+(** The runner configuration of a scenario: the workload stream is
+    seeded with [seed + 7919] and the spec is {!fault_spec}, so two
+    calls — on any domain — build identical configurations.
+    [ssmfp_cli run], [chaos] and [snapshot] build their scenario with
+    {!expand} and run it through [Campaign.Pool.execute], so they use
+    this same convention by construction. *)

@@ -192,11 +192,6 @@ let verdict ~(schedule : Schedule.t) ~(verdict : Harness.Oracle.verdict)
       Some report )
   else (report.ok, report.violations, Some report)
 
-(* Enough traffic that the post-burst once-and-only-once clause is never
-   vacuous, small enough not to reshape the workload. *)
-let aftermath_for (schedule : Schedule.t) =
-  if schedule.Schedule.bursts = [] then 0 else 4
-
 let aftermath_wave rng ~n count push =
   if n <= 1 then 0
   else begin

@@ -75,10 +75,6 @@ val verdict :
     once faults destroy in-flight valid messages). Returns the verdict,
     its violations and the report to publish. *)
 
-val aftermath_for : Schedule.t -> int
-(** Size of the post-burst probe wave a scenario submits: [0] when the
-    schedule has no bursts, else [4]. *)
-
 val aftermath_wave :
   Prng.Splitmix.t ->
   n:int ->

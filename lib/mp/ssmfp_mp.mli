@@ -53,8 +53,11 @@
     protocol (the open problem stands). The experiments measure the
     behaviour the port actually exhibits — with consistent pulse-aligned
     views the R4/R5 erasure race that loses messages under stale views
-    cannot fire, and runs from corrupted starts deliver every valid
-    message exactly once. *)
+    cannot fire, and runs from corrupted starts, with or without sampled
+    random channel garbage, deliver every valid message exactly once.
+    That is sampling, not a guarantee over every channel content: three
+    forged frames built by hand in one channel of path:2 make the port
+    lose a valid message (ROADMAP item 1). *)
 
 type public = {
   pub_routing : Routing.Selfstab.state;

@@ -55,6 +55,63 @@ let test_expand_filter () =
     (fun i sc -> Alcotest.(check int) "reindexed densely" i sc.Spec.index)
     scenarios
 
+(* The ring:6, seed 1, uniform:2 scenario of a model and schedule. *)
+let ring6 ?(corruption = Spec.Adversarial) ?(schedule = "none") ?(snapshot = 0)
+    ?(max_steps = 500_000) model =
+  Spec.point ~snapshot ~model ~chaos:(Spec.chaos_exn schedule) ~seed:1
+    ~max_steps (Spec.topology_exn "ring:6") corruption (Spec.Uniform 2)
+
+let test_channel_garbage_fill () =
+  let garbage corruption model = (ring6 ~corruption model).Spec.channel_garbage in
+  Alcotest.(check (list int))
+    "mp: pristine 0, random 10, adversarial 2n" [ 0; 10; 12 ]
+    (List.map
+       (fun c -> garbage c Spec.Mp_model)
+       [ Spec.Pristine; Spec.Random_point; Spec.Adversarial ]);
+  Alcotest.(check (list int))
+    "state: always 0" [ 0; 0; 0 ]
+    (List.map
+       (fun c -> garbage c Spec.State_model)
+       [ Spec.Pristine; Spec.Random_point; Spec.Adversarial ]);
+  (* the chaos grid: every mp scenario carries 2n or 0 by corruption *)
+  List.iter
+    (fun sc ->
+      let n = Topology.Graph.n sc.Spec.topology.Spec.graph in
+      let want =
+        match (sc.Spec.model, sc.Spec.corruption) with
+        | Spec.Mp_model, Spec.Adversarial -> 2 * n
+        | _ -> 0
+      in
+      Alcotest.(check int) sc.Spec.id want sc.Spec.channel_garbage)
+    (Spec.expand ~filter:Spec.chaos_filter (Spec.chaos_grid ()))
+
+let test_mp_only_rule () =
+  let check_rule label want sc =
+    Alcotest.(check (option string)) label want (Spec.mp_only sc);
+    Alcotest.(check bool)
+      (label ^ ": chaos_filter agrees")
+      (want = None || sc.Spec.model = Spec.Mp_model)
+      (Spec.chaos_filter sc)
+  in
+  let cases =
+    [
+      ("snapshot", "--snapshot-every", fun m -> ring6 ~snapshot:400 m);
+      ( "channel garbage",
+        "--channel-garbage",
+        fun m -> { (ring6 m) with Spec.channel_garbage = 3 } );
+      ("window", "@win=", fun m -> ring6 ~schedule:"none@win=4" m);
+      ("synchrony", "@ps=", fun m -> ring6 ~schedule:"none@ps=16:100" m);
+    ]
+  in
+  List.iter
+    (fun (label, setting, sc) ->
+      check_rule ("state " ^ label) (Some setting) (sc Spec.State_model);
+      check_rule ("mp " ^ label) None (sc Spec.Mp_model))
+    cases;
+  check_rule "plain state" None (ring6 ~corruption:Spec.Pristine Spec.State_model);
+  check_rule "lossy state burst" None
+    (ring6 ~schedule:"8:rb:2@lossy" Spec.State_model)
+
 (* ---------------- pool ---------------- *)
 
 let test_run_list_crash_isolation () =
@@ -96,6 +153,15 @@ let test_run_one_deterministic () =
   in
   let a = summary (Pool.run_one sc) and b = summary (Pool.run_one sc) in
   Alcotest.(check bool) "identical summaries" true (a = b)
+
+let test_mp_max_steps () =
+  (* The budget reaches the mp model: without it this scenario drains in
+     3,124 deliveries. *)
+  match (Pool.run_one (ring6 ~max_steps:100 Spec.Mp_model)).Pool.status with
+  | Pool.Crashed c -> Alcotest.fail ("crashed: " ^ c.Pool.crash_msg)
+  | Pool.Done s ->
+      Alcotest.(check bool) "Max_steps" true (s.Pool.outcome = `Max_steps);
+      Alcotest.(check int) "budget spent" 100 s.Pool.steps
 
 (* ---------------- aggregate / baseline ---------------- *)
 
@@ -318,6 +384,9 @@ let () =
           Alcotest.test_case "topology_of_string" `Quick test_topology_of_string;
           Alcotest.test_case "expand default grid" `Quick test_expand_default_grid;
           Alcotest.test_case "expand filter" `Quick test_expand_filter;
+          Alcotest.test_case "channel garbage fill" `Quick
+            test_channel_garbage_fill;
+          Alcotest.test_case "mp-only rule" `Quick test_mp_only_rule;
         ] );
       ( "pool",
         [
@@ -326,6 +395,7 @@ let () =
             test_workers_byte_identical;
           Alcotest.test_case "run_one deterministic" `Quick
             test_run_one_deterministic;
+          Alcotest.test_case "mp max_steps" `Quick test_mp_max_steps;
         ] );
       ( "aggregate",
         [

@@ -624,43 +624,66 @@ let test_synchrony_bounded_age () =
    frozen and the seeds are fixed, so its outputs are constants. A
    change to the channel draw, to the order or guard of a loss,
    duplication or reorder draw, or to crash evaporation moves them.
-   Every case drains: it ends idle, with every channel empty.
-   [states] are the tokens each process received. *)
+   Every such case drains: it ends idle, with every channel empty.
+   [states] are the tokens each process received.
+
+   That relay dies fast under faults (the lossy case drains after 24
+   deliveries, flaky + crash after 9 with nothing duplicated or
+   reordered), so with [resend] every process also sends a fresh 3-hop
+   token to its successor from a periodic wheel timer, as b4's relay
+   resends do. The tokens stay alive and the fault axes act together:
+   such a case spends its whole step budget (a timer fire on empty
+   channels is a step too) and pins, besides the counters and states,
+   the contents of every successor channel ([channels]; the predecessor
+   channels stay empty). Those values are the current network's; timer
+   firing moves them too. *)
 let differential ?(loss = 0.) ?(duplication = 0.) ?(reorder = 0.) ?crash
-    ~seed ~budget ~deliveries ?(dropped = 0) ?(duplicated = 0)
-    ?(reordered = 0) ?(dropped_while_down = 0) label states =
+    ?(resend = false) ~seed ~budget ~deliveries ?(dropped = 0)
+    ?(duplicated = 0) ?(reordered = 0) ?(dropped_while_down = 0)
+    ?(channels = List.init 6 (fun _ -> [])) label states =
   let g = Topology.Builders.ring 6 in
   let n = Topology.Graph.n g in
+  let next p = (p + 1) mod n in
   let handler ~self ~from:_ count ttl =
-    (count + 1, if ttl > 0 then [ ((self + 1) mod n, ttl - 1) ] else [])
+    (count + 1, if ttl > 0 then [ (next self, ttl - 1) ] else [])
   in
   let net =
     Mp.Network.create ~loss ~duplication ~reorder ~init:(fun _ -> 0) ~handler g
   in
+  if resend then
+    Mp.Network.set_timer_handler net ~keys:1 (fun ~self ~key count ->
+        Mp.Network.arm_timer net ~self ~key ~after:(8 * n);
+        (count, [ (next self, 3) ]));
   for p = 0 to n - 1 do
-    Mp.Network.inject net ~from:p ~into:((p + 1) mod n) (20 + p)
+    if resend then Mp.Network.arm_timer net ~self:p ~key:0 ~after:(1 + (8 * p));
+    Mp.Network.inject net ~from:p ~into:(next p) (20 + p)
   done;
   Option.iter (fun (p, down_for) -> Mp.Network.crash net p ~down_for) crash;
   let outcome =
     Mp.Network.run ~max_deliveries:budget net (Prng.Splitmix.of_int seed)
   in
   let chk name = Alcotest.(check int) (label ^ ": " ^ name) in
-  Alcotest.(check bool) (label ^ ": idle") true (outcome = `Idle);
+  Alcotest.(check bool)
+    (label ^ ": outcome") true
+    (outcome = if resend then `Max_deliveries else `Idle);
   chk "deliveries" deliveries (Mp.Network.deliveries net);
   chk "dropped" dropped (Mp.Network.dropped net);
   chk "duplicated" duplicated (Mp.Network.duplicated net);
   chk "reordered" reordered (Mp.Network.reordered net);
   chk "dropped while down" dropped_while_down
     (Mp.Network.dropped_while_down net);
-  chk "in flight" 0 (Mp.Network.in_flight net);
+  chk "in flight"
+    (List.length (List.concat channels))
+    (Mp.Network.in_flight net);
   Alcotest.(check (list int)) (label ^ ": states") states
     (List.init n (Mp.Network.state net));
-  for p = 0 to n - 1 do
-    Alcotest.(check (list int))
-      (Printf.sprintf "%s: channel %d->%d" label p ((p + 1) mod n))
-      []
-      (Mp.Network.channel_contents net ~from:p ~into:((p + 1) mod n))
-  done
+  List.iteri
+    (fun p want ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s: channel %d->%d" label p (next p))
+        want
+        (Mp.Network.channel_contents net ~from:p ~into:(next p)))
+    channels
 
 let test_differential_reliable () =
   differential ~seed:101 ~budget:5000 ~deliveries:141 "reliable"
@@ -682,6 +705,25 @@ let test_differential_flaky_crash () =
   differential ~loss:0.3 ~duplication:0.1 ~reorder:0.2 ~crash:(2, 40)
     ~seed:105 ~budget:2000 ~deliveries:9 ~dropped:3 ~dropped_while_down:3
     "flaky+crash" [ 2; 2; 0; 1; 2; 2 ]
+
+let test_resends_lossy () =
+  differential ~loss:0.2 ~resend:true ~seed:106 ~budget:2000 ~deliveries:1401
+    ~dropped:379 ~channels:[ []; []; [ 2 ]; []; []; [] ] "resends lossy"
+    [ 231; 230; 236; 230; 235; 239 ]
+
+let test_resends_flaky_crash () =
+  differential ~loss:0.3 ~duplication:0.1 ~reorder:0.2 ~crash:(2, 40)
+    ~resend:true ~seed:108 ~budget:2000 ~deliveries:1458 ~dropped:621
+    ~duplicated:190 ~reordered:23 ~dropped_while_down:5
+    ~channels:[ [ 2 ]; []; []; [ 2 ]; []; [] ] "resends flaky+crash"
+    [ 258; 258; 228; 234; 234; 246 ]
+
+let test_resends_lossy_crash () =
+  differential ~loss:0.15 ~duplication:0.05 ~reorder:0.1 ~crash:(4, 200)
+    ~resend:true ~seed:109 ~budget:3000 ~deliveries:2382 ~dropped:406
+    ~duplicated:126 ~reordered:12 ~dropped_while_down:17
+    ~channels:[ []; []; [ 2 ]; []; []; [] ] "resends lossy+crash"
+    [ 399; 394; 409; 407; 387; 386 ]
 
 (* ---------------- golden trajectory pins ---------------- *)
 
@@ -1370,6 +1412,11 @@ let () =
           Alcotest.test_case "duplicating" `Quick test_differential_duplicating;
           Alcotest.test_case "reordering" `Quick test_differential_reordering;
           Alcotest.test_case "flaky + crash" `Quick test_differential_flaky_crash;
+          Alcotest.test_case "resends lossy" `Quick test_resends_lossy;
+          Alcotest.test_case "resends flaky + crash" `Quick
+            test_resends_flaky_crash;
+          Alcotest.test_case "resends lossy + crash" `Quick
+            test_resends_lossy_crash;
         ] );
       ( "golden pins",
         [
