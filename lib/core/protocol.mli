@@ -91,11 +91,35 @@ val make :
     fixed) tables. [tie] selects [A]'s shortest-path tie-break (SSMFP
     must work with either family of trees [T_d]).
 
-    This is the stateless reference: every [enabled] call runs every
-    guard of every destination ({!enabled_rules}), and the record holds
-    no mutable state, so one value may be shared by any number of
-    engines and domains (the model checker's workers do). {!Cache} gives
-    the same results with guard work in proportion to change. *)
+    This is the stateless reference: every [enabled] call runs the guard
+    kernel ({!flags}) once for every destination and builds the offer
+    order from the n bytes ({!enabled_rules}). The record holds no
+    mutable state, so one value may be shared by any number of engines
+    and domains (the model checker's workers do). {!Cache} runs the same
+    kernel only where something changed. *)
+
+val flags :
+  Topology.Graph.t ->
+  ?variant:variant ->
+  ?run_routing:bool ->
+  ?tie:Routing.Selfstab.tie ->
+  State.t Sim.Engine.net ->
+  p:int ->
+  d:int ->
+  int
+(** The guard kernel: destination [d]'s enabled rules at [p] as one
+    byte, [A]'s rule at bit 0 and R6 R4 R5 R2 R3 R1 at bits 1 to 6 (see
+    {!flag}); [A]'s bit is 0 when [run_routing] is false. One pass reads
+    [p]'s slot for [d] once, computes [choice_p(d)] at most once for R3
+    and R1, and reads [bufE_q(d)] once for R2 and R5, [q] being the
+    [last] field of [bufR_p(d)]. Members of N\[p\] are found in [p]'s
+    neighbor array, never through {!Topology.Graph.is_edge}. {!make},
+    {!enabled_rules}, {!first_enabled} and {!Cache} all evaluate guards
+    through it. *)
+
+val flag : rule -> int
+(** [rule]'s bit in {!flags}' byte: [Route] 1, [R6] 2, [R4] 4, [R5] 8,
+    [R2] 16, [R3] 32, [R1] 64. *)
 
 (** {2 Guard cache}
 
@@ -103,15 +127,18 @@ val make :
     of instance [d] at [p] — [A]'s rule, R1–R6 and [choice_p(d)] — reads
     only element [d] of the slot and routing arrays of N\[p\] ([p] and
     its neighbors) and the bit [request_p ∧ nextDestination_p = d].
+    [A]'s rule reads the routing arrays alone.
 
-    The cache keeps, for each [(p, d)], [A]'s flag and the enabled SSMFP
-    rules in offer order, and for each [p] the slot and routing arrays
-    of N\[p\] and the request destination that [p]'s previous call read.
-    A call compares each member's two arrays with the remembered ones by
-    physical identity; only an array that differs is diffed, one [==]
-    per destination, and the reference guards re-run only for the
-    destinations that differ in some member or whose request bit
-    changed. A process's first call computes every destination.
+    The cache keeps, for each [(p, d)], {!flags}' byte, and for each [p]
+    the slot and routing arrays of N\[p\] and the request destination
+    that [p]'s previous call read. A call compares each member's two
+    arrays with the remembered ones by physical identity; only an array
+    that differs is diffed, one [==] per destination. The kernel re-runs
+    only for the destinations that differ in some member or whose
+    request bit changed, and [A]'s guard re-runs only where a routing
+    element differs: a destination changed only in a slot or in the
+    request bit keeps [A]'s bit. A process's first call computes every
+    destination, [A]'s guard included.
 
     {b Contract.} States are copy-on-write: a write builds a fresh slot
     or routing array ([State.with_slot], [State.with_routing],
@@ -131,9 +158,10 @@ val make :
     contract.
 
     A call costs O(|N\[p\]|) identity checks when nothing in N\[p\]
-    changed, plus O(n) pointer comparisons per changed array and the
-    guards of the changed destinations. Building {!enabled}'s list or
-    finding {!first_enabled}'s action walks [p]'s n flag bytes, and
+    changed, plus O(n) pointer comparisons per changed array, the SSMFP
+    part of the kernel for each changed destination and [A]'s guard for
+    each destination whose routing changed. Building {!enabled}'s list
+    or finding {!first_enabled}'s action walks [p]'s n flag bytes, and
     neither walks when nothing is enabled at [p]. A cache holds n bytes
     and O(1) words per processor and 2 words per member of N\[p\]; it
     writes into its tables on every call, so it belongs to one engine or
@@ -169,6 +197,11 @@ module Cache : sig
   val recomputes : t -> int
   (** Destinations whose guards were re-run since {!create}: all n at a
       process's first call, then only the changed ones. *)
+
+  val route_recomputes : t -> int
+  (** Destinations whose [A] guard was re-run since {!create}: all n at
+      a process's first call, then only those where a routing element of
+      N\[p\] changed; always 0 when [run_routing] is false. *)
 end
 
 (** {2 Introspection} — the guard-level probes used by tests, oracles and
@@ -178,9 +211,8 @@ end
 val choice : Topology.Graph.t -> State.t Sim.Engine.net -> p:int -> d:int -> int option
 (** Current value of [choice_p(d)] ([None] when no candidate): exactly
     [Choice.select ~candidate:(can_feed g net ~p ~d)] over
-    [Choice.normalize g ~p] of [p]'s queue for [d], computed without
-    building the normalized queue and without allocating when no member
-    of [N_p ∪ {p}] can feed. *)
+    [Choice.normalize g ~p] of [p]'s queue for [d], computed as {!flags}
+    computes it, without building the normalized queue. *)
 
 val can_feed : Topology.Graph.t -> State.t Sim.Engine.net -> p:int -> d:int -> int -> bool
 (** The candidate predicate of [choice_p(d)]. *)
@@ -193,7 +225,10 @@ val enabled_rules :
   State.t Sim.Engine.net ->
   p:int ->
   action list
-(** All enabled actions at [p] in offer order (same as the protocol). *)
+(** All enabled actions at [p] in offer order (same as the protocol):
+    {!flags} for every destination, then [A]'s actions in rotation order
+    from [State.rr] if any destination has [A]'s bit, else the SSMFP
+    rules, destination by destination in rotation order. *)
 
 val first_enabled :
   Topology.Graph.t ->
@@ -203,8 +238,9 @@ val first_enabled :
   State.t Sim.Engine.net ->
   p:int ->
   action option
-(** The head of {!enabled_rules}, found by the same walk stopped at the
-    first enabled action: what a priority-respecting daemon executes. *)
+(** The head of {!enabled_rules}, found over the same bytes by a walk
+    that stops at the first enabled action: what a priority-respecting
+    daemon executes. *)
 
 val raise_requests :
   ?on_raise:(int -> unit) -> (State.t, 'a, 'e) Sim.Engine.t -> unit

@@ -6,7 +6,7 @@ type record = {
 
 type t = {
   ghosts : (int, record) Hashtbl.t; (* valid ghosts only *)
-  mutable invalid_delivered : (int * int) list; (* (dest, count) *)
+  invalid_delivered : (int, int) Hashtbl.t; (* dest -> count *)
   mutable invalid_log : (int * int) list; (* (round, dest), reverse *)
   pending_requests : (int, int) Hashtbl.t; (* pid -> round raised *)
   mutable delay_samples : float list;
@@ -18,7 +18,7 @@ type t = {
 let create () =
   {
     ghosts = Hashtbl.create 64;
-    invalid_delivered = [];
+    invalid_delivered = Hashtbl.create 16;
     invalid_log = [];
     pending_requests = Hashtbl.create 16;
     delay_samples = [];
@@ -42,9 +42,10 @@ let observe_request_raised t ~round ~pid =
     Hashtbl.replace t.pending_requests pid round
 
 let bump_invalid t ~round dest =
-  let count = Option.value ~default:0 (List.assoc_opt dest t.invalid_delivered) in
-  t.invalid_delivered <-
-    (dest, count + 1) :: List.remove_assoc dest t.invalid_delivered;
+  let count =
+    Option.value ~default:0 (Hashtbl.find_opt t.invalid_delivered dest)
+  in
+  Hashtbl.replace t.invalid_delivered dest (count + 1);
   t.invalid_log <- (round, dest) :: t.invalid_log
 
 let note_delivery t ~round =
@@ -109,10 +110,12 @@ let duplicate_delivered_total t =
       if c > 1 then acc + (c - 1) else acc)
     0
 
-let invalid_deliveries t = List.sort compare t.invalid_delivered
+let invalid_deliveries t =
+  Hashtbl.fold (fun dest c acc -> (dest, c) :: acc) t.invalid_delivered []
+  |> List.sort compare
 
 let invalid_delivered_total t =
-  List.fold_left (fun acc (_, c) -> acc + c) 0 t.invalid_delivered
+  Hashtbl.fold (fun _ c acc -> acc + c) t.invalid_delivered 0
 
 let invalid_delivery_log t = List.rev t.invalid_log
 

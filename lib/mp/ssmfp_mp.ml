@@ -113,9 +113,10 @@ let barrier_ready m proc = Array.for_all (fun (k, _) -> k = proc.pulse) m.now
 
 let make_handler g nbrs mirrors oracle sync prof hook_ref barrier_hook_ref =
   let n = Topology.Graph.n g in
-  (* One guard cache per instance, never shared across domains. *)
+  (* One guard cache per instance, never shared across domains; its
+     protocol applies the chosen actions. *)
   let cache = Ssmfp.Protocol.Cache.create g in
-  let proto = Ssmfp.Protocol.make g in
+  let proto = Ssmfp.Protocol.Cache.protocol cache in
   let prof_on = Obs.Prof.enabled prof in
   let ptr = Obs.Prof.track prof 0 in
   let c_barriers = Obs.Prof.counter prof "mp.barriers" in
@@ -190,11 +191,13 @@ let make_handler g nbrs mirrors oracle sync prof hook_ref barrier_hook_ref =
   in
   let handler ~self ~slot proc (Snapshot (k, pub, prev)) =
     let m = mirrors.(self) in
+    (* Newest first; reversed once on return. *)
     let sends = ref [] in
     let broadcast proc =
       let msg = publish proc in
-      sends :=
-        !sends @ List.map (fun q -> (q, msg)) (Topology.Graph.neighbors g self)
+      List.iter
+        (fun q -> sends := (q, msg) :: !sends)
+        (Topology.Graph.neighbors g self)
     in
     (* A gap of 2 or more, or a one-pulse lead with no way left to learn
        the neighbor's state at p's pulse, is a real gap: adopt. *)
@@ -226,7 +229,7 @@ let make_handler g nbrs mirrors oracle sync prof hook_ref barrier_hook_ref =
       else proc
     in
     let proc = drain proc in
-    (proc, !sends)
+    (proc, List.rev !sends)
   in
   handler
 
@@ -361,14 +364,15 @@ let create ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0)
         let accepted, reply =
           Window.on_data win_recv.(self).(slot) ~epoch ~seq body
         in
+        (* Each payload's sends in order, built newest first. *)
         let proc, sends =
           List.fold_left
             (fun (proc, acc) pay ->
               let proc, s = inner ~self ~slot proc pay in
-              (proc, acc @ s))
+              (proc, List.rev_append s acc))
             (proc, []) accepted
         in
-        (proc, (from, reply) :: route_sends self sends)
+        (proc, (from, reply) :: route_sends self (List.rev sends))
   in
   (* Crash–recovery amnesia: the synchronizer's volatile state (neighbor
      mirrors, window state, RTOs) is lost; the SSMFP core and the pulse
@@ -402,15 +406,16 @@ let create ?(spec = Harness.Fault.pristine) ?(channel_garbage = 0)
       if key = refresh_key self then begin
         Network.arm_timer net ~self ~key ~after:refresh_every;
         let pay = publish proc in
+        (* Frames in slot order, built newest first. *)
         let out = ref [] in
         Array.iteri
           (fun slot q ->
             if not (Window.busy win_send.(self).(slot)) then begin
               count_retrans 1;
-              out := !out @ win_push self q pay
+              out := List.rev_append (win_push self q pay) !out
             end)
           nbrs.(self);
-        (proc, !out)
+        (proc, List.rev !out)
       end
       else if key < Array.length nbrs.(self) then begin
         let snd = win_send.(self).(key) in

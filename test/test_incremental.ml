@@ -246,6 +246,18 @@ let copy_write _ _ ~wl:_ ~p:_ st =
     routing = Array.copy st.Ssmfp.State.routing;
   }
 
+(* One routing entry rewritten at a random destination: A's guard must
+   re-run there at p and at its neighbors, and nowhere else. *)
+let routing_write rng g ~wl:_ ~p:_ st =
+  let n = Topology.Graph.n g in
+  let routing = Array.copy st.Ssmfp.State.routing in
+  routing.(Prng.Splitmix.int rng n) <-
+    {
+      Routing.Selfstab.dist = Prng.Splitmix.int rng (n + 1);
+      via = Prng.Splitmix.int rng n;
+    };
+  Ssmfp.State.with_routing st routing
+
 (* The request destination moves: the request is raised for a new
    outbox head with a random destination. *)
 let request_write rng g ~wl:_ ~p:_ st =
@@ -350,7 +362,9 @@ let diff_storm ~name write =
   storm ~name ~g:(Topology.Builders.torus ~rows:3 ~cols:3) ~max_steps:80 write
 
 (* The cache's counters over [sweep]s of torus:3x3 from an adversarial
-   start: one call per process, |N[p]| = 5 array pairs compared each. *)
+   start: one call per process, |N[p]| = 5 array pairs compared each.
+   A sweep returns the array pairs compared, the destinations recomputed
+   and the A guards re-run so far. *)
 let torus_sweeps () =
   let g = Topology.Builders.torus ~rows:3 ~cols:3 in
   let n = Topology.Graph.n g in
@@ -369,28 +383,38 @@ let torus_sweeps () =
         (Ssmfp.Protocol.enabled_rules g net ~p)
         (Ssmfp.Protocol.Cache.enabled cache net ~p)
     done;
-    Ssmfp.Protocol.Cache.(checks cache, recomputes cache)
+    Ssmfp.Protocol.Cache.(checks cache, recomputes cache, route_recomputes cache)
   in
   (g, states, sweep)
 
-(* An unchanged configuration recomputes no destination, and a write of
-   one slot recomputes exactly that destination at the writer and its
-   neighbors: a cache that always missed would pass the differential
-   and lose the gain. *)
+let counts = Alcotest.(triple int int int)
+
+(* An unchanged configuration recomputes no destination; a write of one
+   slot recomputes exactly that destination at the writer and its
+   neighbors and re-runs no A guard; a write of one routing entry
+   re-runs A's guard too, at that destination for exactly N[p]. A
+   cache that always missed, or that re-ran A on every change, would
+   pass the differential and lose the gain. *)
 let test_cache_hits () =
   let g, states, sweep = torus_sweeps () in
   let n = Topology.Graph.n g in
   let pairs = n * 5 in
-  Alcotest.(check (pair int int)) "first sweep computes every destination"
-    (pairs, n * n) (sweep ());
-  Alcotest.(check (pair int int)) "unchanged configuration: no recompute"
-    (2 * pairs, n * n) (sweep ());
+  Alcotest.check counts "first sweep computes every destination"
+    (pairs, n * n, n * n) (sweep ());
+  Alcotest.check counts "unchanged configuration: no recompute"
+    (2 * pairs, n * n, n * n) (sweep ());
   let p = 4 and d = 7 in
+  let closed = 1 + Topology.Graph.degree g p in
   let sl = Ssmfp.State.slot states.(p) d in
   states.(p) <-
     Ssmfp.State.with_slot states.(p) d { sl with Ssmfp.State.buf_r = None };
-  Alcotest.(check (pair int int)) "one slot written: N[p] recompute d"
-    (3 * pairs, (n * n) + 1 + Topology.Graph.degree g p)
+  Alcotest.check counts "one slot written: N[p] recompute d, no A guard"
+    (3 * pairs, (n * n) + closed, n * n) (sweep ());
+  let routing = Array.copy states.(p).Ssmfp.State.routing in
+  routing.(d) <- { Routing.Selfstab.dist = n; via = p };
+  states.(p) <- Ssmfp.State.with_routing states.(p) routing;
+  Alcotest.check counts "one routing entry written: N[p] re-run A at d"
+    (4 * pairs, (n * n) + (2 * closed), (n * n) + closed)
     (sweep ())
 
 (* Equal copies of both arrays are new identities with the same
@@ -402,12 +426,12 @@ let test_cache_equal_copy () =
   for p = 0 to n - 1 do
     states.(p) <- copy_write () g ~wl:() ~p states.(p)
   done;
-  Alcotest.(check (pair int int)) "every array copied: no recompute"
-    (2 * n * 5, n * n) (sweep ())
+  Alcotest.check counts "every array copied: no recompute"
+    (2 * n * 5, n * n, n * n) (sweep ())
 
 (* Moving p's request from one destination to another recomputes those
    two destinations at p and nothing at its neighbors, which do not
-   read the request bit. *)
+   read the request bit; A reads no request, so its guard never re-runs. *)
 let test_cache_request_moves () =
   let _, states, sweep = torus_sweeps () in
   let p = 2 in
@@ -415,14 +439,16 @@ let test_cache_request_moves () =
     { (states.(p)) with Ssmfp.State.request = true; outbox = [ (d, "m") ] }
   in
   states.(p) <- requesting 3;
-  let _, before = sweep () in
+  let _, before, route_before = sweep () in
   states.(p) <- requesting 6;
-  let _, after = sweep () in
+  let _, after, route_after = sweep () in
   Alcotest.(check int) "destinations 3 and 6 at p" 2 (after - before);
   states.(p) <- { (states.(p)) with Ssmfp.State.request = false };
-  let _, lowered = sweep () in
+  let _, lowered, route_lowered = sweep () in
   Alcotest.(check int) "request lowered: destination 6 at p" 1
-    (lowered - after)
+    (lowered - after);
+  Alcotest.(check (list int)) "no A guard re-run" [ route_before; route_before ]
+    [ route_after; route_lowered ]
 
 (* A process's first call recomputes all n destinations, whatever the
    calls at other processes before it, and answers as the reference
@@ -451,11 +477,14 @@ let test_cache_first_call () =
             Printf.sprintf "%s seed %d p%d: %s" gname seed p what
           in
           let before = Ssmfp.Protocol.Cache.recomputes enabled in
+          let route_before = Ssmfp.Protocol.Cache.route_recomputes enabled in
           Alcotest.(check (list action)) (label "enabled")
             (Ssmfp.Protocol.enabled_rules g net ~p)
             (Ssmfp.Protocol.Cache.enabled enabled net ~p);
           Alcotest.(check int) (label "recomputes n") n
             (Ssmfp.Protocol.Cache.recomputes enabled - before);
+          Alcotest.(check int) (label "A guard re-runs n") n
+            (Ssmfp.Protocol.Cache.route_recomputes enabled - route_before);
           Alcotest.(check (option action)) (label "first_enabled")
             (Ssmfp.Protocol.first_enabled g net ~p)
             (Ssmfp.Protocol.Cache.first_enabled first net ~p)
@@ -490,6 +519,8 @@ let () =
             (diff_storm ~name:"copies" copy_write);
           Alcotest.test_case "request destination storm" `Quick
             (diff_storm ~name:"request" request_write);
+          Alcotest.test_case "routing entry storm" `Quick
+            (diff_storm ~name:"routing" routing_write);
           Alcotest.test_case "equal copies recompute nothing" `Quick
             test_cache_equal_copy;
           Alcotest.test_case "request move recomputes two" `Quick

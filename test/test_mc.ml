@@ -16,7 +16,11 @@ let test_two_chain_exhaustive_safety () =
   Alcotest.(check (option string)) "no loss" None r.Mc.Explore.lost_valid;
   Alcotest.(check (option string)) "no deadlock" None r.Mc.Explore.deadlock;
   Alcotest.(check bool) "explored beyond initials" true
-    (r.Mc.Explore.explored > r.Mc.Explore.initial_count)
+    (r.Mc.Explore.explored > r.Mc.Explore.initial_count);
+  (* A guard change that keeps the search consistent but wrong moves
+     these counts. *)
+  Alcotest.(check (pair int int)) "explored, transitions" (108_280, 205_362)
+    (r.Mc.Explore.explored, r.Mc.Explore.transitions)
 
 let test_two_chain_liveness_sample () =
   let sc = Mc.Explore.two_chain in
@@ -48,7 +52,9 @@ let test_two_chain_simultaneity () =
   let r = Mc.Explore.check_safety ~simultaneity:true sc inits in
   Alcotest.(check bool) "no duplicate" false r.Mc.Explore.duplicate_delivery;
   Alcotest.(check (option string)) "no loss" None r.Mc.Explore.lost_valid;
-  Alcotest.(check (option string)) "no deadlock" None r.Mc.Explore.deadlock
+  Alcotest.(check (option string)) "no deadlock" None r.Mc.Explore.deadlock;
+  Alcotest.(check (pair int int)) "explored, transitions" (108_296, 241_958)
+    (r.Mc.Explore.explored, r.Mc.Explore.transitions)
 
 let test_routing_active_safety () =
   (* SP safety while A repairs corrupted tables *inside* the search:

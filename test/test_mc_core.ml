@@ -394,32 +394,48 @@ let test_por_differential () =
   let literal =
     { Ssmfp.Protocol.faithful with Ssmfp.Protocol.literal_r5 = true }
   in
+  (* The exhaustive 2-chain's reduced search is the CLI's default
+     [mc --scenario 2chain]: its counts are pinned too. *)
   let cases =
     [
-      ("2chain enumerate", two, None, Mc.Explore.enumerate_initials two);
+      ( "2chain enumerate",
+        two,
+        None,
+        Mc.Explore.enumerate_initials two,
+        Some (105_776, 145_062) );
       ( "2chain literal-r5",
         two,
         Some literal,
-        Mc.Explore.enumerate_initials two );
+        Mc.Explore.enumerate_initials two,
+        None );
       ( "3chain sampled",
         three,
         None,
-        Mc.Explore.sample_initials (Prng.Splitmix.of_int 5) ~count:200 three );
+        Mc.Explore.sample_initials (Prng.Splitmix.of_int 5) ~count:200 three,
+        None );
       ( "3chain literal-r5",
         three,
         Some literal,
-        Mc.Explore.sample_initials (Prng.Splitmix.of_int 11) ~count:100 three
-      );
+        Mc.Explore.sample_initials (Prng.Splitmix.of_int 11) ~count:100 three,
+        None );
       ( "star5 sampled",
         star5,
         None,
-        Mc.Explore.sample_initials (Prng.Splitmix.of_int 13) ~count:40 star5 );
+        Mc.Explore.sample_initials (Prng.Splitmix.of_int 13) ~count:40 star5,
+        None );
     ]
   in
   List.iter
-    (fun (label, sc, variant, inits) ->
+    (fun (label, sc, variant, inits, pinned) ->
       let off = Mc.Explore.check_safety ?variant ~por:false sc inits in
       let on_ = Mc.Explore.check_safety ?variant ~por:true sc inits in
+      Option.iter
+        (fun counts ->
+          Alcotest.(check (pair int int))
+            (label ^ ": reduced explored, transitions")
+            counts
+            (on_.Mc.Explore.explored, on_.Mc.Explore.transitions))
+        pinned;
       Alcotest.(check bool)
         (label ^ ": duplicate verdict") off.Mc.Explore.duplicate_delivery
         on_.Mc.Explore.duplicate_delivery;

@@ -1,6 +1,7 @@
 (* Guard-level unit tests for SSMFP's rules R1-R6, the routing priority,
    and the destination rotation. Configurations are crafted directly and
-   evaluated through Protocol.enabled_rules / apply. *)
+   evaluated through Protocol.enabled_rules / apply. The "kernel" group
+   checks Protocol.flags against the literal guards. *)
 
 open Ssmfp.Protocol
 
@@ -404,6 +405,332 @@ let prop_first_enabled_is_head =
                [ true; false ])
            variants))
 
+(* ---------------- the guard kernel against the literal guards ---------------- *)
+
+(* The guards as they stood before [Protocol.flags]: one function per
+   rule, each re-reading the slot and testing who p may read through
+   [Topology.Graph.is_edge], and choice_p(d) computed literally as
+   [Choice.select] over the normalized queue. The kernel must answer
+   exactly as these do. *)
+module Literal = struct
+  open Ssmfp
+
+  let read (net : State.t Sim.Engine.net) q = net.states.(q)
+  let routing_of net q = (read net q).State.routing
+  let slot_of net q d = State.slot (read net q) d
+  let readable g ~p q = q = p || Topology.Graph.is_edge g p q
+
+  let buf_r_seen g net ~p q d =
+    if readable g ~p q then (slot_of net q d).State.buf_r else None
+
+  let buf_e_seen g net ~p q d =
+    if readable g ~p q then (slot_of net q d).State.buf_e else None
+
+  let next_hop net q ~d = Routing.Selfstab.next_hop (routing_of net q) ~d
+
+  let requests sp ~d =
+    sp.State.request
+    && match sp.State.outbox with (d', _) :: _ -> d' = d | [] -> false
+
+  let can_feed g net ~p ~d s =
+    if s = p then requests (read net p) ~d
+    else
+      match buf_e_seen g net ~p s d with
+      | Some _ -> next_hop net s ~d = p
+      | None -> false
+
+  let chosen g net ~p ~d =
+    match
+      Choice.select ~candidate:(can_feed g net ~p ~d)
+        (Choice.normalize g ~p (slot_of net p d).State.queue)
+    with
+    | Some s -> s
+    | None -> -1
+
+  let guard_r1 g net ~p ~d =
+    let sp = read net p in
+    requests sp ~d
+    && (State.slot sp d).State.buf_r = None
+    && chosen g net ~p ~d = p
+
+  let guard_r2 g net ~p ~d =
+    let sl = slot_of net p d in
+    match (sl.State.buf_e, sl.State.buf_r) with
+    | None, Some m ->
+        let q = m.Message.last in
+        q = p
+        ||
+        (match buf_e_seen g net ~p q d with
+        | Some m' ->
+            not (Message.matches_info_color m' ~info:m.Message.info ~color:m.Message.color)
+        | None -> true)
+    | _ -> false
+
+  let guard_r3 g net ~p ~d =
+    (slot_of net p d).State.buf_r = None
+    &&
+    let s = chosen g net ~p ~d in
+    s >= 0 && s <> p
+    && match buf_e_seen g net ~p s d with Some _ -> true | None -> false
+
+  let guard_r4 g net ~p ~d =
+    p <> d
+    &&
+    match (slot_of net p d).State.buf_e with
+    | None -> false
+    | Some m ->
+        let h = next_hop net p ~d in
+        let is_copy = function
+          | Some (m' : Message.t) ->
+              m'.info = m.Message.info && m'.last = p && m'.color = m.Message.color
+          | None -> false
+        in
+        readable g ~p h
+        && is_copy (buf_r_seen g net ~p h d)
+        && List.for_all
+             (fun r -> r = h || not (is_copy (buf_r_seen g net ~p r d)))
+             (Topology.Graph.neighbors g p)
+
+  let guard_r5 ~literal g net ~p ~d =
+    match (slot_of net p d).State.buf_r with
+    | None -> false
+    | Some m when (not literal) && m.Message.last = p -> false
+    | Some m -> (
+        let q = m.Message.last in
+        match buf_e_seen g net ~p q d with
+        | Some m' ->
+            Message.matches_info_color m' ~info:m.Message.info ~color:m.Message.color
+            && next_hop net q ~d <> p
+        | None -> false)
+
+  let guard_r6 net ~p ~d = d = p && (slot_of net p d).State.buf_e <> None
+
+  type scan = {
+    g : Topology.Graph.t;
+    variant : variant;
+    tie : Routing.Selfstab.tie;
+    net : State.t Sim.Engine.net;
+    read : int -> Routing.Selfstab.state;
+    p : int;
+  }
+
+  let holds c ~d = function
+    | Route ->
+        Routing.Selfstab.enabled ~tie:c.tie c.g ~read:c.read ~p:c.p ~d
+    | R6 -> guard_r6 c.net ~p:c.p ~d
+    | R4 -> guard_r4 c.g c.net ~p:c.p ~d
+    | R5 ->
+        c.variant.use_r5
+        && guard_r5 ~literal:c.variant.literal_r5 c.g c.net ~p:c.p ~d
+    | R2 -> guard_r2 c.g c.net ~p:c.p ~d
+    | R3 -> guard_r3 c.g c.net ~p:c.p ~d
+    | R1 -> guard_r1 c.g c.net ~p:c.p ~d
+
+  let ssmfp_rules = [ R6; R4; R5; R2; R3; R1 ]
+
+  let scan g ~variant ~tie net ~p =
+    { g; variant; tie; net; read = routing_of net; p }
+
+  (* Only A's rule and R5 read [tie] and [variant]: these bits of the
+     rules that read neither. *)
+  let fixed_bits c ~d =
+    List.fold_left
+      (fun acc rule -> if holds c ~d rule then acc lor flag rule else acc)
+      0 [ R6; R4; R2; R3; R1 ]
+
+  (* Destination d's byte in the kernel's layout, given [fixed_bits]. *)
+  let byte c ~run_routing ~fixed ~d =
+    fixed
+    lor (if holds c ~d R5 then flag R5 else 0)
+    lor if run_routing && holds c ~d Route then flag Route else 0
+
+  (* The offer order, rule by rule: A's actions from rr if any, else
+     SSMFP's, destination by destination from rr. *)
+  let offered c ~run_routing =
+    let n = Topology.Graph.n c.g in
+    let rr = ((read c.net c.p).State.rr mod n + n) mod n in
+    let walk rules =
+      List.concat_map
+        (fun i ->
+          let d = (rr + i) mod n in
+          List.filter_map
+            (fun rule -> if holds c ~d rule then Some { rule; dest = d } else None)
+            rules)
+        (List.init n Fun.id)
+    in
+    match if run_routing then walk [ Route ] else [] with
+    | [] -> walk ssmfp_rules
+    | routing -> routing
+end
+
+(* Every variant x tie x routing combination: 20 configurations. *)
+let kernel_configs =
+  List.concat_map
+    (fun variant ->
+      List.concat_map
+        (fun tie -> List.map (fun run_routing -> (variant, tie, run_routing)) [ true; false ])
+        Routing.Selfstab.[ Smallest_id; Largest_id ])
+    [
+      faithful;
+      { faithful with use_colors = false };
+      { faithful with use_r5 = false };
+      { faithful with rotate_queue = false };
+      { faithful with literal_r5 = true };
+    ]
+
+let config_name ({ use_colors; use_r5; rotate_queue; literal_r5 }, tie, run_routing) =
+  Printf.sprintf "colors=%b r5=%b rotate=%b literal_r5=%b tie=%s routing=%b"
+    use_colors use_r5 rotate_queue literal_r5
+    (match tie with Routing.Selfstab.Smallest_id -> "smallest" | Largest_id -> "largest")
+    run_routing
+
+(* The kernel's byte against the literal guards' at every (p, d), under
+   every configuration; with [~order], [enabled_rules] against the
+   literal offer order at every p too. *)
+let check_kernel ?(order = false) ~label g states =
+  let net = Test_util.net_of g states in
+  let n = Topology.Graph.n g in
+  for p = 0 to n - 1 do
+    let fixed =
+      let c =
+        Literal.scan g ~variant:faithful ~tie:Routing.Selfstab.Smallest_id net ~p
+      in
+      Array.init n (fun d -> Literal.fixed_bits c ~d)
+    in
+    List.iter
+      (fun ((variant, tie, run_routing) as config) ->
+        let c = Literal.scan g ~variant ~tie net ~p in
+        for d = 0 to n - 1 do
+          let literal = Literal.byte c ~run_routing ~fixed:fixed.(d) ~d in
+          let kernel = flags g ~variant ~run_routing ~tie net ~p ~d in
+          if kernel <> literal then
+            Alcotest.failf "%s [%s] p%d d%d: kernel %#x, literal guards %#x"
+              label (config_name config) p d kernel literal
+        done;
+        if
+          order
+          && enabled_rules g ~variant ~run_routing ~tie net ~p
+             <> Literal.offered c ~run_routing
+        then
+          Alcotest.failf "%s [%s] p%d: offer order differs" label
+            (config_name config) p)
+      kernel_configs
+  done
+
+let test_kernel_two_chain () =
+  let sc = Mc.Explore.two_chain in
+  let inits = Mc.Explore.enumerate_initials sc in
+  Alcotest.(check int) "every initial configuration" 104_976 (List.length inits);
+  List.iteri
+    (fun i states ->
+      check_kernel ~label:(Printf.sprintf "2-chain #%d" i) sc.graph states)
+    inits
+
+let fig2_scenario =
+  { Mc.Explore.graph = Topology.Builders.paper_figure2; dest = 1; src = 2;
+    payload_pool = [ "v"; "x" ] }
+
+(* Sampled mc starts, with correct and with random routing tables. *)
+let test_kernel_mc_samples () =
+  List.iter
+    (fun (name, sc, count) ->
+      let rng = Prng.Splitmix.of_int 61 in
+      let check what inits =
+        List.iteri
+          (fun i states ->
+            check_kernel ~order:true
+              ~label:(Printf.sprintf "%s %s #%d" name what i)
+              sc.Mc.Explore.graph states)
+          inits
+      in
+      check "sampled" (Mc.Explore.sample_initials rng ~count sc);
+      check "corrupted" (Mc.Explore.sample_initials_corrupted rng ~count sc))
+    [ ("3-chain", Mc.Explore.three_chain, 1500); ("fig2", fig2_scenario, 300) ]
+
+(* A state no injector builds: every [last], [via] and queue entry may
+   name a non-neighbor, p itself or no processor at all (-1, n, n+1);
+   infos come from two values and colors may leave 0..Δ, so that
+   copies, duplicates and feeders meet often. *)
+let wild_state rng g p =
+  let open Ssmfp in
+  let n = Topology.Graph.n g in
+  let delta = Topology.Graph.max_degree g in
+  let closed = Array.of_list (p :: Topology.Graph.neighbors g p) in
+  let anyone () = Prng.Splitmix.int rng (n + 3) - 1 in
+  let near () =
+    if Prng.Splitmix.int rng 4 = 0 then anyone ()
+    else Prng.Splitmix.choose_array rng closed
+  in
+  let msg () =
+    if Prng.Splitmix.bool rng then None
+    else
+      Some
+        (Message.fresh_invalid ~at:p ~last:(near ())
+           ~color:(Prng.Splitmix.int rng (delta + 2))
+           (if Prng.Splitmix.bool rng then "a" else "b"))
+  in
+  let slot _ =
+    {
+      State.buf_r = msg ();
+      buf_e = msg ();
+      queue = List.init (Prng.Splitmix.int rng (Array.length closed + 3)) (fun _ -> near ());
+    }
+  in
+  {
+    State.routing =
+      Array.init n (fun _ ->
+          { Routing.Selfstab.dist = Prng.Splitmix.int rng (n + 2); via = near () });
+    slots = Array.init n slot;
+    rr = anyone ();
+    request = Prng.Splitmix.bool rng;
+    outbox =
+      List.init (Prng.Splitmix.int rng 3) (fun _ -> (anyone (), "o"));
+  }
+
+(* Adversarial, random and wild starts on ring, torus and fig2, each
+   also run 1-30 steps of the faithful protocol so that mid-run
+   configurations show up. *)
+let test_kernel_faulty_starts () =
+  List.iter
+    (fun (name, g) ->
+      let n = Topology.Graph.n g in
+      for seed = 0 to 11 do
+        let rng = Prng.Splitmix.of_int (seed + 101) in
+        let workload = Harness.Workload.uniform_random rng ~n ~per_processor:2 in
+        let states =
+          match seed mod 3 with
+          | 0 ->
+              Array.init n (fun p ->
+                  Harness.Fault.initial_states ~rng Harness.Fault.adversarial g
+                    ~workload p)
+          | 1 ->
+              let spec = Harness.Fault.random_spec rng in
+              Array.init n (fun p ->
+                  Harness.Fault.initial_states ~rng spec g ~workload p)
+          | _ -> Array.init n (wild_state rng g)
+        in
+        let label what = Printf.sprintf "%s seed %d %s" name seed what in
+        check_kernel ~order:true ~label:(label "start") g states;
+        let t =
+          Sim.Engine.make ~graph:g ~protocol:(make g) (fun p -> states.(p))
+        in
+        let daemon = Sim.Daemon.distributed_random (Prng.Splitmix.of_int seed) in
+        for step = 1 to 1 + (seed * 7 mod 30) do
+          Ssmfp.Protocol.raise_requests t;
+          ignore (Sim.Engine.step t daemon);
+          if step mod 5 = 0 then
+            check_kernel ~order:true
+              ~label:(label (Printf.sprintf "step %d" step))
+              g
+              (Sim.Engine.net t).Sim.Engine.states
+        done
+      done)
+    [
+      ("ring7", Topology.Builders.ring 7);
+      ("torus3x4", Topology.Builders.torus ~rows:3 ~cols:4);
+      ("fig2", Topology.Builders.paper_figure2);
+    ]
+
 let () =
   Alcotest.run "rules"
     [
@@ -460,4 +787,13 @@ let () =
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_first_enabled_is_head ] );
+      ( "kernel",
+        [
+          Alcotest.test_case "every 2-chain initial configuration" `Quick
+            test_kernel_two_chain;
+          Alcotest.test_case "sampled 3-chain and fig2 starts" `Quick
+            test_kernel_mc_samples;
+          Alcotest.test_case "adversarial, random and wild starts" `Quick
+            test_kernel_faulty_starts;
+        ] );
     ]
